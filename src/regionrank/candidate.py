@@ -2,73 +2,36 @@
 
 Deploying the orchestrator in region R turns each workflow hop (u, v) into
 two transfers that traverse R (u -> R, then R -> v), and routes each terminal
-node's final output back to R. Scoring a region sums a measured channel over
-those edges.
+node's final output back to R. A workflow with H hops and T terminal nodes
+therefore yields 2H + T edges, every one of them with R at one end.
+
+So a region's score on any channel m is sum_h w_h * m(R, h), where w_h counts
+the edges whose far end is host h. The weight vector w depends only on the
+workflow: it is computed once and shared by every region.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import RegionRankError
 from .metrics import FAILURE_SENTINEL_MS, MetricMatrix
 from .regions import Region
 from .workflow import ROLE_PROCESSOR, WorkflowSpec
 
-# Placeholder vertex for the orchestrator; '@' keeps it out of the hostname
-# namespace so it can never collide with a workflow host.
-ORCHESTRATOR = "@orchestrator"
-
 
 class CandidateError(RegionRankError):
     """A candidate graph could not be built."""
 
 
-@dataclass(frozen=True)
-class CandidateGraph:
-    """Directed transfer edges for one region; hosts at non-region endpoints."""
-
-    region: Region
-    edges: tuple[tuple[str, str], ...]
-
-    def peer(self, edge: tuple[str, str]) -> str:
-        """The workflow-host endpoint of an edge (the non-orchestrator side)."""
-        a, b = edge
-        if a == ORCHESTRATOR:
-            return b
-        if b == ORCHESTRATOR:
-            return a
-        raise CandidateError(f"edge {edge!r} does not touch the orchestrator")
-
-    def peers(self) -> list[str]:
-        return [self.peer(edge) for edge in self.edges]
-
-
-def build_candidate_graph(spec: WorkflowSpec, region: Region) -> CandidateGraph:
-    """Expand a workflow into the transfers routed through one region.
-
-    Every hop (u, v) contributes (host(u) -> R) and (R -> host(v)); every node
-    with no outgoing hop contributes one return edge (host(t) -> R). A
-    workflow with H hops and T terminal nodes yields 2H + T edges.
-    """
-    hosts = {node.id: node.host for node in spec.nodes}
-    if region.id in hosts.values():
-        raise CandidateError(
-            f"region id {region.id!r} collides with a workflow host; rename one of them"
-        )
-    edges = []
-    for u, v in spec.hops:
-        edges.append((hosts[u], ORCHESTRATOR))
-        edges.append((ORCHESTRATOR, hosts[v]))
-    has_outgoing = {u for u, _ in spec.hops}
-    for node in spec.nodes:
-        if node.id not in has_outgoing:
-            edges.append((hosts[node.id], ORCHESTRATOR))
-    return CandidateGraph(region=region, edges=tuple(edges))
-
-
 def candidate_peers(spec: WorkflowSpec) -> list[str]:
-    """Hosts at the far end of each candidate edge, in edge order."""
+    """Host at the far end of each candidate edge, in edge order.
+
+    Every hop (u, v) contributes host(u) (u -> R) then host(v) (R -> v); then
+    every node with no outgoing hop contributes its return edge (t -> R).
+    """
     hosts = {node.id: node.host for node in spec.nodes}
     peers = []
     for u, v in spec.hops:
@@ -79,6 +42,30 @@ def candidate_peers(spec: WorkflowSpec) -> list[str]:
         if node.id not in has_outgoing:
             peers.append(hosts[node.id])
     return peers
+
+
+def host_weights(spec: WorkflowSpec) -> Counter[str]:
+    """Per-host weight vector: how many candidate edges end at each host."""
+    return Counter(candidate_peers(spec))
+
+
+@dataclass(frozen=True)
+class CandidateGraph:
+    """One region's candidate graph, as the host weight vector of its edges."""
+
+    region: Region
+    weights: Mapping[str, int]
+
+    def __post_init__(self):
+        if self.region.id in self.weights:
+            raise CandidateError(
+                f"region id {self.region.id!r} collides with a workflow host; rename one of them"
+            )
+
+
+def build_candidate_graph(spec: WorkflowSpec, region: Region) -> CandidateGraph:
+    """The transfers a workflow would route through one region."""
+    return CandidateGraph(region, host_weights(spec))
 
 
 def processor_invocations(spec: WorkflowSpec) -> int:
@@ -95,24 +82,12 @@ def total_weight(
 ) -> float:
     """Sum one measured channel over every edge of a candidate graph.
 
-    Each edge is weighted by the (region, peer-host) measurement; a failed
-    channel contributes `sentinel` per edge so incomplete regions rank last
-    rather than looking free.
+    Each host's (region, host) measurement counts once per edge ending there;
+    a failed channel contributes `sentinel` per edge so incomplete regions
+    rank last rather than looking free.
     """
     total = 0.0
-    for edge in graph.edges:
-        value = matrix.get(graph.region.id, graph.peer(edge)).channel(channel)
-        total += sentinel if value is None else value
+    for host, count in graph.weights.items():
+        value = matrix.get(graph.region.id, host).channel(channel)
+        total += count * (sentinel if value is None else value)
     return total
-
-
-def render_dot(graph: CandidateGraph) -> str:
-    """Graphviz rendering of a candidate graph, for eyeballing topologies."""
-    lines = [f'digraph "{graph.region.id}" {{']
-    lines.append(f'  "{ORCHESTRATOR}" [shape=doublecircle label="{graph.region.id}"];')
-    for host in sorted(set(graph.peers())):
-        lines.append(f'  "{host}" [shape=box];')
-    for a, b in graph.edges:
-        lines.append(f'  "{a}" -> "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -30,7 +30,7 @@ from .harness import (
 from .metrics import DEFAULT_SAMPLE_COUNT, LiveProbe, gather_metric_matrix
 from .ranking import DEFAULT_PREFILTER_N, rank, render_report
 from .regions import load_catalog
-from .simulator import SimulatedProbe, best_region_oracle, load_env, sim_execution_time
+from .simulator import SimEnvironment, SimulatedProbe, best_region_oracle, load_env, sim_execution_time
 from .workflow import (
     distinct_nodes,
     generate_random_workflow,
@@ -120,13 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sim_probe(args) -> tuple[SimulatedProbe, FixtureResolver]:
+def _load_sim_env(args) -> SimEnvironment:
+    """The --env environment, with its seed replaced by --seed when given."""
     if not args.env:
         raise UsageError("--mode sim requires --env")
     env = load_env(_read_text(args.env, "environment"))
     if getattr(args, "seed", None) is not None:
         env = replace(env, seed=args.seed)
-    return SimulatedProbe(env), env.resolver()
+    return env
 
 
 def cmd_rank(args) -> int:
@@ -135,7 +136,8 @@ def cmd_rank(args) -> int:
     if args.top_n < 1:
         raise UsageError("--top-n must be at least 1")
     if args.mode == "sim":
-        probe, resolver = _sim_probe(args)
+        env = _load_sim_env(args)
+        probe, resolver = SimulatedProbe(env), env.resolver()
         gathered_at = _SIM_GATHERED_AT
     else:
         probe = LiveProbe()
@@ -173,11 +175,7 @@ def cmd_verify(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
     if args.mode == "sim":
-        if not args.env:
-            raise UsageError("--mode sim requires --env")
-        env = load_env(_read_text(args.env, "environment"))
-        if args.seed is not None:
-            env = replace(env, seed=args.seed)
+        env = _load_sim_env(args)
         stats_a = _sim_stats(env, spec, args.vantage_a, args.runs, args.data_mb)
         stats_b = _sim_stats(env, spec, args.vantage_b, args.runs, args.data_mb)
     else:
@@ -206,7 +204,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_workflow(args.workflow)
     catalog = load_catalog(_read_text(args.catalog, "catalog"))
-    env = load_env(_read_text(args.env, "environment"))
+    env = _load_sim_env(args)
     if args.data_mb < 0:
         raise UsageError("--data-mb must be non-negative")
     best, table = best_region_oracle(env, spec, catalog, data_mb=args.data_mb)

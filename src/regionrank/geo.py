@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from typing import Mapping, Protocol
 
@@ -98,30 +97,3 @@ class FixtureResolver:
         except KeyError:
             raise GeoResolutionError(host) from None
 
-
-class CachingResolver:
-    """Caches successful lookups of another resolver.
-
-    get-or-insert is atomic, so concurrent lookups of the same host perform
-    exactly one underlying fetch.
-    """
-
-    def __init__(self, inner: GeoResolver):
-        self._inner = inner
-        self._cache: dict[str, GeoPoint] = {}
-        self._lock = threading.Lock()
-
-    def resolve(self, host: str) -> GeoPoint:
-        with self._lock:
-            point = self._cache.get(host)
-            if point is None:
-                point = self._inner.resolve(host)
-                self._cache[host] = point
-            return point
-
-
-def resolve_location(resolver: GeoResolver, host: str) -> GeoPoint:
-    """Resolve a host's location. Raises GeoResolutionError when unknown."""
-    if not host:
-        raise GeoResolutionError(host)
-    return resolver.resolve(host)

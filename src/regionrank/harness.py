@@ -105,17 +105,12 @@ def compare_stats(baseline: ExecutionStats, candidate: ExecutionStats) -> Compar
 def _topo_hop_order(spec: WorkflowSpec) -> list[tuple[str, str]]:
     # rank(node) = longest hop path from a source; sorting hops by the rank of
     # their from-node guarantees inputs arrive before they are forwarded
-    rank = {n.id: 0 for n in spec.nodes}
-    changed = True
-    while changed:
-        changed = False
-        for u, v in spec.hops:
-            if rank[u] + 1 > rank[v]:
-                rank[v] = rank[u] + 1
-                changed = True
-    indexed = list(enumerate(spec.hops))
-    indexed.sort(key=lambda item: (rank[item[1][0]], item[0]))
-    return [hop for _, hop in indexed]
+    # (stable sorts keep file order among hops of equal rank)
+    position = {node_id: i for i, node_id in enumerate(spec.topological_order())}
+    rank = dict.fromkeys(position, 0)
+    for u, v in sorted(spec.hops, key=lambda hop: position[hop[0]]):
+        rank[v] = max(rank[v], rank[u] + 1)
+    return sorted(spec.hops, key=lambda hop: rank[hop[0]])
 
 
 def _http_get(url: str, timeout: float) -> bytes:
@@ -143,6 +138,7 @@ def run_workflow_once(
 ) -> tuple[float, dict[str, bytes]]:
     """Execute one run; returns (elapsed seconds, last output bytes per node)."""
     start = time.perf_counter()
+    endpoints = {node.id: node.endpoint for node in spec.nodes}
     outputs: dict[str, bytes] = {}
     for node in spec.nodes:
         if node.role == ROLE_SOURCE:
@@ -150,7 +146,7 @@ def run_workflow_once(
     for u, v in _topo_hop_order(spec):
         if u not in outputs:
             raise WorkflowRunError(f"hop source {u!r} produced no payload")
-        outputs[v] = _http_post(spec.node_by_id(v).endpoint, outputs[u], timeout)
+        outputs[v] = _http_post(endpoints[v], outputs[u], timeout)
     return time.perf_counter() - start, outputs
 
 

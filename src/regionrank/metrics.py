@@ -142,16 +142,6 @@ class Probe(Protocol):
         ...
 
 
-def probe_latency(probe: Probe, region: Region, host: str, k: int = DEFAULT_SAMPLE_COUNT) -> float:
-    if k < 1:
-        raise ValueError("sample count must be at least 1")
-    return probe.measure_latency(region, host, k)
-
-
-def probe_http_rtt(probe: Probe, region: Region, url: str) -> float:
-    return probe.measure_http_rtt(region, url)
-
-
 def _split_host(host: str) -> tuple[str, Optional[int]]:
     if ":" in host:
         name, _, port = host.rpartition(":")
@@ -310,11 +300,11 @@ def gather_metric_matrix(
         location = locations[host]
         distance = None if location is None else haversine_km(region.location, location)
         try:
-            latency = probe_latency(probe, region, host, k)
+            latency = probe.measure_latency(region, host, k)
         except ProbeError:
             latency = None
         try:
-            rtt = probe_http_rtt(probe, region, targets[host])
+            rtt = probe.measure_http_rtt(region, targets[host])
         except ProbeError:
             rtt = None
         return (region.id, host), EdgeMetrics(distance, latency, rtt)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .candidate import build_candidate_graph, total_weight
-from .errors import RegionRankError
+from .candidate import CandidateGraph, host_weights, total_weight
 from .metrics import FAILURE_SENTINEL_MS, MetricMatrix
 from .regions import Region, RegionCatalog
 from .workflow import WorkflowSpec
@@ -20,10 +19,6 @@ from .workflow import WorkflowSpec
 DEFAULT_PREFILTER_N = 3
 
 Table = tuple[tuple[str, float], ...]
-
-
-class ReportError(RegionRankError):
-    """A rendered report could not be parsed back."""
 
 
 @dataclass(frozen=True)
@@ -55,13 +50,23 @@ def _sorted_table(scores: dict[str, float]) -> Table:
     return tuple(sorted(scores.items(), key=lambda item: (item[1], item[0])))
 
 
-def _distance_table(spec: WorkflowSpec, catalog: RegionCatalog, matrix: MetricMatrix,
-                    sentinel: float) -> Table:
-    scores = {
-        region.id: total_weight(build_candidate_graph(spec, region), "distance", matrix, sentinel)
-        for region in catalog
-    }
-    return _sorted_table(scores)
+def _prefilter(
+    spec: WorkflowSpec,
+    catalog: RegionCatalog,
+    matrix: MetricMatrix,
+    n: int,
+    sentinel: float,
+) -> tuple[Table, list[CandidateGraph]]:
+    """Distance table over every region, and the graphs of the top n regions."""
+    if n < 1:
+        raise ValueError("prefilter size must be at least 1")
+    weights = host_weights(spec)
+    graphs = {region.id: CandidateGraph(region, weights) for region in catalog}
+    table = _sorted_table(
+        {region_id: total_weight(graph, "distance", matrix, sentinel)
+         for region_id, graph in graphs.items()}
+    )
+    return table, [graphs[region_id] for region_id, _ in table[:n]]
 
 
 def geo_prefilter(
@@ -72,10 +77,8 @@ def geo_prefilter(
     sentinel: float = FAILURE_SENTINEL_MS,
 ) -> list[Region]:
     """Top n regions by total geographic distance (ascending, ties by id)."""
-    if n < 1:
-        raise ValueError("prefilter size must be at least 1")
-    table = _distance_table(spec, catalog, matrix, sentinel)
-    return [catalog.by_id(region_id) for region_id, _ in table[: min(n, len(catalog))]]
+    _, survivors = _prefilter(spec, catalog, matrix, n, sentinel)
+    return [graph.region for graph in survivors]
 
 
 def rank(
@@ -90,26 +93,22 @@ def rank(
     The recommendation is the argmin of final_score = (total rtt +
     total latency) / 2 over prefilter survivors, ties broken by region id.
     """
-    if n < 1:
-        raise ValueError("prefilter size must be at least 1")
-    distance_table = _distance_table(spec, catalog, matrix, sentinel)
-    effective_n = min(n, len(catalog))
-    survivors = [catalog.by_id(region_id) for region_id, _ in distance_table[:effective_n]]
+    distance_table, survivors = _prefilter(spec, catalog, matrix, n, sentinel)
 
     latency_scores, rtt_scores, final_scores = {}, {}, {}
-    for region in survivors:
-        graph = build_candidate_graph(spec, region)
+    for graph in survivors:
+        region_id = graph.region.id
         latency = total_weight(graph, "latency", matrix, sentinel)
         rtt = total_weight(graph, "rtt", matrix, sentinel)
-        latency_scores[region.id] = latency
-        rtt_scores[region.id] = rtt
-        final_scores[region.id] = (rtt + latency) / 2.0
+        latency_scores[region_id] = latency
+        rtt_scores[region_id] = rtt
+        final_scores[region_id] = (rtt + latency) / 2.0
 
     final_table = _sorted_table(final_scores)
     return RankingReport(
         recommended=final_table[0][0],
-        prefilter_n=effective_n,
-        prefiltered_regions=tuple(region.id for region in survivors),
+        prefilter_n=len(survivors),
+        prefiltered_regions=tuple(graph.region.id for graph in survivors),
         distance_table=distance_table,
         latency_table=_sorted_table(latency_scores),
         rtt_table=_sorted_table(rtt_scores),
@@ -152,26 +151,3 @@ def render_report(report: RankingReport, format: str = "table") -> str:
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 
-
-def parse_report(text: str) -> RankingReport:
-    """Inverse of render_report(..., "json")."""
-    try:
-        doc = json.loads(text)
-        recommended = str(doc["recommended"])
-        prefilter_n = int(doc["prefilter_n"])
-        tables = {
-            name: tuple((str(r), float(s)) for r, s in doc[name])
-            for name in ("distance_table", "latency_table", "rtt_table", "final_table")
-        }
-    except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
-        raise ReportError(f"malformed report: {exc}") from exc
-    prefiltered = tuple(region_id for region_id, _ in tables["distance_table"][:prefilter_n])
-    return RankingReport(
-        recommended=recommended,
-        prefilter_n=prefilter_n,
-        prefiltered_regions=prefiltered,
-        distance_table=tables["distance_table"],
-        latency_table=tables["latency_table"],
-        rtt_table=tables["rtt_table"],
-        final_table=tables["final_table"],
-    )

@@ -217,21 +217,3 @@ def load_env(text: str) -> SimEnvironment:
         seed=int(doc.get("seed", 0)),
     )
 
-
-def dump_env(env: SimEnvironment) -> str:
-    doc = {
-        "node_locations": {
-            host: {"lat": point.lat, "lon": point.lon}
-            for host, point in sorted(env.node_locations.items())
-        },
-        "latency_overrides": {
-            f"{a}|{b}": value for (a, b), value in sorted(env.latency_overrides.items())
-        },
-        "base_latency_per_km": env.base_latency_per_km,
-        "bandwidth_mbps": env.bandwidth_mbps,
-        "service_overhead_ms": env.service_overhead_ms,
-        "processing_s": env.processing_s,
-        "noise_sigma_ms": env.noise_sigma_ms,
-        "seed": env.seed,
-    }
-    return json.dumps(doc, indent=2) + "\n"

@@ -109,44 +109,42 @@ class WorkflowSpec:
                     raise WorkflowError(f"unknown id {node_id!r} in hop list")
         if not any(n.role == ROLE_SOURCE for n in self.nodes):
             raise WorkflowError("workflow needs at least one source node")
-        self._check_acyclic()
-        self._check_reachability()
+        self._check_graph()
 
-    def _check_acyclic(self):
-        indegree = {n.id: 0 for n in self.nodes}
-        for _, v in self.hops:
-            indegree[v] += 1
-        ready = [i for i, d in indegree.items() if d == 0]
-        removed = 0
-        while ready:
-            u = ready.pop()
-            removed += 1
-            for a, b in self.hops:
-                if a == u:
-                    indegree[b] -= 1
-                    if indegree[b] == 0:
-                        ready.append(b)
-        if removed != len(self.nodes):
+    def _check_graph(self):
+        order = self.topological_order()
+        if len(order) != len(self.nodes):
             raise WorkflowError("cycle detected in workflow hops")
-
-    def _check_reachability(self):
+        # hops taken in order of their from-node settle reachability in one sweep
+        position = {node_id: i for i, node_id in enumerate(order)}
         reached = {n.id for n in self.nodes if n.role == ROLE_SOURCE}
-        changed = True
-        while changed:
-            changed = False
-            for u, v in self.hops:
-                if u in reached and v not in reached:
-                    reached.add(v)
-                    changed = True
+        for u, v in sorted(self.hops, key=lambda hop: position[hop[0]]):
+            if u in reached:
+                reached.add(v)
         for node in self.nodes:
             if node.role == ROLE_PROCESSOR and node.id not in reached:
                 raise WorkflowError(f"processor {node.id!r} is unreachable from any source")
 
-    def node_by_id(self, node_id: str) -> ServiceNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise WorkflowError(f"unknown id {node_id!r}")
+    def topological_order(self) -> list[str]:
+        """Node ids, each after every node whose hops feed it (Kahn's algorithm).
+
+        Nodes on or behind a cycle are left out.
+        """
+        successors: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        indegree = dict.fromkeys(successors, 0)
+        for u, v in self.hops:
+            successors[u].append(v)
+            indegree[v] += 1
+        ready = [node_id for node_id, degree in indegree.items() if degree == 0]
+        order = []
+        while ready:
+            u = ready.pop()
+            order.append(u)
+            for v in successors[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+        return order
 
     @property
     def sources(self) -> tuple[ServiceNode, ...]:

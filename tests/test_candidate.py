@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regionrank.candidate import (
-    ORCHESTRATOR,
     CandidateError,
     build_candidate_graph,
     candidate_peers,
+    host_weights,
     processor_invocations,
-    render_dot,
     total_weight,
 )
 from regionrank.geo import GeoPoint
@@ -33,20 +32,15 @@ def latency_matrix(values, region_id="r-east"):
 
 
 def test_sequential_chain_star_shape():
-    graph = build_candidate_graph(CHAIN3, REGION)
-    assert graph.edges == (
-        ("s.test", ORCHESTRATOR),
-        (ORCHESTRATOR, "p1.test"),
-        ("p1.test", ORCHESTRATOR),
-        (ORCHESTRATOR, "p2.test"),
-        ("p2.test", ORCHESTRATOR),
-    )
+    # s -> R, R -> p1, p1 -> R, R -> p2, then p2's return edge p2 -> R
+    assert candidate_peers(CHAIN3) == ["s.test", "p1.test", "p1.test", "p2.test", "p2.test"]
+    assert host_weights(CHAIN3) == {"s.test": 1, "p1.test": 2, "p2.test": 2}
 
 
 def test_source_only_single_return_edge():
     spec = parse_workflow("http://s.test/\n", format="lines")
-    graph = build_candidate_graph(spec, REGION)
-    assert graph.edges == (("s.test", ORCHESTRATOR),)
+    assert candidate_peers(spec) == ["s.test"]
+    assert host_weights(spec) == {"s.test": 1}
 
 
 def test_two_source_join_counts_inbound_per_hop():
@@ -60,37 +54,22 @@ def test_two_source_join_counts_inbound_per_hop():
         "hops": [["s1", "p"], ["s2", "p"]],
     }
     spec = parse_workflow(json.dumps(doc), format="dag")
-    graph = build_candidate_graph(spec, REGION)
-    assert graph.edges == (
-        ("s1.test", ORCHESTRATOR),
-        (ORCHESTRATOR, "p.test"),
-        ("s2.test", ORCHESTRATOR),
-        (ORCHESTRATOR, "p.test"),
-        ("p.test", ORCHESTRATOR),
-    )
+    assert candidate_peers(spec) == ["s1.test", "p.test", "s2.test", "p.test", "p.test"]
+    assert host_weights(spec) == {"s1.test": 1, "s2.test": 1, "p.test": 3}
 
 
 def test_edge_count_is_two_hops_plus_terminals():
     pool = [f"http://svc{i}.test/" for i in range(4)]
     for seed in range(10):
         spec = generate_random_workflow(pool, length=6, seed=seed, source="http://src.test/")
-        graph = build_candidate_graph(spec, REGION)
         terminals = len(spec.nodes) - len({u for u, _ in spec.hops})
-        assert len(graph.edges) == 2 * len(spec.hops) + terminals
+        assert len(candidate_peers(spec)) == 2 * len(spec.hops) + terminals
 
 
 def test_region_id_colliding_with_host_rejected():
     bad_region = Region("s.test", "probe.test", GeoPoint(0, 0))
     with pytest.raises(CandidateError, match="collides"):
         build_candidate_graph(CHAIN3, bad_region)
-
-
-def test_peer_extraction():
-    graph = build_candidate_graph(CHAIN3, REGION)
-    assert graph.peers() == ["s.test", "p1.test", "p1.test", "p2.test", "p2.test"]
-    assert candidate_peers(CHAIN3) == graph.peers()
-    with pytest.raises(CandidateError):
-        graph.peer(("a.test", "b.test"))
 
 
 def test_processor_invocations_counts_processor_targets():
@@ -181,9 +160,49 @@ def test_monotonicity_in_single_entry():
     assert bumped > base
 
 
-def test_render_dot_mentions_all_hosts():
-    dot = render_dot(build_candidate_graph(CHAIN3, REGION))
-    assert dot.startswith('digraph "r-east"')
-    for host in ("s.test", "p1.test", "p2.test"):
-        assert host in dot
-    assert dot.count("->") == 5
+
+@st.composite
+def dag_specs(draw):
+    """Random acyclic specs in the dag format, several nodes sharing each host.
+
+    Hops only run from a lower to a higher node index, and every node without
+    an inbound hop is a source, so each processor is reachable.
+    """
+    size = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    hops = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    hosts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    urls = [f"http://h{host}.test/n{i}" for i, host in enumerate(hosts)]
+    fed = {j for _, j in hops}
+    doc = {
+        "sources": [urls[i] for i in range(size) if i not in fed],
+        "nodes": [{"id": f"n{i}", "url": url} for i, url in enumerate(urls)],
+        "hops": [[f"n{i}", f"n{j}"] for i, j in hops],
+    }
+    return parse_workflow(json.dumps(doc), format="dag")
+
+
+@given(dag_specs())
+def test_host_weights_count_two_per_hop_plus_terminals(spec):
+    terminals = len(spec.nodes) - len({u for u, _ in spec.hops})
+    assert sum(host_weights(spec).values()) == 2 * len(spec.hops) + terminals
+
+
+@given(
+    dag_specs(),
+    st.sampled_from(["distance", "latency", "rtt"]),
+    st.dictionaries(
+        st.sampled_from([f"h{i}.test" for i in range(4)]),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6)),
+        min_size=4,
+    ),
+)
+def test_total_weight_equals_per_edge_sum(spec, channel, values):
+    # None is a failed channel: it costs the sentinel once per edge
+    entries = {("r-east", host): EdgeMetrics(v, v, v) for host, v in values.items()}
+    matrix = MetricMatrix(entries=entries, gathered_at="t")
+    per_edge = sum(
+        1000.0 if values[peer] is None else values[peer] for peer in candidate_peers(spec)
+    )
+    score = total_weight(build_candidate_graph(spec, REGION), channel, matrix, sentinel=1000.0)
+    assert score == pytest.approx(per_edge, rel=1e-9)

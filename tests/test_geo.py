@@ -1,18 +1,15 @@
 import math
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from regionrank.geo import (
     EARTH_RADIUS_KM,
-    CachingResolver,
     FixtureResolver,
     GeoFixtureError,
     GeoPoint,
     GeoResolutionError,
     haversine_km,
-    resolve_location,
 )
 
 points = st.builds(
@@ -94,51 +91,3 @@ def test_fixture_resolver_rejects_bad_fixture(text):
     with pytest.raises(GeoFixtureError):
         FixtureResolver.from_json(text)
 
-
-class _CountingResolver:
-    def __init__(self):
-        self.calls = 0
-
-    def resolve(self, host):
-        self.calls += 1
-        return GeoPoint(0.0, float(len(host) % 90))
-
-
-def test_caching_resolver_fetches_once():
-    inner = _CountingResolver()
-    cached = CachingResolver(inner)
-    for _ in range(5):
-        cached.resolve("x.example")
-    assert inner.calls == 1
-
-
-def test_caching_resolver_single_fetch_under_concurrency():
-    inner = _CountingResolver()
-    cached = CachingResolver(inner)
-    barrier = threading.Barrier(8)
-
-    def worker():
-        barrier.wait()
-        cached.resolve("shared.example")
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert inner.calls == 1
-
-
-def test_caching_resolver_does_not_cache_failures():
-    inner = FixtureResolver({})
-    cached = CachingResolver(inner)
-    with pytest.raises(GeoResolutionError):
-        cached.resolve("gone.example")
-    # a later success for a different host still works
-    with pytest.raises(GeoResolutionError):
-        cached.resolve("gone.example")
-
-
-def test_resolve_location_rejects_empty_host():
-    with pytest.raises(GeoResolutionError):
-        resolve_location(FixtureResolver({}), "")

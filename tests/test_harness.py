@@ -10,6 +10,7 @@ from regionrank.harness import (
     ComparisonStats,
     ExecutionStats,
     HarnessError,
+    _topo_hop_order,
     compare_stats,
     execute_workflow,
     payload_source,
@@ -204,6 +205,17 @@ def test_run_workflow_respects_hop_order_in_dag_files():
         spec = parse_workflow(json.dumps(doc), format="dag")
         _, outputs = run_workflow_once(spec)
         assert outputs["t"] == payload
+
+
+def test_hop_order_sorts_by_longest_path_then_file_order():
+    doc = {
+        "sources": ["http://s.test/"],
+        "nodes": [{"id": n, "url": f"http://{n}.test/"} for n in ("s", "a", "b", "d")],
+        "hops": [["b", "d"], ["a", "b"], ["s", "a"], ["s", "b"], ["a", "d"]],
+    }
+    spec = parse_workflow(json.dumps(doc), format="dag")
+    # b is two hops from s via a, so its outbound hop goes last
+    assert _topo_hop_order(spec) == [("s", "a"), ("s", "b"), ("a", "b"), ("a", "d"), ("b", "d")]
 
 
 def test_execute_workflow_collects_all_runs():

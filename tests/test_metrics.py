@@ -16,8 +16,6 @@ from regionrank.metrics import (
     ProbeError,
     RemoteAgentProbe,
     gather_metric_matrix,
-    probe_http_rtt,
-    probe_latency,
 )
 from regionrank.regions import Region
 from regionrank.simulator import SimEnvironment, SimulatedProbe
@@ -36,34 +34,35 @@ def env_with_override(latency_ms, **kwargs):
 
 def test_simulated_latency_mean_of_constant_samples():
     probe = SimulatedProbe(env_with_override(12.5))
-    assert probe_latency(probe, REGION, "node.test", k=4) == pytest.approx(12.5)
+    assert probe.measure_latency(REGION, "node.test", 4) == pytest.approx(12.5)
 
 
 def test_simulated_rtt_is_twice_latency_plus_overhead():
     probe = SimulatedProbe(env_with_override(10.0, service_overhead_ms=3.0))
-    assert probe_http_rtt(probe, REGION, "http://node.test/path") == pytest.approx(23.0)
+    assert probe.measure_http_rtt(REGION, "http://node.test/path") == pytest.approx(23.0)
 
 
 def test_simulated_noise_is_reproducible_per_seed():
     a = SimulatedProbe(env_with_override(12.5, noise_sigma_ms=1.0, seed=5))
     b = SimulatedProbe(env_with_override(12.5, noise_sigma_ms=1.0, seed=5))
     c = SimulatedProbe(env_with_override(12.5, noise_sigma_ms=1.0, seed=6))
-    va = probe_latency(a, REGION, "node.test", k=4)
-    assert va == probe_latency(b, REGION, "node.test", k=4)
-    assert va != probe_latency(c, REGION, "node.test", k=4)
+    va = a.measure_latency(REGION, "node.test", 4)
+    assert va == b.measure_latency(REGION, "node.test", 4)
+    assert va != c.measure_latency(REGION, "node.test", 4)
     assert va != 12.5
 
 
 def test_simulated_probe_unknown_host_is_probe_error():
     probe = SimulatedProbe(env_with_override(1.0))
     with pytest.raises(ProbeError):
-        probe_latency(probe, REGION, "ghost.test", k=1)
+        probe.measure_latency(REGION, "ghost.test", 1)
 
 
 def test_probe_latency_rejects_zero_samples():
     probe = SimulatedProbe(env_with_override(1.0))
-    with pytest.raises(ValueError):
-        probe_latency(probe, REGION, "node.test", k=0)
+    nodes = distinct_nodes(parse_workflow("http://node.test/\n", format="lines"))
+    with pytest.raises(ValueError, match="sample count"):
+        gather_metric_matrix(probe, FixtureResolver({}), [REGION], nodes, k=0)
 
 
 def test_edge_metrics_channel_accessor():

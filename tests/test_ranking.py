@@ -1,17 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import gather_sim, make_consistent_case
 from regionrank.geo import GeoPoint
 from regionrank.metrics import EdgeMetrics, MetricMatrix
-from regionrank.ranking import (
-    RankingReport,
-    ReportError,
-    geo_prefilter,
-    parse_report,
-    rank,
-    render_report,
-)
+from regionrank.ranking import RankingReport, geo_prefilter, rank, render_report
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import best_region_oracle
 from regionrank.workflow import parse_workflow
@@ -207,22 +202,21 @@ def test_render_single_row_report():
     assert "only | 2.500" in text
 
 
+def assert_json_matches(report):
+    doc = json.loads(render_report(report, "json"))
+    assert doc["recommended"] == report.recommended
+    assert doc["prefilter_n"] == report.prefilter_n
+    for name in ("distance_table", "latency_table", "rtt_table", "final_table"):
+        assert [tuple(row) for row in doc[name]] == list(getattr(report, name))
+
+
 def test_json_round_trip():
-    report = table1_report()
-    assert parse_report(render_report(report, "json")) == report
+    assert_json_matches(table1_report())
 
 
 def test_json_round_trip_after_real_rank(worked_spec, catalog8, worked_env):
     matrix = gather_sim(worked_spec, catalog8, worked_env)
-    report = rank(worked_spec, catalog8, matrix)
-    assert parse_report(render_report(report, "json")) == report
-
-
-def test_parse_report_rejects_malformed():
-    with pytest.raises(ReportError):
-        parse_report("{")
-    with pytest.raises(ReportError):
-        parse_report('{"recommended": "x"}')
+    assert_json_matches(rank(worked_spec, catalog8, matrix))
 
 
 def test_render_report_rejects_unknown_format():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -11,7 +12,6 @@ from regionrank.simulator import (
     SimEnvironment,
     SimulationError,
     best_region_oracle,
-    dump_env,
     load_env,
     sim_execution_time,
     sim_latency,
@@ -235,9 +235,17 @@ def test_env_json_round_trip():
         noise_sigma_ms=0.5,
         seed=99,
     )
-    again = load_env(dump_env(env))
-    assert again == env
-    assert dump_env(again) == dump_env(env)
+    doc = {
+        "node_locations": {"a.test": {"lat": 1.5, "lon": -2.5}, "b.test": {"lat": 3.0, "lon": 4.0}},
+        "latency_overrides": {"a.test|b.test": 12.0},
+        "base_latency_per_km": 0.03,
+        "bandwidth_mbps": 50.0,
+        "service_overhead_ms": 1.0,
+        "processing_s": 0.25,
+        "noise_sigma_ms": 0.5,
+        "seed": 99,
+    }
+    assert load_env(json.dumps(doc)) == env
 
 
 def test_load_env_rejects_unknown_fields():

@@ -92,7 +92,7 @@ def test_parse_dag_multi_source_join():
     }
     spec = parse_workflow(json.dumps(doc), format="dag")
     assert {n.id for n in spec.sources} == {"s1", "s2"}
-    assert spec.node_by_id("merge").role == ROLE_PROCESSOR
+    assert {n.id: n.role for n in spec.nodes}["merge"] == ROLE_PROCESSOR
 
 
 def test_parse_dag_cycle_rejected():
@@ -145,6 +145,26 @@ def test_spec_rejects_unreachable_processor():
     )
     with pytest.raises(WorkflowError, match="unreachable"):
         WorkflowSpec(name="x", nodes=nodes, hops=())
+
+
+def test_spec_rejects_processor_fed_only_by_unreachable_ones():
+    nodes = (
+        ServiceNode("s", "http://s.example/", ROLE_SOURCE),
+        ServiceNode("a", "http://a.example/", ROLE_PROCESSOR),
+        ServiceNode("b", "http://b.example/", ROLE_PROCESSOR),
+    )
+    with pytest.raises(WorkflowError, match="unreachable"):
+        WorkflowSpec(name="x", nodes=nodes, hops=(("a", "b"),))
+
+
+def test_spec_reports_a_cycle_before_unreachable_processors():
+    nodes = (
+        ServiceNode("s", "http://s.example/", ROLE_SOURCE),
+        ServiceNode("a", "http://a.example/", ROLE_PROCESSOR),
+        ServiceNode("b", "http://b.example/", ROLE_PROCESSOR),
+    )
+    with pytest.raises(WorkflowError, match="cycle"):
+        WorkflowSpec(name="x", nodes=nodes, hops=(("a", "b"), ("b", "a")))
 
 
 def test_spec_rejects_duplicate_ids():
