@@ -28,7 +28,7 @@ from .harness import (
     transform_service,
 )
 from .metrics import DEFAULT_SAMPLE_COUNT, LiveProbe, gather_metric_matrix
-from .ranking import DEFAULT_PREFILTER_N, rank, render_report
+from .ranking import DEFAULT_PREFILTER_N, geo_prefilter, rank, render_report
 from .regions import load_catalog
 from .simulator import SimEnvironment, SimulatedProbe, best_region_oracle, load_env, sim_execution_time
 from .workflow import (
@@ -82,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--env", help="simulated environment JSON (sim mode)")
     p_rank.add_argument("--seed", type=int, help="override the environment seed (sim mode)")
     p_rank.add_argument("--top-n", type=int, default=DEFAULT_PREFILTER_N,
-                        help="regions surviving the geographic prefilter")
+                        help="regions surviving the geographic prefilter; only they are probed")
     p_rank.add_argument("--format", choices=("table", "json"), default="table")
     p_rank.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
                         help="latency samples per (region, host) pair")
     p_rank.add_argument("--geo", help="host geolocation JSON (live mode; bundled default)")
     p_rank.add_argument("--fail-threshold", type=float, default=0.5,
-                        help="max tolerated fraction of failed channels")
+                        help="max tolerated fraction of failed channels, of those attempted")
 
     p_verify = sub.add_parser("verify", help="run a workflow from two vantages and compare")
     p_verify.add_argument("--workflow", required=True)
@@ -143,16 +143,24 @@ def cmd_rank(args) -> int:
         probe = LiveProbe()
         resolver = _load_geo_resolver(args.geo)
         gathered_at = None
-    matrix = gather_metric_matrix(
-        probe, resolver, catalog, distinct_nodes(spec), k=args.samples, gathered_at=gathered_at
+    # distances for every region, then latency and rtt probes for the
+    # prefilter's survivors only: --top-n is the probe budget
+    nodes = distinct_nodes(spec)
+    distances = gather_metric_matrix(
+        probe, resolver, catalog, nodes, probe_regions=(), gathered_at=gathered_at
     )
+    survivors = geo_prefilter(spec, catalog, distances, args.top_n)
+    probed = gather_metric_matrix(
+        probe, resolver, survivors, nodes, k=args.samples, gathered_at=gathered_at
+    )
+    matrix = replace(probed, entries={**distances.entries, **probed.entries})
     failed = matrix.failed_channels()
-    total_channels = 3 * len(matrix.entries)
-    if total_channels and len(failed) / total_channels > args.fail_threshold:
+    attempted = matrix.attempted_channels()
+    if attempted and len(failed) / attempted > args.fail_threshold:
         for region_id, host, channel in failed:
             print(f"failed channel: {region_id} -> {host} [{channel}]", file=sys.stderr)
         print(
-            f"error: {len(failed)} of {total_channels} channels failed "
+            f"error: {len(failed)} of {attempted} channels failed "
             f"(threshold {args.fail_threshold:.2f})",
             file=sys.stderr,
         )

@@ -184,6 +184,23 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(self, status: int):
+        # refuse without reading; the unread body makes the connection
+        # unusable, so tell the client and drop it
+        self.close_connection = True
+        self.send_response(status)
+        self.send_header("Connection", "close")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def _body_length(self) -> Optional[int]:
+        """The request's Content-Length, or None after refusing a malformed one with 400."""
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._refuse(400)
+            return None
+        return int(raw)
+
 
 class _TransformHandler(_ServiceHandler):
     def do_GET(self):
@@ -194,15 +211,11 @@ class _TransformHandler(_ServiceHandler):
             self._reply(404)
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
+        length = self._body_length()
+        if length is None:
+            return
         if length > self.server.body_cap:
-            # refuse without reading; the unread body makes the connection
-            # unusable, so tell the client and drop it
-            self.close_connection = True
-            self.send_response(413)
-            self.send_header("Connection", "close")
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._refuse(413)
             return
         body = self.rfile.read(length)
         time.sleep(self.server.delay_ms / 1000.0)
@@ -215,9 +228,10 @@ class _PayloadHandler(_ServiceHandler):
         self._reply(200, self.server.payload)
 
     def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(min(length, DEFAULT_BODY_CAP))
-        self._reply(405)
+        length = self._body_length()
+        if length is not None:
+            self.rfile.read(min(length, DEFAULT_BODY_CAP))
+            self._reply(405)
 
 
 class _LocalService:

@@ -9,7 +9,9 @@ workflow host:
 
 A failed channel is stored as None and later replaced by a large sentinel
 during scoring so broken regions sink to the bottom of rankings instead of
-aborting the run.
+aborting the run. A pair can also be left unprobed: it then carries only its
+distance, and reading its latency or rtt raises CoverageError, since there is
+no measurement to score, not even a failed one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional, Protocol
+from typing import Iterable, Optional, Protocol
 
 from .errors import RegionRankError
 from .geo import GeoResolutionError, GeoResolver, haversine_km
@@ -33,6 +35,7 @@ from .regions import Region
 from .workflow import ServiceNode
 
 CHANNELS = ("distance", "latency", "rtt")
+_PROBED_FIELDS = ("latency_ms", "http_rtt_ms")
 
 # Score assigned to a failed channel: large enough to dominate any plausible
 # real measurement, finite so argmin and sums stay well defined.
@@ -52,20 +55,39 @@ class CoverageError(RegionRankError):
 
 @dataclass(frozen=True)
 class EdgeMetrics:
-    """Measurements for one (region, host) pair; None marks a failed channel."""
+    """Measurements for one (region, host) pair; None marks a failed channel.
+
+    An unprobed pair (probed=False) has only its distance: its latency and
+    rtt were never attempted, so they are neither values nor failures.
+    """
 
     distance_km: Optional[float]
     latency_ms: Optional[float]
     http_rtt_ms: Optional[float]
+    probed: bool = True
+
+    def __post_init__(self):
+        if not self.probed and (self.latency_ms is not None or self.http_rtt_ms is not None):
+            raise ValueError("an unprobed pair cannot carry latency or rtt values")
 
     def channel(self, name: str) -> Optional[float]:
         if name == "distance":
             return self.distance_km
-        if name == "latency":
-            return self.latency_ms
-        if name == "rtt":
-            return self.http_rtt_ms
-        raise ValueError(f"unknown channel {name!r}")
+        if name not in ("latency", "rtt"):
+            raise ValueError(f"unknown channel {name!r}")
+        if not self.probed:
+            raise CoverageError(f"the {name} channel of this pair was not probed")
+        return self.latency_ms if name == "latency" else self.http_rtt_ms
+
+    def attempted(self) -> tuple[tuple[str, Optional[float]], ...]:
+        """(channel, value) of each channel measured or tried: distance, plus latency and rtt if probed."""
+        if not self.probed:
+            return (("distance", self.distance_km),)
+        return (("distance", self.distance_km), ("latency", self.latency_ms), ("rtt", self.http_rtt_ms))
+
+
+def _optional_float(value) -> Optional[float]:
+    return None if value is None else float(value)
 
 
 @dataclass(frozen=True)
@@ -83,28 +105,31 @@ class MetricMatrix:
                 f"matrix has no entry for region {region_id!r} and host {host!r}"
             ) from None
 
+    def attempted_channels(self) -> int:
+        """How many channels were measured or tried: 1 per pair, 3 per probed pair."""
+        return sum(len(edge.attempted()) for edge in self.entries.values())
+
     def failed_channels(self) -> list[tuple[str, str, str]]:
-        """(region, host, channel) triples whose measurement failed, sorted."""
-        out = []
-        for (region_id, host), edge in self.entries.items():
-            for channel in CHANNELS:
-                if edge.channel(channel) is None:
-                    out.append((region_id, host, channel))
-        return sorted(out)
+        """(region, host, channel) triples whose measurement failed, sorted.
+
+        Channels of unprobed pairs were never tried, so they never fail.
+        """
+        return sorted(
+            (region_id, host, channel)
+            for (region_id, host), edge in self.entries.items()
+            for channel, value in edge.attempted()
+            if value is None
+        )
 
     def to_json(self) -> str:
+        """Rows sorted by (region, host); an unprobed row has no latency_ms or http_rtt_ms key."""
         rows = []
         for (region_id, host) in sorted(self.entries):
             edge = self.entries[(region_id, host)]
-            rows.append(
-                {
-                    "region": region_id,
-                    "host": host,
-                    "distance_km": edge.distance_km,
-                    "latency_ms": edge.latency_ms,
-                    "http_rtt_ms": edge.http_rtt_ms,
-                }
-            )
+            row = {"region": region_id, "host": host, "distance_km": edge.distance_km}
+            if edge.probed:
+                row.update(latency_ms=edge.latency_ms, http_rtt_ms=edge.http_rtt_ms)
+            rows.append(row)
         return json.dumps({"gathered_at": self.gathered_at, "entries": rows}, indent=2) + "\n"
 
     @classmethod
@@ -119,11 +144,12 @@ class MetricMatrix:
         for row in rows:
             try:
                 key = (str(row["region"]), str(row["host"]))
-                edge = EdgeMetrics(
-                    distance_km=None if row["distance_km"] is None else float(row["distance_km"]),
-                    latency_ms=None if row["latency_ms"] is None else float(row["latency_ms"]),
-                    http_rtt_ms=None if row["http_rtt_ms"] is None else float(row["http_rtt_ms"]),
+                # a row without both probe keys is unprobed; a row with only one is malformed
+                probed = any(name in row for name in _PROBED_FIELDS)
+                latency, rtt = (
+                    (_optional_float(row[name]) for name in _PROBED_FIELDS) if probed else (None, None)
                 )
+                edge = EdgeMetrics(_optional_float(row["distance_km"]), latency, rtt, probed)
             except (TypeError, KeyError, ValueError) as exc:
                 raise CoverageError(f"malformed matrix entry {row!r}") from exc
             entries[key] = edge
@@ -143,6 +169,10 @@ class Probe(Protocol):
 
 
 def _split_host(host: str) -> tuple[str, Optional[int]]:
+    """(name, port or None) of a host key; IPv6 literals are bracketed: [::1], [::1]:8080."""
+    if host.startswith("["):
+        name, _, rest = host[1:].partition("]")
+        return name, int(rest[1:]) if rest else None
     if ":" in host:
         name, _, port = host.rpartition(":")
         return name, int(port)
@@ -162,10 +192,11 @@ def _icmp_checksum(data: bytes) -> int:
 class LiveProbe:
     """Measures real networks from the local vantage point.
 
-    Latency uses unprivileged ICMP echo (datagram socket); hosts with an
-    explicit port, or platforms refusing ICMP, fall back to a timed TCP
-    connect. HTTP round-trip is a timed GET; any HTTP status counts as a
-    completed round-trip, only transport failures count as probe failures.
+    Latency uses unprivileged ICMP echo (datagram socket) to IPv4 addresses;
+    IPv6 addresses, hosts with an explicit port, and platforms refusing ICMP
+    fall back to a timed TCP connect. HTTP round-trip is a timed GET; any
+    HTTP status counts as a completed round-trip, only transport failures
+    count as probe failures.
     """
 
     def __init__(self, deadline_s: float = DEFAULT_DEADLINE_S):
@@ -192,11 +223,12 @@ class LiveProbe:
     def measure_latency(self, region: Region, host: str, k: int) -> float:
         name, port = _split_host(host)
         try:
-            address = socket.gethostbyname(name)
+            family, _, _, _, sockaddr = socket.getaddrinfo(name, None, type=socket.SOCK_STREAM)[0]
         except OSError as exc:
             raise ProbeError(f"cannot resolve {name!r}: {exc}") from exc
+        address = sockaddr[0]
         samples = []
-        use_icmp = port is None
+        use_icmp = port is None and family == socket.AF_INET
         for seq in range(k):
             try:
                 if use_icmp:
@@ -272,17 +304,27 @@ def gather_metric_matrix(
     k: int = DEFAULT_SAMPLE_COUNT,
     parallelism: int = 8,
     gathered_at: Optional[str] = None,
+    probe_regions: Optional[Iterable[Region]] = None,
 ) -> MetricMatrix:
     """Measure every channel for every (region, distinct host) pair.
 
+    Distances come from geolocation alone and are computed for every region.
+    Latency and rtt are probed only for the regions in probe_regions (default:
+    all of them); the other regions' pairs are left unprobed.
+
     Channels fail independently: an unresolvable host only loses its distance
     channel, a dead HTTP endpoint only its rtt channel. Each distinct host is
-    probed once even when several workflow nodes share it.
+    probed once per region even when several workflow nodes share it.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
+    regions = list(regions)
+    to_probe = regions if probe_regions is None else list(probe_regions)
+    unknown = {region.id for region in to_probe} - {region.id for region in regions}
+    if unknown:
+        raise ValueError(f"regions to probe are not among the gathered regions: {sorted(unknown)}")
 
     targets: dict[str, str] = {}
     for node in nodes:
@@ -295,10 +337,14 @@ def gather_metric_matrix(
         except GeoResolutionError:
             locations[host] = None
 
-    def one(pair: tuple[Region, str]) -> tuple[tuple[str, str], EdgeMetrics]:
+    entries = {}
+    for region in regions:
+        for host, location in locations.items():
+            distance = None if location is None else haversine_km(region.location, location)
+            entries[(region.id, host)] = EdgeMetrics(distance, None, None, probed=False)
+
+    def probe_pair(pair: tuple[Region, str]) -> tuple[Optional[float], Optional[float]]:
         region, host = pair
-        location = locations[host]
-        distance = None if location is None else haversine_km(region.location, location)
         try:
             latency = probe.measure_latency(region, host, k)
         except ProbeError:
@@ -307,15 +353,18 @@ def gather_metric_matrix(
             rtt = probe.measure_http_rtt(region, targets[host])
         except ProbeError:
             rtt = None
-        return (region.id, host), EdgeMetrics(distance, latency, rtt)
+        return latency, rtt
 
-    pairs = [(region, host) for region in regions for host in targets]
+    pairs = [(region, host) for region in to_probe for host in targets]
     if parallelism > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(one, pairs))
+            measured = list(pool.map(probe_pair, pairs))
     else:
-        results = [one(pair) for pair in pairs]
+        measured = [probe_pair(pair) for pair in pairs]
+    for (region, host), (latency, rtt) in zip(pairs, measured):
+        key = (region.id, host)
+        entries[key] = EdgeMetrics(entries[key].distance_km, latency, rtt)
 
     if gathered_at is None:
         gathered_at = datetime.now(timezone.utc).isoformat()
-    return MetricMatrix(entries=dict(results), gathered_at=gathered_at)
+    return MetricMatrix(entries=entries, gathered_at=gathered_at)

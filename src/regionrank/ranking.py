@@ -143,6 +143,7 @@ def render_report(report: RankingReport, format: str = "table") -> str:
         doc = {
             "recommended": report.recommended,
             "prefilter_n": report.prefilter_n,
+            "prefiltered_regions": list(report.prefiltered_regions),
             "distance_table": [list(row) for row in report.distance_table],
             "latency_table": [list(row) for row in report.latency_table],
             "rtt_table": [list(row) for row in report.rtt_table],

@@ -31,13 +31,16 @@ class WorkflowError(RegionRankError):
 def endpoint_host(url: str) -> str:
     """Canonical host key of a URL: lowercase hostname, ':port' only when non-default.
 
-    Metrics are gathered per host, so two URLs on the same host:port share one
-    key regardless of path.
+    IPv6 literals keep their brackets ([::1], [::1]:8080), so the port stays
+    separable. Metrics are gathered per host, so two URLs on the same
+    host:port share one key regardless of path.
     """
     parts = urlsplit(url)
     host = parts.hostname
     if host is None:
         raise WorkflowError(f"URL {url!r} has no host")
+    if ":" in host:
+        host = f"[{host}]"
     port = parts.port
     if port is None or port == _DEFAULT_PORTS.get(parts.scheme):
         return host

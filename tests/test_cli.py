@@ -1,14 +1,23 @@
+import contextlib
+import io
 import json
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import gather_sim, make_consistent_case
 from regionrank.bundled import fixture_path
 from regionrank.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROBE_FAILURE, main
+from regionrank.ranking import rank
+from regionrank.simulator import SimulatedProbe
+from regionrank.workflow import render_workflow
 
 WORKED_WORKFLOW = str(fixture_path("worked_example.workflow"))
 WORKED_ENV = str(fixture_path("worked_example_env.json"))
@@ -31,6 +40,12 @@ def rank_args(**overrides):
     return flat
 
 
+def json_report(stdout):
+    """The JSON document of `rank --format json` output (without the RECOMMENDED line)."""
+    body, _ = stdout.rstrip().rsplit("\n", 1)
+    return json.loads(body)
+
+
 def test_rank_worked_example(capsys):
     assert main(rank_args()) == EXIT_OK
     out = capsys.readouterr().out
@@ -47,6 +62,8 @@ def test_rank_json_format(capsys):
     assert final == "RECOMMENDED: us-east-1"
     assert len(doc["distance_table"]) == 8
     assert len(doc["final_table"]) == doc["prefilter_n"] == 3
+    assert doc["prefiltered_regions"] == ["us-east-1", "us-west-2", "us-west-1"]
+    assert doc["prefiltered_regions"] == [region for region, _ in doc["distance_table"][:3]]
 
 
 def test_rank_top_n_overrides_prefilter(capsys):
@@ -88,6 +105,92 @@ def test_rank_probe_failures_exit_3(tmp_path, capsys):
     assert main(rank_args(**{"--env": str(env_file)})) == EXIT_PROBE_FAILURE
     err = capsys.readouterr().err
     assert "channels failed" in err
+
+
+@pytest.mark.parametrize("top_n, probes", [("3", 45), ("8", 120)])
+def test_rank_probes_only_prefilter_survivors(monkeypatch, capsys, top_n, probes):
+    issued = []  # region id per latency sample and per GET
+    latency, rtt = SimulatedProbe.measure_latency, SimulatedProbe.measure_http_rtt
+
+    def counted_latency(self, region, host, k):
+        issued.extend([region.id] * k)
+        return latency(self, region, host, k)
+
+    def counted_rtt(self, region, url):
+        issued.append(region.id)
+        return rtt(self, region, url)
+
+    monkeypatch.setattr(SimulatedProbe, "measure_latency", counted_latency)
+    monkeypatch.setattr(SimulatedProbe, "measure_http_rtt", counted_rtt)
+    assert main(rank_args(**{"--top-n": top_n, "--format": "json"})) == EXIT_OK
+    doc = json_report(capsys.readouterr().out)
+    # top_n survivors x 3 hosts x (4 latency samples + 1 GET)
+    assert len(issued) == probes
+    assert set(issued) == set(doc["prefiltered_regions"])
+
+
+def test_rank_fail_threshold_counts_only_attempted_channels(tmp_path, capsys):
+    # the env cannot locate the probe hosts of the five regions far from the
+    # workflow; the prefilter drops them, so their probes are never tried
+    env = json.loads(Path(WORKED_ENV).read_text())
+    far = ("sa-east-1", "eu-west-1", "ap-northeast-1", "ap-northeast-2", "ap-southeast-1")
+    for region_id in far:
+        del env["node_locations"][f"ec2.{region_id}.amazonaws.com"]
+    env_file = tmp_path / "near_env.json"
+    env_file.write_text(json.dumps(env))
+    args = rank_args(**{"--env": str(env_file), "--fail-threshold": "0"})
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out.rstrip().endswith("RECOMMENDED: us-east-1")
+    # probing all 8 tries them: 5 regions x 3 hosts x 2 channels fail, of
+    # 8 x 3 distances + 8 x 3 x 2 probed channels
+    assert main(args + ["--top-n", "8"]) == EXIT_PROBE_FAILURE
+    assert "30 of 72 channels failed" in capsys.readouterr().err
+
+
+def _write_case(directory, spec, catalog, env) -> dict:
+    """Workflow, catalog and env files for a generated case."""
+    docs = {
+        "workflow": render_workflow(spec, format="lines"),
+        "catalog.json": json.dumps([
+            {"id": r.id, "probe_host": r.probe_host, "lat": r.location.lat, "lon": r.location.lon}
+            for r in catalog
+        ]),
+        "env.json": json.dumps({
+            "node_locations": {
+                host: {"lat": point.lat, "lon": point.lon}
+                for host, point in env.node_locations.items()
+            },
+            **{name: getattr(env, name) for name in (
+                "base_latency_per_km", "bandwidth_mbps", "service_overhead_ms",
+                "processing_s", "noise_sigma_ms", "seed")},
+        }),
+    }
+    paths = {}
+    for name, text in docs.items():
+        paths[name] = str(Path(directory) / name)
+        Path(paths[name]).write_text(text)
+    return paths
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
+def test_rank_probing_survivors_equals_rank_on_full_matrix(seed, n):
+    spec, catalog, env = make_consistent_case(seed)
+    expected = rank(spec, catalog, gather_sim(spec, catalog, env), n=n)
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        paths = _write_case(directory, spec, catalog, env)
+        with contextlib.redirect_stdout(out):
+            code = main(["rank", "--mode", "sim", "--workflow", paths["workflow"],
+                         "--catalog", paths["catalog.json"], "--env", paths["env.json"],
+                         "--top-n", str(n), "--format", "json"])
+    assert code == EXIT_OK
+    doc = json_report(out.getvalue())
+    assert doc["recommended"] == expected.recommended
+    assert doc["prefilter_n"] == expected.prefilter_n
+    assert tuple(doc["prefiltered_regions"]) == expected.prefiltered_regions
+    for table in ("distance_table", "latency_table", "rtt_table", "final_table"):
+        assert tuple(tuple(row) for row in doc[table]) == getattr(expected, table)
 
 
 def test_rank_accepts_dag_workflow(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import socket
 import statistics
 import urllib.error
 import urllib.request
@@ -163,6 +164,22 @@ def test_oversized_body_rejected_with_413():
         assert err.value.code == 413
         # service stays up for well-sized requests
         assert post(svc.url, b"ok")[0] == 200
+
+
+@pytest.mark.parametrize("length", ["-1", "abc"])
+@pytest.mark.parametrize("start", [transform_service, payload_source], ids=["transform", "payload"])
+def test_malformed_content_length_gets_400_and_close(start, length):
+    request = f"POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {length}\r\n\r\n"
+    with start() as svc, socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
+        sock.sendall(request.encode())
+        reply = b""
+        # the service must answer and hang up without waiting for a body;
+        # a blocked read would end this loop with a timeout instead
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status, _, headers = reply.partition(b"\r\n")
+    assert status.startswith(b"HTTP/1.1 400")
+    assert b"Connection: close" in headers
 
 
 def test_unknown_mode_rejected():

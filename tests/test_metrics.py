@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import given, strategies as st
 
 from regionrank.geo import FixtureResolver, GeoPoint
 from regionrank.harness import transform_service
@@ -15,11 +16,12 @@ from regionrank.metrics import (
     MetricMatrix,
     ProbeError,
     RemoteAgentProbe,
+    _split_host,
     gather_metric_matrix,
 )
 from regionrank.regions import Region
 from regionrank.simulator import SimEnvironment, SimulatedProbe
-from regionrank.workflow import parse_workflow, distinct_nodes
+from regionrank.workflow import endpoint_host, parse_workflow, distinct_nodes
 
 REGION = Region("r-test", "probe.test", GeoPoint(10.0, 20.0))
 
@@ -74,6 +76,26 @@ def test_edge_metrics_channel_accessor():
         edge.channel("bogus")
 
 
+def test_edge_metrics_unprobed_channels_raise_coverage_error():
+    edge = EdgeMetrics(distance_km=1.0, latency_ms=None, http_rtt_ms=None, probed=False)
+    assert edge.channel("distance") == 1.0
+    for channel in ("latency", "rtt"):
+        with pytest.raises(CoverageError, match=f"{channel}.*not probed"):
+            edge.channel(channel)
+    with pytest.raises(ValueError, match="unprobed"):
+        EdgeMetrics(1.0, 2.0, None, probed=False)
+
+
+@pytest.mark.parametrize("host, split", [
+    ("example.com", ("example.com", None)),
+    ("example.com:8080", ("example.com", 8080)),
+    ("[::1]", ("::1", None)),
+    ("[::1]:8080", ("::1", 8080)),
+])
+def test_split_host_parses_bracketed_ipv6(host, split):
+    assert _split_host(host) == split
+
+
 # --- live probe on loopback ---
 
 
@@ -106,6 +128,17 @@ def test_live_latency_tcp_fallback_on_explicit_port():
         probe = LiveProbe()
         ms = probe.measure_latency(REGION, f"127.0.0.1:{svc.port}", k=3)
         assert 0.0 < ms < 1000.0
+
+
+def test_live_latency_over_ipv6_uses_tcp():
+    try:
+        server = socket.create_server(("::1", 0), family=socket.AF_INET6)
+    except OSError:
+        pytest.skip("no IPv6 loopback")
+    with server:
+        host = endpoint_host(f"http://[::1]:{server.getsockname()[1]}/")
+        ms = LiveProbe(deadline_s=1.0).measure_latency(REGION, host, k=2)
+    assert 0.0 < ms < 1000.0
 
 
 def test_live_latency_unreachable_port_is_probe_error():
@@ -297,6 +330,51 @@ class _FailingProbe(_StaticProbe):
         return 5.0
 
 
+def test_gather_probes_only_the_named_regions():
+    regions, env = sim_setup(n_regions=4)
+    probe = _CountingProbe()
+    nodes = distinct_nodes(WORKFLOW)
+    matrix = gather_metric_matrix(probe, env.resolver(), regions, nodes, parallelism=1,
+                                  gathered_at="t", probe_regions=regions[1:3])
+    assert sorted({region for region, _ in probe.latency_calls}) == ["region-1", "region-2"]
+    assert len(probe.rtt_calls) == 2 * 3
+    assert len(matrix.entries) == 4 * 3
+    full = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes,
+                                gathered_at="t")
+    for (region_id, host), edge in matrix.entries.items():
+        assert edge.distance_km == full.get(region_id, host).distance_km
+        assert edge.probed == (region_id in ("region-1", "region-2"))
+    assert matrix.failed_channels() == []
+    assert matrix.attempted_channels() == 4 * 3 + 2 * 2 * 3
+
+
+def test_gather_with_no_probe_regions_issues_no_probe():
+    regions, env = sim_setup(n_regions=2)
+    probe = _CountingProbe()
+    matrix = gather_metric_matrix(probe, env.resolver(), regions, distinct_nodes(WORKFLOW),
+                                  gathered_at="t", probe_regions=())
+    assert probe.latency_calls == probe.rtt_calls == []
+    assert not any(edge.probed for edge in matrix.entries.values())
+    assert matrix.attempted_channels() == 2 * 3
+
+
+def test_gather_rejects_probe_regions_outside_regions():
+    regions, env = sim_setup(n_regions=2)
+    with pytest.raises(ValueError, match="region-1"):
+        gather_metric_matrix(_CountingProbe(), env.resolver(), regions[:1],
+                             distinct_nodes(WORKFLOW), probe_regions=regions[1:])
+
+
+def test_failed_channels_never_lists_unprobed_channels():
+    entries = {
+        ("r1", "a.test"): EdgeMetrics(None, None, None, probed=False),
+        ("r1", "b.test"): EdgeMetrics(1.0, None, 2.0),
+    }
+    matrix = MetricMatrix(entries=entries, gathered_at="t")
+    assert matrix.failed_channels() == [("r1", "a.test", "distance"), ("r1", "b.test", "latency")]
+    assert matrix.attempted_channels() == 1 + 3
+
+
 def test_gather_survives_probe_failures():
     region = Region("r", "p.test", GeoPoint(0, 0))
     spec = parse_workflow("http://ok.test/\nhttp://down.test/\n", format="lines")
@@ -318,6 +396,42 @@ def test_matrix_json_round_trip_with_failures():
     assert again.to_json() == matrix.to_json()
 
 
+def test_matrix_json_unprobed_rows_omit_probe_keys():
+    entries = {
+        ("r1", "a.test"): EdgeMetrics(1.5, None, None, probed=False),
+        ("r1", "b.test"): EdgeMetrics(2.5, None, None),
+    }
+    matrix = MetricMatrix(entries=entries, gathered_at="t")
+    rows = json.loads(matrix.to_json())["entries"]
+    assert rows[0] == {"region": "r1", "host": "a.test", "distance_km": 1.5}
+    assert rows[1]["latency_ms"] is None and rows[1]["http_rtt_ms"] is None
+    assert MetricMatrix.from_json(matrix.to_json()) == matrix
+
+
+def test_matrix_json_old_rows_load_as_probed():
+    text = json.dumps({"gathered_at": "t", "entries": [
+        {"region": "r", "host": "h", "distance_km": 1.0, "latency_ms": None, "http_rtt_ms": 3.0},
+    ]})
+    assert MetricMatrix.from_json(text).get("r", "h") == EdgeMetrics(1.0, None, 3.0, probed=True)
+
+
+_value = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+_edge = st.one_of(
+    st.builds(EdgeMetrics, _value, _value, _value),
+    st.builds(EdgeMetrics, _value, st.none(), st.none(), st.just(False)),
+)
+
+
+@given(st.dictionaries(st.tuples(st.text(max_size=5), st.text(max_size=5)), _edge, max_size=8),
+       st.text(max_size=10))
+def test_matrix_json_round_trip_property(entries, gathered_at):
+    matrix = MetricMatrix(entries=entries, gathered_at=gathered_at)
+    again = MetricMatrix.from_json(matrix.to_json())
+    assert again == matrix
+    assert again.failed_channels() == matrix.failed_channels()
+    assert again.attempted_channels() == matrix.attempted_channels()
+
+
 def test_matrix_get_missing_pair_names_it():
     matrix = MetricMatrix(entries={}, gathered_at="t")
     with pytest.raises(CoverageError, match="r9.*ghost.test"):
@@ -329,3 +443,8 @@ def test_matrix_rejects_malformed_json():
         MetricMatrix.from_json("{")
     with pytest.raises(CoverageError):
         MetricMatrix.from_json('{"entries": [{"region": "r"}], "gathered_at": "t"}')
+    # one probe key without the other is neither a probed nor an unprobed row
+    with pytest.raises(CoverageError):
+        MetricMatrix.from_json(json.dumps({"gathered_at": "t", "entries": [
+            {"region": "r", "host": "h", "distance_km": 1.0, "latency_ms": 2.0},
+        ]}))

@@ -36,6 +36,13 @@ def test_endpoint_host_lowercases_and_drops_default_port():
     assert endpoint_host("https://example.com:80/") == "example.com:80"
 
 
+def test_endpoint_host_brackets_ipv6_literals():
+    assert endpoint_host("http://[::1]/") == "[::1]"
+    assert endpoint_host("http://[::1]:80/") == "[::1]"
+    assert endpoint_host("http://[::1]:8080/") == "[::1]:8080"
+    assert endpoint_host("http://[2001:DB8::1]:8080/x") == "[2001:db8::1]:8080"
+
+
 def test_parse_lines_three_node_chain():
     spec = parse_workflow(THREE_LINES, format="lines")
     assert [n.role for n in spec.nodes] == [ROLE_SOURCE, ROLE_PROCESSOR, ROLE_PROCESSOR]
