@@ -140,6 +140,8 @@ class MetricMatrix:
             gathered_at = str(doc["gathered_at"])
         except (json.JSONDecodeError, TypeError, KeyError) as exc:
             raise CoverageError(f"malformed matrix file: {exc}") from exc
+        if not isinstance(rows, list):
+            raise CoverageError("malformed matrix file: entries must be an array")
         entries = {}
         for row in rows:
             try:

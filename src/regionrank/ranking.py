@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .candidate import CandidateGraph, host_weights, total_weight
-from .metrics import FAILURE_SENTINEL_MS, MetricMatrix
+from .metrics import MetricMatrix
 from .regions import Region, RegionCatalog
 from .workflow import WorkflowSpec
 
@@ -55,7 +55,6 @@ def _prefilter(
     catalog: RegionCatalog,
     matrix: MetricMatrix,
     n: int,
-    sentinel: float,
 ) -> tuple[Table, list[CandidateGraph]]:
     """Distance table over every region, and the graphs of the top n regions."""
     if n < 1:
@@ -63,8 +62,7 @@ def _prefilter(
     weights = host_weights(spec)
     graphs = {region.id: CandidateGraph(region, weights) for region in catalog}
     table = _sorted_table(
-        {region_id: total_weight(graph, "distance", matrix, sentinel)
-         for region_id, graph in graphs.items()}
+        {region_id: total_weight(graph, "distance", matrix) for region_id, graph in graphs.items()}
     )
     return table, [graphs[region_id] for region_id, _ in table[:n]]
 
@@ -74,10 +72,9 @@ def geo_prefilter(
     catalog: RegionCatalog,
     matrix: MetricMatrix,
     n: int,
-    sentinel: float = FAILURE_SENTINEL_MS,
 ) -> list[Region]:
     """Top n regions by total geographic distance (ascending, ties by id)."""
-    _, survivors = _prefilter(spec, catalog, matrix, n, sentinel)
+    _, survivors = _prefilter(spec, catalog, matrix, n)
     return [graph.region for graph in survivors]
 
 
@@ -86,20 +83,19 @@ def rank(
     catalog: RegionCatalog,
     matrix: MetricMatrix,
     n: int = DEFAULT_PREFILTER_N,
-    sentinel: float = FAILURE_SENTINEL_MS,
 ) -> RankingReport:
     """Rank candidate regions for hosting the workflow orchestrator.
 
     The recommendation is the argmin of final_score = (total rtt +
     total latency) / 2 over prefilter survivors, ties broken by region id.
     """
-    distance_table, survivors = _prefilter(spec, catalog, matrix, n, sentinel)
+    distance_table, survivors = _prefilter(spec, catalog, matrix, n)
 
     latency_scores, rtt_scores, final_scores = {}, {}, {}
     for graph in survivors:
         region_id = graph.region.id
-        latency = total_weight(graph, "latency", matrix, sentinel)
-        rtt = total_weight(graph, "rtt", matrix, sentinel)
+        latency = total_weight(graph, "latency", matrix)
+        rtt = total_weight(graph, "rtt", matrix)
         latency_scores[region_id] = latency
         rtt_scores[region_id] = rtt
         final_scores[region_id] = (rtt + latency) / 2.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 from .candidate import candidate_peers, processor_invocations
@@ -177,43 +177,42 @@ class SimulatedProbe:
         return 2.0 * one_way + self.env.service_overhead_ms
 
 
+def _locations(raw: dict) -> dict[str, GeoPoint]:
+    locations = {}
+    for host, coords in raw.items():
+        try:
+            locations[str(host)] = GeoPoint(float(coords["lat"]), float(coords["lon"]))
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValueError(f"bad location for host {host!r}: {exc}") from exc
+    return locations
+
+
+# how each environment file field becomes a SimEnvironment value; the rest are floats
+_FIELD_PARSERS = {
+    "node_locations": _locations,
+    "latency_overrides": lambda raw: {str(key): float(value) for key, value in raw.items()},
+    "seed": int,
+}
+
+
 def load_env(text: str) -> SimEnvironment:
-    """Parse an environment file (JSON; override keys are "hostA|hostB")."""
+    """Parse an environment file (JSON; override keys are "hostA|hostB").
+
+    A field left out takes the SimEnvironment default.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SimulationError(f"malformed environment file: {exc}") from exc
     if not isinstance(doc, dict):
         raise SimulationError("malformed environment file: top-level value must be an object")
-    known = {
-        "node_locations",
-        "latency_overrides",
-        "base_latency_per_km",
-        "bandwidth_mbps",
-        "service_overhead_ms",
-        "processing_s",
-        "noise_sigma_ms",
-        "seed",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(SimEnvironment)}
     if unknown:
         raise SimulationError(f"unknown environment fields: {sorted(unknown)}")
-    locations = {}
-    for host, coords in dict(doc.get("node_locations", {})).items():
+    values = {}
+    for name, raw in doc.items():
         try:
-            point = GeoPoint(float(coords["lat"]), float(coords["lon"]))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise SimulationError(f"bad location for host {host!r}: {exc}") from exc
-        locations[str(host)] = point
-    overrides = {str(k): float(v) for k, v in dict(doc.get("latency_overrides", {})).items()}
-    return SimEnvironment(
-        node_locations=locations,
-        latency_overrides=overrides,
-        base_latency_per_km=float(doc.get("base_latency_per_km", 0.02)),
-        bandwidth_mbps=float(doc.get("bandwidth_mbps", 100.0)),
-        service_overhead_ms=float(doc.get("service_overhead_ms", 3.0)),
-        processing_s=float(doc.get("processing_s", 0.0)),
-        noise_sigma_ms=float(doc.get("noise_sigma_ms", 0.0)),
-        seed=int(doc.get("seed", 0)),
-    )
-
+            values[name] = _FIELD_PARSERS.get(name, float)(raw)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SimulationError(f"bad environment field {name!r}: {exc}") from exc
+    return SimEnvironment(**values)

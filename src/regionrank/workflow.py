@@ -28,37 +28,30 @@ class WorkflowError(RegionRankError):
     """A workflow file or specification is invalid."""
 
 
-def endpoint_host(url: str) -> str:
-    """Canonical host key of a URL: lowercase hostname, ':port' only when non-default.
+def endpoint_host(url: str, where: str = "endpoint") -> str:
+    """Validate an absolute http(s) URL and return its canonical host key.
 
-    IPv6 literals keep their brackets ([::1], [::1]:8080), so the port stays
-    separable. Metrics are gathered per host, so two URLs on the same
-    host:port share one key regardless of path.
+    The key is the lowercase hostname, with ':port' only when the port is not
+    the scheme's default. IPv6 literals keep their brackets ([::1],
+    [::1]:8080), so the port stays separable. Metrics are gathered per host,
+    so two URLs on the same host:port share one key regardless of path.
+    `where` names the URL's place in the input for the error message.
     """
-    parts = urlsplit(url)
-    host = parts.hostname
-    if host is None:
-        raise WorkflowError(f"URL {url!r} has no host")
-    if ":" in host:
-        host = f"[{host}]"
-    port = parts.port
-    if port is None or port == _DEFAULT_PORTS.get(parts.scheme):
-        return host
-    return f"{host}:{port}"
-
-
-def _require_url(url: str, where: str) -> str:
     try:
         parts = urlsplit(url)
         host = parts.hostname
-        parts.port  # may raise on an unparseable port
+        port = parts.port
     except ValueError as exc:
         raise WorkflowError(f"malformed URL at {where}: {url!r} ({exc})") from exc
-    if parts.scheme not in ("http", "https") or not host:
+    if parts.scheme not in _DEFAULT_PORTS or not host:
         raise WorkflowError(
             f"malformed URL at {where}: {url!r} (expected an absolute http(s) URL with a host)"
         )
-    return url
+    if ":" in host:
+        host = f"[{host}]"
+    if port is None or port == _DEFAULT_PORTS[parts.scheme]:
+        return host
+    return f"{host}:{port}"
 
 
 @dataclass(frozen=True)
@@ -74,11 +67,12 @@ class ServiceNode:
             raise WorkflowError("node id must be non-empty")
         if self.role not in (ROLE_SOURCE, ROLE_PROCESSOR):
             raise WorkflowError(f"unknown node role {self.role!r}")
-        _require_url(self.endpoint, f"node {self.id!r}")
+        object.__setattr__(self, "_host", endpoint_host(self.endpoint, f"node {self.id!r}"))
 
     @property
     def host(self) -> str:
-        return endpoint_host(self.endpoint)
+        """Canonical host key of the endpoint, computed once when the node is made."""
+        return self._host
 
 
 @dataclass(frozen=True)
@@ -170,18 +164,23 @@ class _IdAllocator:
         return base if count == 1 else f"{base}#{count}"
 
 
-def _chain_spec(name: str, source_url: str, processor_urls: list[str]) -> WorkflowSpec:
+def _chain_spec(name: str, urls: list[tuple[str, str]]) -> WorkflowSpec:
+    """A sequential chain over (url, host key) pairs, the first being the source.
+
+    Node ids derive from the host keys the caller's validation returned.
+    """
     ids = _IdAllocator()
-    nodes = [ServiceNode(ids.allocate(endpoint_host(source_url)), source_url, ROLE_SOURCE)]
-    for url in processor_urls:
-        nodes.append(ServiceNode(ids.allocate(endpoint_host(url)), url, ROLE_PROCESSOR))
+    nodes = [
+        ServiceNode(ids.allocate(host), url, ROLE_PROCESSOR if i else ROLE_SOURCE)
+        for i, (url, host) in enumerate(urls)
+    ]
     hops = tuple((a.id, b.id) for a, b in zip(nodes, nodes[1:]))
     return WorkflowSpec(name=name, nodes=tuple(nodes), hops=hops)
 
 
 def _parse_lines(text: str) -> WorkflowSpec:
     name = "workflow"
-    urls: list[str] = []
+    urls: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -191,10 +190,10 @@ def _parse_lines(text: str) -> WorkflowSpec:
             if body.lower().startswith("name:"):
                 name = body[5:].strip() or name
             continue
-        urls.append(_require_url(line, f"line {lineno}"))
+        urls.append((line, endpoint_host(line, f"line {lineno}")))
     if not urls:
         raise WorkflowError("empty workflow file: no node URLs found")
-    return _chain_spec(name, urls[0], urls[1:])
+    return _chain_spec(name, urls)
 
 
 def _parse_dag(text: str) -> WorkflowSpec:
@@ -212,7 +211,9 @@ def _parse_dag(text: str) -> WorkflowSpec:
     if not isinstance(sources, list) or not isinstance(raw_nodes, list) or not isinstance(raw_hops, list):
         raise WorkflowError("malformed dag file: sources, nodes and hops must be arrays")
 
-    source_urls = {_require_url(str(u), "sources") for u in sources}
+    for url in sources:
+        endpoint_host(str(url), "sources")
+    source_urls = set(map(str, sources))
     declared_urls = set()
     nodes = []
     for entry in raw_nodes:
@@ -222,7 +223,7 @@ def _parse_dag(text: str) -> WorkflowSpec:
             raise WorkflowError(f"malformed dag node entry {entry!r}") from exc
         declared_urls.add(url)
         role = ROLE_SOURCE if url in source_urls else ROLE_PROCESSOR
-        nodes.append(ServiceNode(node_id, _require_url(url, f"node {node_id!r}"), role))
+        nodes.append(ServiceNode(node_id, url, role))
     for url in source_urls:
         if url not in declared_urls:
             raise WorkflowError(f"source URL {url!r} is not declared in nodes")
@@ -307,9 +308,8 @@ def generate_random_workflow(
         raise WorkflowError("empty endpoint pool")
     if length < 1:
         raise WorkflowError("length must be at least 1")
-    _require_url(source, "source")
-    for i, url in enumerate(pool):
-        _require_url(url, f"pool entry {i}")
+    chain = [(source, endpoint_host(source, "source"))]
+    keyed_pool = [(url, endpoint_host(url, f"pool entry {i}")) for i, url in enumerate(pool)]
     rng = random.Random(seed)
-    chosen = [rng.choice(pool) for _ in range(length)]
-    return _chain_spec(f"random-len{length}-seed{seed}", source, chosen)
+    chain += [rng.choice(keyed_pool) for _ in range(length)]
+    return _chain_spec(f"random-len{length}-seed{seed}", chain)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from urllib.parse import urlsplit
 
 import pytest
 
+import regionrank.workflow
 from regionrank.bundled import fixture_text
 from regionrank.geo import GeoPoint
 from regionrank.metrics import gather_metric_matrix
@@ -78,3 +80,16 @@ def worked_env():
 @pytest.fixture(scope="session")
 def adversarial_env():
     return load_env(fixture_text("adversarial_env.json"))
+
+
+@pytest.fixture
+def urlsplit_calls(monkeypatch):
+    """URLs passed to the workflow module's urlsplit from now on, in call order."""
+    calls = []
+
+    def counting(url, *args, **kwargs):
+        calls.append(url)
+        return urlsplit(url, *args, **kwargs)
+
+    monkeypatch.setattr(regionrank.workflow, "urlsplit", counting)
+    return calls

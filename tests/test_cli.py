@@ -283,6 +283,20 @@ def test_simulate_prints_oracle_order(capsys):
     assert len(lines) == 10  # header + 8 regions + BEST
 
 
+@pytest.mark.parametrize("env_doc", [
+    '{"seed": null}',
+    '{"bandwidth_mbps": null}',
+    '{"node_locations": [1, 2]}',
+    '{"latency_overrides": {"a|b": null}}',
+])
+def test_simulate_malformed_env_is_input_error(tmp_path, capsys, env_doc):
+    env = tmp_path / "env.json"
+    env.write_text(env_doc)
+    code = main(["simulate", "--workflow", WORKED_WORKFLOW, "--catalog", CATALOG, "--env", str(env)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- gen ---
 
 

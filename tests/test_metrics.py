@@ -443,6 +443,9 @@ def test_matrix_rejects_malformed_json():
         MetricMatrix.from_json("{")
     with pytest.raises(CoverageError):
         MetricMatrix.from_json('{"entries": [{"region": "r"}], "gathered_at": "t"}')
+    for entries in (5, None):
+        with pytest.raises(CoverageError, match="malformed matrix file"):
+            MetricMatrix.from_json(json.dumps({"entries": entries, "gathered_at": "t"}))
     # one probe key without the other is neither a probed nor an unprobed row
     with pytest.raises(CoverageError):
         MetricMatrix.from_json(json.dumps({"gathered_at": "t", "entries": [

@@ -183,6 +183,14 @@ def test_oracle_single_region_catalog():
     assert len(table) == 1
 
 
+def test_oracle_reads_host_keys_without_parsing_urls(
+    worked_spec, catalog8, worked_env, urlsplit_calls
+):
+    # each node's host key was fixed when the workflow was parsed
+    best_region_oracle(worked_env, worked_spec, catalog8)
+    assert urlsplit_calls == []
+
+
 def test_oracle_order_matches_distance_order_in_consistent_env():
     spec, catalog, env = make_consistent_case(seed=17)
     _, table = best_region_oracle(env, spec, catalog)

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from regionrank.metrics import _split_host
 from regionrank.workflow import (
     ROLE_PROCESSOR,
     ROLE_SOURCE,
@@ -41,6 +42,50 @@ def test_endpoint_host_brackets_ipv6_literals():
     assert endpoint_host("http://[::1]:80/") == "[::1]"
     assert endpoint_host("http://[::1]:8080/") == "[::1]:8080"
     assert endpoint_host("http://[2001:DB8::1]:8080/x") == "[2001:db8::1]:8080"
+
+
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_hostnames = st.lists(
+    st.from_regex(r"[A-Za-z0-9]([A-Za-z0-9-]{0,8}[A-Za-z0-9])?", fullmatch=True),
+    min_size=1,
+    max_size=3,
+).map(".".join)
+_ipv6_literals = st.tuples(st.ip_addresses(v=6).map(str), st.booleans()).map(
+    lambda case: case[0].upper() if case[1] else case[0]
+)
+
+
+@st.composite
+def url_cases(draw):
+    """(url, hostname, port or None, scheme): mixed-case names, IPv6 literals, any port."""
+    scheme = draw(st.sampled_from(sorted(_DEFAULT_PORTS)))
+    name = draw(st.one_of(_hostnames, _ipv6_literals))
+    port = draw(st.one_of(st.none(), st.just(_DEFAULT_PORTS[scheme]), st.integers(1, 65535)))
+    netloc = f"[{name}]" if ":" in name else name
+    if port is not None:
+        netloc += f":{port}"
+    path = draw(st.sampled_from(["", "/", "/a/b.bin?q=1"]))
+    return f"{scheme}://{netloc}{path}", name, port, scheme
+
+
+@given(url_cases())
+def test_endpoint_host_canonical_key(case):
+    url, name, port, scheme = case
+    key = endpoint_host(url)
+    assert key == key.lower()
+    assert key.startswith("[") == (":" in name)
+    expected_port = None if port == _DEFAULT_PORTS[scheme] else port
+    assert _split_host(key) == (name.lower(), expected_port)
+
+
+def test_lines_chain_parses_each_url_at_most_twice(urlsplit_calls):
+    urls = [f"http://h{i % 7}.test:{8000 + i % 3}/" for i in range(101)]
+    spec = parse_workflow("\n".join(urls) + "\n", format="lines")
+    assert len(spec.nodes) == len(urls)
+    assert len(urlsplit_calls) <= 2 * len(urls)
+    urlsplit_calls.clear()
+    assert len({node.host for node in spec.nodes}) == 21
+    assert urlsplit_calls == []
 
 
 def test_parse_lines_three_node_chain():
@@ -225,6 +270,35 @@ def test_round_trip_dag():
             {"id": "t", "url": "http://t.example/"},
         ],
         "hops": [["s1", "m"], ["s2", "m"], ["m", "t"]],
+    }
+    spec = parse_workflow(json.dumps(doc), format="dag")
+    assert parse_workflow(render_workflow(spec, format="dag"), format="dag") == spec
+
+
+_names = st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True)
+_urls = st.lists(url_cases().map(lambda case: case[0]), min_size=1, max_size=4)
+
+
+@given(_names, _urls, st.data())
+def test_round_trip_lines_property(name, pool, data):
+    chain = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    spec = parse_workflow(f"# name: {name}\n" + "\n".join(chain) + "\n", format="lines")
+    assert parse_workflow(render_workflow(spec, format="lines"), format="lines") == spec
+
+
+@given(st.text(max_size=12), _urls, st.data())
+def test_round_trip_dag_property(name, pool, data):
+    # hops run from a lower to a higher index and every unfed node is a
+    # source, so each processor is reachable
+    urls = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    pairs = [(i, j) for i in range(len(urls)) for j in range(i + 1, len(urls))]
+    hops = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    fed = {j for _, j in hops}
+    doc = {
+        "name": name,
+        "sources": [url for i, url in enumerate(urls) if i not in fed],
+        "nodes": [{"id": f"n{i}", "url": url} for i, url in enumerate(urls)],
+        "hops": [[f"n{i}", f"n{j}"] for i, j in hops],
     }
     spec = parse_workflow(json.dumps(doc), format="dag")
     assert parse_workflow(render_workflow(spec, format="dag"), format="dag") == spec
