@@ -16,14 +16,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import RegionRankError
 from .metrics import FAILURE_SENTINEL_MS, MetricMatrix
 from .regions import Region
 from .workflow import ROLE_PROCESSOR, WorkflowSpec
-
-
-class CandidateError(RegionRankError):
-    """A candidate graph could not be built."""
 
 
 def candidate_peers(spec: WorkflowSpec) -> list[str]:
@@ -55,12 +50,6 @@ class CandidateGraph:
 
     region: Region
     weights: Mapping[str, int]
-
-    def __post_init__(self):
-        if self.region.id in self.weights:
-            raise CandidateError(
-                f"region id {self.region.id!r} collides with a workflow host; rename one of them"
-            )
 
 
 def build_candidate_graph(spec: WorkflowSpec, region: Region) -> CandidateGraph:

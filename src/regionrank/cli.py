@@ -42,9 +42,6 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_PROBE_FAILURE = 3
 
-# Fixed timestamp for sim-mode matrices: reruns must be byte-identical.
-_SIM_GATHERED_AT = "2000-01-01T00:00:00+00:00"
-
 
 class UsageError(RegionRankError):
     """Bad flag combination caught after argparse."""
@@ -138,21 +135,15 @@ def cmd_rank(args) -> int:
     if args.mode == "sim":
         env = _load_sim_env(args)
         probe, resolver = SimulatedProbe(env), env.resolver()
-        gathered_at = _SIM_GATHERED_AT
     else:
         probe = LiveProbe()
         resolver = _load_geo_resolver(args.geo)
-        gathered_at = None
     # distances for every region, then latency and rtt probes for the
     # prefilter's survivors only: --top-n is the probe budget
     nodes = distinct_nodes(spec)
-    distances = gather_metric_matrix(
-        probe, resolver, catalog, nodes, probe_regions=(), gathered_at=gathered_at
-    )
+    distances = gather_metric_matrix(probe, resolver, catalog, nodes, probe_regions=())
     survivors = geo_prefilter(spec, catalog, distances, args.top_n)
-    probed = gather_metric_matrix(
-        probe, resolver, survivors, nodes, k=args.samples, gathered_at=gathered_at
-    )
+    probed = gather_metric_matrix(probe, resolver, survivors, nodes, k=args.samples)
     matrix = replace(probed, entries={**distances.entries, **probed.entries})
     failed = matrix.failed_channels()
     attempted = matrix.attempted_channels()

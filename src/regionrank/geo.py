@@ -43,6 +43,19 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} out of range [-180, 180]")
 
 
+def parse_locations(doc) -> dict[str, GeoPoint]:
+    """Locations from a decoded JSON object of the form {host: {"lat": num, "lon": num}}."""
+    if not isinstance(doc, dict):
+        raise GeoFixtureError("locations must be a JSON object of {host: {lat, lon}}")
+    locations = {}
+    for host, entry in doc.items():
+        try:
+            locations[str(host)] = GeoPoint(float(entry["lat"]), float(entry["lon"]))
+        except (TypeError, KeyError, ValueError) as exc:
+            raise GeoFixtureError(f"bad location for host {host!r}: {exc}") from exc
+    return locations
+
+
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points in kilometers.
 
@@ -81,15 +94,7 @@ class FixtureResolver:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GeoFixtureError(f"malformed geolocation fixture: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise GeoFixtureError("geolocation fixture must be a JSON object")
-        locations = {}
-        for host, entry in doc.items():
-            try:
-                locations[host] = GeoPoint(float(entry["lat"]), float(entry["lon"]))
-            except (TypeError, KeyError, ValueError) as exc:
-                raise GeoFixtureError(f"bad fixture entry for host {host!r}: {exc}") from exc
-        return cls(locations)
+        return cls(parse_locations(doc))
 
     def resolve(self, host: str) -> GeoPoint:
         try:

@@ -9,7 +9,7 @@ rotation so no imaging stack is needed.
 
 from __future__ import annotations
 
-import json
+import math
 import statistics
 import threading
 import time
@@ -61,20 +61,6 @@ class ExecutionStats:
             return 0.0
         return statistics.stdev(self.runs)
 
-    @property
-    def single_run(self) -> bool:
-        return len(self.runs) == 1
-
-    def to_json(self) -> str:
-        doc = {
-            "workflow": self.workflow,
-            "runs": list(self.runs),
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "failures": self.failures,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-
 
 @dataclass(frozen=True)
 class ComparisonStats:
@@ -100,17 +86,6 @@ def compare_stats(baseline: ExecutionStats, candidate: ExecutionStats) -> Compar
     else:
         delta = (candidate.stddev / baseline.stddev - 1.0) * 100.0
     return ComparisonStats(speedup_pct=speedup, delta_sigma_pct=delta)
-
-
-def _topo_hop_order(spec: WorkflowSpec) -> list[tuple[str, str]]:
-    # rank(node) = longest hop path from a source; sorting hops by the rank of
-    # their from-node guarantees inputs arrive before they are forwarded
-    # (stable sorts keep file order among hops of equal rank)
-    position = {node_id: i for i, node_id in enumerate(spec.topological_order())}
-    rank = dict.fromkeys(position, 0)
-    for u, v in sorted(spec.hops, key=lambda hop: position[hop[0]]):
-        rank[v] = max(rank[v], rank[u] + 1)
-    return sorted(spec.hops, key=lambda hop: rank[hop[0]])
 
 
 def _http_get(url: str, timeout: float) -> bytes:
@@ -143,7 +118,7 @@ def run_workflow_once(
     for node in spec.nodes:
         if node.role == ROLE_SOURCE:
             outputs[node.id] = _http_get(node.endpoint, timeout)
-    for u, v in _topo_hop_order(spec):
+    for u, v in spec.hop_order:
         if u not in outputs:
             raise WorkflowRunError(f"hop source {u!r} produced no payload")
         outputs[v] = _http_post(endpoints[v], outputs[u], timeout)
@@ -263,6 +238,12 @@ class _LocalService:
         return False
 
 
+def _loopback_server(port: int, handler) -> ThreadingHTTPServer:
+    if not 0 <= port <= 65535:
+        raise HarnessError(f"port {port} is outside 0-65535")
+    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+
+
 def transform_service(
     port: int = 0,
     delay_ms: float = 0.0,
@@ -276,8 +257,11 @@ def transform_service(
     """
     if mode not in ("rotate", "echo"):
         raise HarnessError(f"unknown transform mode {mode!r}")
-    server = ThreadingHTTPServer(("127.0.0.1", port), _TransformHandler)
-    server.delay_ms = float(delay_ms)
+    delay_ms = float(delay_ms)
+    if not math.isfinite(delay_ms) or delay_ms < 0:
+        raise HarnessError(f"delay must be a finite non-negative number of ms, not {delay_ms}")
+    server = _loopback_server(port, _TransformHandler)
+    server.delay_ms = delay_ms
     server.mode = mode
     server.body_cap = int(body_cap)
     return _LocalService(server)
@@ -285,6 +269,6 @@ def transform_service(
 
 def payload_source(payload: bytes = b"sample payload", port: int = 0) -> _LocalService:
     """Start a loopback data source serving `payload` to any GET."""
-    server = ThreadingHTTPServer(("127.0.0.1", port), _PayloadHandler)
+    server = _loopback_server(port, _PayloadHandler)
     server.payload = bytes(payload)
     return _LocalService(server)

@@ -358,11 +358,8 @@ def gather_metric_matrix(
         return latency, rtt
 
     pairs = [(region, host) for region in to_probe for host in targets]
-    if parallelism > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            measured = list(pool.map(probe_pair, pairs))
-    else:
-        measured = [probe_pair(pair) for pair in pairs]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        measured = list(pool.map(probe_pair, pairs))
     for (region, host), (latency, rtt) in zip(pairs, measured):
         key = (region.id, host)
         entries[key] = EdgeMetrics(entries[key].distance_km, latency, rtt)

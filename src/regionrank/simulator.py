@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields
 from typing import Union
 
 from .candidate import candidate_peers, processor_invocations
 from .errors import RegionRankError
-from .geo import FixtureResolver, GeoPoint, haversine_km
+from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_km, parse_locations
 from .metrics import ProbeError
 from .regions import Region, RegionCatalog
 from .workflow import WorkflowSpec, endpoint_host
@@ -61,12 +62,18 @@ class SimEnvironment:
                 a, b = key
             pair = _pair_key(str(a), str(b))
             value = float(value)
+            if not math.isfinite(value):
+                raise SimulationError(f"override for {pair!r} must be finite, not {value}")
             if pair in normalized and normalized[pair] != value:
                 raise SimulationError(f"conflicting override values for pair {pair!r}")
             if value < 0:
                 raise SimulationError(f"override for {pair!r} must be non-negative")
             normalized[pair] = value
         object.__setattr__(self, "latency_overrides", normalized)
+        for name in ("base_latency_per_km", "bandwidth_mbps", "service_overhead_ms",
+                     "processing_s", "noise_sigma_ms", "seed"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(f"{name} must be finite, not {getattr(self, name)}")
         for name in ("base_latency_per_km", "service_overhead_ms", "processing_s", "noise_sigma_ms"):
             if getattr(self, name) < 0:
                 raise SimulationError(f"{name} must be non-negative")
@@ -177,19 +184,9 @@ class SimulatedProbe:
         return 2.0 * one_way + self.env.service_overhead_ms
 
 
-def _locations(raw: dict) -> dict[str, GeoPoint]:
-    locations = {}
-    for host, coords in raw.items():
-        try:
-            locations[str(host)] = GeoPoint(float(coords["lat"]), float(coords["lon"]))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ValueError(f"bad location for host {host!r}: {exc}") from exc
-    return locations
-
-
 # how each environment file field becomes a SimEnvironment value; the rest are floats
 _FIELD_PARSERS = {
-    "node_locations": _locations,
+    "node_locations": parse_locations,
     "latency_overrides": lambda raw: {str(key): float(value) for key, value in raw.items()},
     "seed": int,
 }
@@ -213,6 +210,6 @@ def load_env(text: str) -> SimEnvironment:
     for name, raw in doc.items():
         try:
             values[name] = _FIELD_PARSERS.get(name, float)(raw)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, GeoFixtureError) as exc:
             raise SimulationError(f"bad environment field {name!r}: {exc}") from exc
     return SimEnvironment(**values)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from .errors import RegionRankError
@@ -82,11 +83,15 @@ class WorkflowSpec:
     Hops are directed (from-id, to-id) dataflow transfers. The final delivery
     of each terminal node's output back to the orchestrator is implicit and
     added during candidate-graph construction, never stored here.
+
+    hop_order, set by validation, is the order a run sends the hops in: by
+    the longest hop path to each hop's from-node, then in file order.
     """
 
     name: str
     nodes: tuple[ServiceNode, ...]
     hops: tuple[tuple[str, str], ...]
+    hop_order: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -112,15 +117,19 @@ class WorkflowSpec:
         order = self.topological_order()
         if len(order) != len(self.nodes):
             raise WorkflowError("cycle detected in workflow hops")
-        # hops taken in order of their from-node settle reachability in one sweep
+        # hops taken in order of their from-node settle reachability and each
+        # node's longest hop path in one sweep
         position = {node_id: i for i, node_id in enumerate(order)}
         reached = {n.id for n in self.nodes if n.role == ROLE_SOURCE}
+        depth = dict.fromkeys(order, 0)
         for u, v in sorted(self.hops, key=lambda hop: position[hop[0]]):
             if u in reached:
                 reached.add(v)
+            depth[v] = max(depth[v], depth[u] + 1)
         for node in self.nodes:
             if node.role == ROLE_PROCESSOR and node.id not in reached:
                 raise WorkflowError(f"processor {node.id!r} is unreachable from any source")
+        object.__setattr__(self, "hop_order", tuple(sorted(self.hops, key=lambda hop: depth[hop[0]])))
 
     def topological_order(self) -> list[str]:
         """Node ids, each after every node whose hops feed it (Kahn's algorithm).
@@ -147,33 +156,19 @@ class WorkflowSpec:
     def sources(self) -> tuple[ServiceNode, ...]:
         return tuple(n for n in self.nodes if n.role == ROLE_SOURCE)
 
-    @property
-    def processors(self) -> tuple[ServiceNode, ...]:
-        return tuple(n for n in self.nodes if n.role == ROLE_PROCESSOR)
-
-
-class _IdAllocator:
-    """Derives unique node ids from host keys, suffixing '#k' on repeats."""
-
-    def __init__(self):
-        self._counts: dict[str, int] = {}
-
-    def allocate(self, base: str) -> str:
-        count = self._counts.get(base, 0) + 1
-        self._counts[base] = count
-        return base if count == 1 else f"{base}#{count}"
-
 
 def _chain_spec(name: str, urls: list[tuple[str, str]]) -> WorkflowSpec:
     """A sequential chain over (url, host key) pairs, the first being the source.
 
-    Node ids derive from the host keys the caller's validation returned.
+    Node ids are the host keys the caller's validation returned, with '#k'
+    appended to the k-th repeat of a host.
     """
-    ids = _IdAllocator()
-    nodes = [
-        ServiceNode(ids.allocate(host), url, ROLE_PROCESSOR if i else ROLE_SOURCE)
-        for i, (url, host) in enumerate(urls)
-    ]
+    seen: Counter[str] = Counter()
+    nodes = []
+    for i, (url, host) in enumerate(urls):
+        seen[host] += 1
+        node_id = host if seen[host] == 1 else f"{host}#{seen[host]}"
+        nodes.append(ServiceNode(node_id, url, ROLE_PROCESSOR if i else ROLE_SOURCE))
     hops = tuple((a.id, b.id) for a, b in zip(nodes, nodes[1:]))
     return WorkflowSpec(name=name, nodes=tuple(nodes), hops=hops)
 
@@ -224,7 +219,7 @@ def _parse_dag(text: str) -> WorkflowSpec:
         declared_urls.add(url)
         role = ROLE_SOURCE if url in source_urls else ROLE_PROCESSOR
         nodes.append(ServiceNode(node_id, url, role))
-    for url in source_urls:
+    for url in map(str, sources):
         if url not in declared_urls:
             raise WorkflowError(f"source URL {url!r} is not declared in nodes")
 

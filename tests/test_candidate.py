@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regionrank.candidate import (
-    CandidateError,
     build_candidate_graph,
     candidate_peers,
     host_weights,
@@ -64,12 +63,6 @@ def test_edge_count_is_two_hops_plus_terminals():
         spec = generate_random_workflow(pool, length=6, seed=seed, source="http://src.test/")
         terminals = len(spec.nodes) - len({u for u, _ in spec.hops})
         assert len(candidate_peers(spec)) == 2 * len(spec.hops) + terminals
-
-
-def test_region_id_colliding_with_host_rejected():
-    bad_region = Region("s.test", "probe.test", GeoPoint(0, 0))
-    with pytest.raises(CandidateError, match="collides"):
-        build_candidate_graph(CHAIN3, bad_region)
 
 
 def test_processor_invocations_counts_processor_targets():

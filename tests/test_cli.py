@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import socket
 import subprocess
 import sys
@@ -145,6 +146,22 @@ def test_rank_fail_threshold_counts_only_attempted_channels(tmp_path, capsys):
     # 8 x 3 distances + 8 x 3 x 2 probed channels
     assert main(args + ["--top-n", "8"]) == EXIT_PROBE_FAILURE
     assert "30 of 72 channels failed" in capsys.readouterr().err
+
+
+def test_rank_region_id_equal_to_a_host_key_ranks_like_any_other(tmp_path, capsys):
+    # the matrix is keyed by (region id, host), so an id that is also a
+    # workflow host key cannot be confused with the host
+    catalog = json.loads(Path(CATALOG).read_text())
+    outputs = []
+    for region_id in ("wikimedia.org", "renamed-region"):
+        catalog[0]["id"] = region_id
+        path = tmp_path / f"{region_id}.json"
+        path.write_text(json.dumps(catalog))
+        args = rank_args(**{"--catalog": str(path), "--top-n": "8", "--format": "json"})
+        assert main(args) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert "wikimedia.org" in outputs[0]
+    assert outputs[0].replace("wikimedia.org", "renamed-region") == outputs[1]
 
 
 def _write_case(directory, spec, catalog, env) -> dict:
@@ -297,6 +314,23 @@ def test_simulate_malformed_env_is_input_error(tmp_path, capsys, env_doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth_mbps", math.nan),
+    ("base_latency_per_km", math.inf),
+    ("latency_overrides", {"ec2.us-east-1.amazonaws.com|wikimedia.org": math.nan}),
+])
+def test_simulate_non_finite_env_value_is_input_error(tmp_path, capsys, field, value):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env[field] = value
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))  # NaN and Infinity, which json.loads accepts
+    code = main(["simulate", "--workflow", WORKED_WORKFLOW, "--catalog", CATALOG, "--env", str(path)])
+    assert code == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be finite" in err
+
+
 # --- gen ---
 
 
@@ -331,6 +365,23 @@ def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--port", "99999"], "0-65535"),
+    (["--port", "-1"], "0-65535"),
+    (["--port", "0", "--delay-ms", "-5"], "delay"),
+    (["--port", "0", "--delay-ms", "nan"], "delay"),
+])
+def test_serve_bad_value_is_input_error(monkeypatch, capsys, flags, message):
+    def interrupt(seconds):
+        raise KeyboardInterrupt  # a server that did start stops at once
+
+    monkeypatch.setattr(time, "sleep", interrupt)
+    assert main(["serve"] + flags) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_serve_subprocess_round_trip():

@@ -1,4 +1,5 @@
 import json
+import math
 import socket
 import statistics
 import urllib.error
@@ -11,7 +12,6 @@ from regionrank.harness import (
     ComparisonStats,
     ExecutionStats,
     HarnessError,
-    _topo_hop_order,
     compare_stats,
     execute_workflow,
     payload_source,
@@ -29,29 +29,18 @@ def test_stats_mean_and_sample_stddev():
     s = stats([1.0, 2.0, 3.0, 4.0])
     assert s.mean == pytest.approx(2.5)
     assert s.stddev == pytest.approx(statistics.stdev([1.0, 2.0, 3.0, 4.0]))
-    assert not s.single_run
+    assert len(s.runs) == 4
 
 
 def test_stats_single_run_has_zero_stddev():
     s = stats([3.2])
     assert s.stddev == 0.0
-    assert s.single_run
+    assert len(s.runs) == 1
 
 
 def test_stats_require_at_least_one_run():
     with pytest.raises(HarnessError):
         stats([])
-
-
-def test_stats_json_export():
-    doc = json.loads(stats([1.0, 2.0], failures=1).to_json())
-    assert doc == {
-        "workflow": "wf",
-        "runs": [1.0, 2.0],
-        "mean": 1.5,
-        "stddev": pytest.approx(statistics.stdev([1.0, 2.0])),
-        "failures": 1,
-    }
 
 
 # --- published measurement arithmetic ---
@@ -187,6 +176,20 @@ def test_unknown_mode_rejected():
         transform_service(mode="mirror")
 
 
+@pytest.mark.parametrize("port", [-1, 65536, 99999])
+def test_services_reject_out_of_range_port(port):
+    with pytest.raises(HarnessError, match="0-65535"):
+        transform_service(port=port)
+    with pytest.raises(HarnessError, match="0-65535"):
+        payload_source(port=port)
+
+
+@pytest.mark.parametrize("delay_ms", [-5.0, math.nan, math.inf])
+def test_transform_service_rejects_bad_delay(delay_ms):
+    with pytest.raises(HarnessError, match="delay"):
+        transform_service(delay_ms=delay_ms)
+
+
 # --- orchestrated execution over loopback ---
 
 
@@ -232,7 +235,7 @@ def test_hop_order_sorts_by_longest_path_then_file_order():
     }
     spec = parse_workflow(json.dumps(doc), format="dag")
     # b is two hops from s via a, so its outbound hop goes last
-    assert _topo_hop_order(spec) == [("s", "a"), ("s", "b"), ("a", "b"), ("a", "d"), ("b", "d")]
+    assert spec.hop_order == (("s", "a"), ("s", "b"), ("a", "b"), ("a", "d"), ("b", "d"))
 
 
 def test_execute_workflow_collects_all_runs():
@@ -249,7 +252,7 @@ def test_execute_workflow_single_run():
     with payload_source(b"abc") as src:
         spec = loopback_chain(src)
         result = execute_workflow(spec, runs=1)
-        assert result.single_run
+        assert len(result.runs) == 1
         assert result.stddev == 0.0
 
 

@@ -99,6 +99,15 @@ def test_noise_truncated_at_zero(sample):
         {"bandwidth_mbps": -5.0},
         {"noise_sigma_ms": -1.0},
         {"processing_s": -1.0},
+        {"bandwidth_mbps": math.nan},
+        {"bandwidth_mbps": math.inf},
+        {"base_latency_per_km": math.nan},
+        {"service_overhead_ms": math.inf},
+        {"processing_s": math.inf},
+        {"noise_sigma_ms": math.nan},
+        {"seed": math.nan},
+        {"latency_overrides": {"a|b": math.nan}},
+        {"latency_overrides": {"a|b": math.inf}},
     ],
 )
 def test_environment_rejects_bad_parameters(kwargs):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import regionrank
 from regionrank.metrics import _split_host
 from regionrank.workflow import (
     ROLE_PROCESSOR,
@@ -179,6 +184,30 @@ def test_parse_dag_source_must_be_declared_in_nodes():
     }
     with pytest.raises(WorkflowError, match="missing.example"):
         parse_workflow(json.dumps(doc), format="dag")
+
+
+def test_parse_dag_names_the_first_undeclared_source_under_any_hash_seed(tmp_path):
+    doc = {
+        "sources": [f"http://x{i}.example/" for i in (1, 2, 3)],
+        "nodes": [{"id": "s", "url": "http://s.example/"}],
+        "hops": [],
+    }
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from regionrank.workflow import WorkflowError, parse_workflow\n"
+        "try:\n"
+        "    parse_workflow(open(sys.argv[1]).read(), format='dag')\n"
+        "except WorkflowError as exc:\n"
+        "    print(exc)\n"
+    )
+    package_root = str(Path(regionrank.__file__).resolve().parents[1])
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+        result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout == "source URL 'http://x1.example/' is not declared in nodes\n"
 
 
 def test_spec_requires_a_source():
