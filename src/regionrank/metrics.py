@@ -26,7 +26,6 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Iterable, Optional, Protocol
 
 from .errors import RegionRankError
@@ -35,7 +34,6 @@ from .regions import Region
 from .workflow import ServiceNode
 
 CHANNELS = ("distance", "latency", "rtt")
-_PROBED_FIELDS = ("latency_ms", "http_rtt_ms")
 
 # Score assigned to a failed channel: large enough to dominate any plausible
 # real measurement, finite so argmin and sums stay well defined.
@@ -86,16 +84,11 @@ class EdgeMetrics:
         return (("distance", self.distance_km), ("latency", self.latency_ms), ("rtt", self.http_rtt_ms))
 
 
-def _optional_float(value) -> Optional[float]:
-    return None if value is None else float(value)
-
-
 @dataclass(frozen=True)
 class MetricMatrix:
     """All gathered measurements, keyed by (region id, host)."""
 
     entries: dict[tuple[str, str], EdgeMetrics]
-    gathered_at: str
 
     def get(self, region_id: str, host: str) -> EdgeMetrics:
         try:
@@ -120,42 +113,6 @@ class MetricMatrix:
             for channel, value in edge.attempted()
             if value is None
         )
-
-    def to_json(self) -> str:
-        """Rows sorted by (region, host); an unprobed row has no latency_ms or http_rtt_ms key."""
-        rows = []
-        for (region_id, host) in sorted(self.entries):
-            edge = self.entries[(region_id, host)]
-            row = {"region": region_id, "host": host, "distance_km": edge.distance_km}
-            if edge.probed:
-                row.update(latency_ms=edge.latency_ms, http_rtt_ms=edge.http_rtt_ms)
-            rows.append(row)
-        return json.dumps({"gathered_at": self.gathered_at, "entries": rows}, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricMatrix":
-        try:
-            doc = json.loads(text)
-            rows = doc["entries"]
-            gathered_at = str(doc["gathered_at"])
-        except (json.JSONDecodeError, TypeError, KeyError) as exc:
-            raise CoverageError(f"malformed matrix file: {exc}") from exc
-        if not isinstance(rows, list):
-            raise CoverageError("malformed matrix file: entries must be an array")
-        entries = {}
-        for row in rows:
-            try:
-                key = (str(row["region"]), str(row["host"]))
-                # a row without both probe keys is unprobed; a row with only one is malformed
-                probed = any(name in row for name in _PROBED_FIELDS)
-                latency, rtt = (
-                    (_optional_float(row[name]) for name in _PROBED_FIELDS) if probed else (None, None)
-                )
-                edge = EdgeMetrics(_optional_float(row["distance_km"]), latency, rtt, probed)
-            except (TypeError, KeyError, ValueError) as exc:
-                raise CoverageError(f"malformed matrix entry {row!r}") from exc
-            entries[key] = edge
-        return cls(entries=entries, gathered_at=gathered_at)
 
 
 class Probe(Protocol):
@@ -305,7 +262,6 @@ def gather_metric_matrix(
     nodes: list[ServiceNode],
     k: int = DEFAULT_SAMPLE_COUNT,
     parallelism: int = 8,
-    gathered_at: Optional[str] = None,
     probe_regions: Optional[Iterable[Region]] = None,
 ) -> MetricMatrix:
     """Measure every channel for every (region, distinct host) pair.
@@ -363,7 +319,4 @@ def gather_metric_matrix(
     for (region, host), (latency, rtt) in zip(pairs, measured):
         key = (region.id, host)
         entries[key] = EdgeMetrics(entries[key].distance_km, latency, rtt)
-
-    if gathered_at is None:
-        gathered_at = datetime.now(timezone.utc).isoformat()
-    return MetricMatrix(entries=entries, gathered_at=gathered_at)
+    return MetricMatrix(entries=entries)

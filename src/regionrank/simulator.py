@@ -97,8 +97,8 @@ def _noise_ms(env: SimEnvironment, pair: tuple[str, str], sample: Union[int, str
     return rng.gauss(0.0, env.noise_sigma_ms)
 
 
-def sim_latency(env: SimEnvironment, a: str, b: str, sample: Union[int, str] = 0) -> float:
-    """One-way latency a<->b in ms: override or distance-based, plus noise.
+def _base_latency(env: SimEnvironment, a: str, b: str) -> float:
+    """Noise-free one-way latency a<->b in ms: the pair's override or distance-based.
 
     Both hosts must be located in the environment even when an override pins
     the pair; a typo in a host name should fail loudly and not silently
@@ -107,12 +107,52 @@ def sim_latency(env: SimEnvironment, a: str, b: str, sample: Union[int, str] = 0
     pa, pb = env.locate(a), env.locate(b)
     pair = _pair_key(a, b)
     if pair in env.latency_overrides:
-        base = env.latency_overrides[pair]
-    else:
-        base = env.base_latency_per_km * haversine_km(pa, pb)
+        return env.latency_overrides[pair]
+    return env.base_latency_per_km * haversine_km(pa, pb)
+
+
+def _add_noise(env: SimEnvironment, base: float, a: str, b: str, sample: Union[int, str]) -> float:
+    """One sample of the pair a<->b whose base latency is `base`: max(0, base + noise)."""
     if env.noise_sigma_ms > 0:
-        base += _noise_ms(env, pair, sample)
+        base += _noise_ms(env, _pair_key(a, b), sample)
     return max(0.0, base)
+
+
+def sim_latency(env: SimEnvironment, a: str, b: str, sample: Union[int, str] = 0) -> float:
+    """One-way latency a<->b in ms: override or distance-based, plus noise."""
+    return _add_noise(env, _base_latency(env, a, b), a, b, sample)
+
+
+def _execution_time(
+    env: SimEnvironment,
+    peers: list[str],
+    invocations: int,
+    orchestrator_host: str,
+    data_mb: float,
+    run: Union[int, str],
+) -> float:
+    """sim_execution_time for a workflow given as its candidate peers and processor invocations.
+
+    Each distinct peer's base latency is computed once, in the order of its
+    first edge, so a missing host fails as the first edge reaching it would.
+    Edges are still summed one by one in edge order.
+    """
+    if data_mb < 0:
+        raise SimulationError("data_mb must be non-negative")
+    transfer_s = data_mb * 8.0 / env.bandwidth_mbps
+    bases = {peer: _base_latency(env, orchestrator_host, peer) for peer in dict.fromkeys(peers)}
+    total = 0.0
+    if env.noise_sigma_ms > 0:
+        for i, peer in enumerate(peers):
+            latency = _add_noise(env, bases[peer], orchestrator_host, peer, f"run{run}/edge{i}")
+            total += latency / 1000.0 + transfer_s
+    else:
+        # noise-free, an edge's latency is max(0, base): its whole term depends only on its peer
+        terms = {peer: max(0.0, base) / 1000.0 + transfer_s for peer, base in bases.items()}
+        for peer in peers:
+            total += terms[peer]
+    total += env.processing_s * invocations
+    return total
 
 
 def sim_execution_time(
@@ -126,17 +166,12 @@ def sim_execution_time(
 
     Each candidate edge costs its latency plus the serialisation time of
     data_mb megabytes at the environment bandwidth; each hop that targets a
-    processor adds processing_s of service time.
+    processor adds processing_s of service time. Edge i of run r draws its
+    noise under the sample key "run{r}/edge{i}".
     """
-    if data_mb < 0:
-        raise SimulationError("data_mb must be non-negative")
-    transfer_s = data_mb * 8.0 / env.bandwidth_mbps
-    total = 0.0
-    for i, peer in enumerate(candidate_peers(spec)):
-        latency = sim_latency(env, orchestrator_host, peer, sample=f"run{run}/edge{i}")
-        total += latency / 1000.0 + transfer_s
-    total += env.processing_s * processor_invocations(spec)
-    return total
+    return _execution_time(
+        env, candidate_peers(spec), processor_invocations(spec), orchestrator_host, data_mb, run
+    )
 
 
 def best_region_oracle(
@@ -148,10 +183,13 @@ def best_region_oracle(
     """Brute-force ground truth: simulate every region, pick the fastest.
 
     Returns (best region id, full (id, seconds) table sorted fastest first,
-    ties broken by id).
+    ties broken by id). It walks every candidate edge of every region and
+    never reads host_weights, so it stays an independent check of ranking.
     """
+    peers = candidate_peers(spec)
+    invocations = processor_invocations(spec)
     times = [
-        (sim_execution_time(env, spec, region.probe_host, data_mb), region.id)
+        (_execution_time(env, peers, invocations, region.probe_host, data_mb, 0), region.id)
         for region in catalog
     ]
     times.sort()

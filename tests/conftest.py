@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import strategies as st
 
 import regionrank.workflow
 from regionrank.bundled import fixture_text
@@ -56,10 +58,30 @@ def make_consistent_case(seed: int):
 def gather_sim(spec, catalog, env, **kwargs):
     """Metric matrix for a simulated environment, single-threaded by default."""
     kwargs.setdefault("parallelism", 1)
-    kwargs.setdefault("gathered_at", "test")
     return gather_metric_matrix(
         SimulatedProbe(env), env.resolver(), catalog, distinct_nodes(spec), **kwargs
     )
+
+
+@st.composite
+def dag_specs(draw):
+    """Random acyclic specs in the dag format, several nodes sharing each host.
+
+    Hops only run from a lower to a higher node index, and every node without
+    an inbound hop is a source, so each processor is reachable.
+    """
+    size = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    hops = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    hosts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    urls = [f"http://h{host}.test/n{i}" for i, host in enumerate(hosts)]
+    fed = {j for _, j in hops}
+    doc = {
+        "sources": [urls[i] for i in range(size) if i not in fed],
+        "nodes": [{"id": f"n{i}", "url": url} for i, url in enumerate(urls)],
+        "hops": [[f"n{i}", f"n{j}"] for i, j in hops],
+    }
+    return parse_workflow(json.dumps(doc), format="dag")
 
 
 @pytest.fixture(scope="session")

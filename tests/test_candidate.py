@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import dag_specs
 from regionrank.candidate import (
     build_candidate_graph,
     candidate_peers,
@@ -27,7 +28,7 @@ def latency_matrix(values, region_id="r-east"):
         (region_id, host): EdgeMetrics(distance_km=1.0, latency_ms=ms, http_rtt_ms=2 * ms)
         for host, ms in values.items()
     }
-    return MetricMatrix(entries=entries, gathered_at="t")
+    return MetricMatrix(entries=entries)
 
 
 def test_sequential_chain_star_shape():
@@ -97,7 +98,7 @@ def test_total_weight_failed_channel_uses_sentinel():
         ("r-east", "p1.test"): EdgeMetrics(1.0, 5.0, 1.0),
         ("r-east", "p2.test"): EdgeMetrics(1.0, 5.0, 1.0),
     }
-    matrix = MetricMatrix(entries=entries, gathered_at="t")
+    matrix = MetricMatrix(entries=entries)
     graph = build_candidate_graph(CHAIN3, REGION)
     assert total_weight(graph, "latency", matrix, sentinel=1000.0) == pytest.approx(
         1000.0 + 5.0 * 4
@@ -153,28 +154,6 @@ def test_monotonicity_in_single_entry():
     assert bumped > base
 
 
-
-@st.composite
-def dag_specs(draw):
-    """Random acyclic specs in the dag format, several nodes sharing each host.
-
-    Hops only run from a lower to a higher node index, and every node without
-    an inbound hop is a source, so each processor is reachable.
-    """
-    size = draw(st.integers(min_value=1, max_value=8))
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    hops = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
-    hosts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
-    urls = [f"http://h{host}.test/n{i}" for i, host in enumerate(hosts)]
-    fed = {j for _, j in hops}
-    doc = {
-        "sources": [urls[i] for i in range(size) if i not in fed],
-        "nodes": [{"id": f"n{i}", "url": url} for i, url in enumerate(urls)],
-        "hops": [[f"n{i}", f"n{j}"] for i, j in hops],
-    }
-    return parse_workflow(json.dumps(doc), format="dag")
-
-
 @given(dag_specs())
 def test_host_weights_count_two_per_hop_plus_terminals(spec):
     terminals = len(spec.nodes) - len({u for u, _ in spec.hops})
@@ -193,7 +172,7 @@ def test_host_weights_count_two_per_hop_plus_terminals(spec):
 def test_total_weight_equals_per_edge_sum(spec, channel, values):
     # None is a failed channel: it costs the sentinel once per edge
     entries = {("r-east", host): EdgeMetrics(v, v, v) for host, v in values.items()}
-    matrix = MetricMatrix(entries=entries, gathered_at="t")
+    matrix = MetricMatrix(entries=entries)
     per_edge = sum(
         1000.0 if values[peer] is None else values[peer] for peer in candidate_peers(spec)
     )

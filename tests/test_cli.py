@@ -331,6 +331,63 @@ def test_simulate_non_finite_env_value_is_input_error(tmp_path, capsys, field, v
     assert "must be finite" in err
 
 
+def test_simulate_noisy_worked_example(tmp_path, capsys):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env.update(noise_sigma_ms=5.0, seed=7)
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    code = main(["simulate", "--workflow", WORKED_WORKFLOW, "--catalog", CATALOG, "--env", str(path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "region | predicted seconds\n"
+        "us-east-1 | 1.572\n"
+        "us-west-2 | 1.636\n"
+        "us-west-1 | 1.702\n"
+        "eu-west-1 | 1.999\n"
+        "sa-east-1 | 2.293\n"
+        "ap-northeast-1 | 2.364\n"
+        "ap-northeast-2 | 2.403\n"
+        "ap-southeast-1 | 2.839\n"
+        "BEST: us-east-1\n"
+    )
+
+
+# the oracle sweeps regions in catalog order and each region's edges in edge
+# order, locating the region's probe host first: the first host it cannot
+# locate is the one named
+@pytest.mark.parametrize("sigma", [0.0, 5.0])
+@pytest.mark.parametrize("missing, named", [
+    (["cs-planetlab4.cs.surrey.sfu.ca"], "cs-planetlab4.cs.surrey.sfu.ca"),
+    (["ec2.sa-east-1.amazonaws.com"], "ec2.sa-east-1.amazonaws.com"),
+    (["planetlab-03.cs.princeton.edu", "cs-planetlab4.cs.surrey.sfu.ca"], "planetlab-03.cs.princeton.edu"),
+    (["ec2.sa-east-1.amazonaws.com", "cs-planetlab4.cs.surrey.sfu.ca"], "cs-planetlab4.cs.surrey.sfu.ca"),
+    (["ec2.us-east-1.amazonaws.com", "wikimedia.org"], "ec2.us-east-1.amazonaws.com"),
+])
+def test_simulate_missing_host_is_input_error(tmp_path, capsys, missing, named, sigma):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    for host in missing:
+        del env["node_locations"][host]
+    env["noise_sigma_ms"] = sigma
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    code = main(["simulate", "--workflow", WORKED_WORKFLOW, "--catalog", CATALOG, "--env", str(path)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: environment has no location for host {named!r}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--catalog", CATALOG],
+    ["verify", "--mode", "sim", "--vantage-a", "ec2.us-east-1.amazonaws.com",
+     "--vantage-b", "ec2.us-west-1.amazonaws.com"],
+])
+def test_negative_data_mb_is_input_error(capsys, command):
+    code = main(command + ["--workflow", WORKED_WORKFLOW, "--env", WORKED_ENV, "--data-mb", "-1"])
+    assert code == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be non-negative" in err
+
+
 # --- gen ---
 
 

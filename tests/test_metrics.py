@@ -5,7 +5,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
-from hypothesis import given, strategies as st
 
 from regionrank.geo import FixtureResolver, GeoPoint
 from regionrank.harness import transform_service
@@ -243,7 +242,7 @@ def sim_setup(n_regions=8):
 def test_gather_eight_regions_three_nodes_is_24_entries():
     regions, env = sim_setup()
     matrix = gather_metric_matrix(
-        SimulatedProbe(env), env.resolver(), regions, distinct_nodes(WORKFLOW), gathered_at="t"
+        SimulatedProbe(env), env.resolver(), regions, distinct_nodes(WORKFLOW)
     )
     assert len(matrix.entries) == 24
     assert matrix.failed_channels() == []
@@ -253,7 +252,7 @@ def test_gather_single_pair():
     regions, env = sim_setup(n_regions=1)
     spec = parse_workflow("http://node00.test/\n", format="lines")
     matrix = gather_metric_matrix(
-        SimulatedProbe(env), env.resolver(), regions, distinct_nodes(spec), gathered_at="t"
+        SimulatedProbe(env), env.resolver(), regions, distinct_nodes(spec)
     )
     edge = matrix.get("region-0", "node00.test")
     assert edge.distance_km is not None
@@ -273,8 +272,7 @@ def test_gather_missing_geolocation_fails_distance_only():
     region = Region("r", "p.test", GeoPoint(0, 0))
     spec = parse_workflow("http://located.test/\nhttp://unknown.test/\n", format="lines")
     resolver = FixtureResolver({"located.test": GeoPoint(1, 1)})
-    matrix = gather_metric_matrix(_StaticProbe(), resolver, [region], distinct_nodes(spec),
-                                  gathered_at="t")
+    matrix = gather_metric_matrix(_StaticProbe(), resolver, [region], distinct_nodes(spec))
     broken = matrix.get("r", "unknown.test")
     assert broken.distance_km is None
     assert broken.latency_ms == 5.0
@@ -306,7 +304,7 @@ def test_gather_probes_each_host_once_despite_repeats():
     )
     probe = _CountingProbe()
     resolver = FixtureResolver({"a.test": GeoPoint(1, 1), "b.test": GeoPoint(2, 2)})
-    gather_metric_matrix(probe, resolver, [region], distinct_nodes(spec), gathered_at="t")
+    gather_metric_matrix(probe, resolver, [region], distinct_nodes(spec))
     assert sorted(probe.latency_calls) == [("r", "a.test"), ("r", "b.test")]
     # rtt is probed against the first URL seen for the host
     assert sorted(probe.rtt_calls) == [("r", "http://a.test/"), ("r", "http://b.test/")]
@@ -316,11 +314,10 @@ def test_gather_parallelism_does_not_change_results():
     regions, env = sim_setup()
     nodes = distinct_nodes(WORKFLOW)
     serial = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes,
-                                  parallelism=1, gathered_at="t")
+                                  parallelism=1)
     parallel = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes,
-                                    parallelism=8, gathered_at="t")
-    assert serial == parallel
-    assert serial.to_json() == parallel.to_json()
+                                    parallelism=8)
+    assert list(serial.entries.items()) == list(parallel.entries.items())
 
 
 class _FailingProbe(_StaticProbe):
@@ -335,12 +332,11 @@ def test_gather_probes_only_the_named_regions():
     probe = _CountingProbe()
     nodes = distinct_nodes(WORKFLOW)
     matrix = gather_metric_matrix(probe, env.resolver(), regions, nodes, parallelism=1,
-                                  gathered_at="t", probe_regions=regions[1:3])
+                                  probe_regions=regions[1:3])
     assert sorted({region for region, _ in probe.latency_calls}) == ["region-1", "region-2"]
     assert len(probe.rtt_calls) == 2 * 3
     assert len(matrix.entries) == 4 * 3
-    full = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes,
-                                gathered_at="t")
+    full = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes)
     for (region_id, host), edge in matrix.entries.items():
         assert edge.distance_km == full.get(region_id, host).distance_km
         assert edge.probed == (region_id in ("region-1", "region-2"))
@@ -352,7 +348,7 @@ def test_gather_with_no_probe_regions_issues_no_probe():
     regions, env = sim_setup(n_regions=2)
     probe = _CountingProbe()
     matrix = gather_metric_matrix(probe, env.resolver(), regions, distinct_nodes(WORKFLOW),
-                                  gathered_at="t", probe_regions=())
+                                  probe_regions=())
     assert probe.latency_calls == probe.rtt_calls == []
     assert not any(edge.probed for edge in matrix.entries.values())
     assert matrix.attempted_channels() == 2 * 3
@@ -370,7 +366,7 @@ def test_failed_channels_never_lists_unprobed_channels():
         ("r1", "a.test"): EdgeMetrics(None, None, None, probed=False),
         ("r1", "b.test"): EdgeMetrics(1.0, None, 2.0),
     }
-    matrix = MetricMatrix(entries=entries, gathered_at="t")
+    matrix = MetricMatrix(entries=entries)
     assert matrix.failed_channels() == [("r1", "a.test", "distance"), ("r1", "b.test", "latency")]
     assert matrix.attempted_channels() == 1 + 3
 
@@ -379,75 +375,12 @@ def test_gather_survives_probe_failures():
     region = Region("r", "p.test", GeoPoint(0, 0))
     spec = parse_workflow("http://ok.test/\nhttp://down.test/\n", format="lines")
     resolver = FixtureResolver({"ok.test": GeoPoint(1, 1), "down.test": GeoPoint(2, 2)})
-    matrix = gather_metric_matrix(_FailingProbe(), resolver, [region], distinct_nodes(spec),
-                                  gathered_at="t")
+    matrix = gather_metric_matrix(_FailingProbe(), resolver, [region], distinct_nodes(spec))
     assert matrix.get("r", "down.test").latency_ms is None
     assert matrix.get("r", "ok.test").latency_ms == 5.0
 
 
-def test_matrix_json_round_trip_with_failures():
-    entries = {
-        ("r1", "a.test"): EdgeMetrics(1.5, 2.5, 3.5),
-        ("r1", "b.test"): EdgeMetrics(None, None, 9.0),
-    }
-    matrix = MetricMatrix(entries=entries, gathered_at="2024-01-01T00:00:00+00:00")
-    again = MetricMatrix.from_json(matrix.to_json())
-    assert again == matrix
-    assert again.to_json() == matrix.to_json()
-
-
-def test_matrix_json_unprobed_rows_omit_probe_keys():
-    entries = {
-        ("r1", "a.test"): EdgeMetrics(1.5, None, None, probed=False),
-        ("r1", "b.test"): EdgeMetrics(2.5, None, None),
-    }
-    matrix = MetricMatrix(entries=entries, gathered_at="t")
-    rows = json.loads(matrix.to_json())["entries"]
-    assert rows[0] == {"region": "r1", "host": "a.test", "distance_km": 1.5}
-    assert rows[1]["latency_ms"] is None and rows[1]["http_rtt_ms"] is None
-    assert MetricMatrix.from_json(matrix.to_json()) == matrix
-
-
-def test_matrix_json_old_rows_load_as_probed():
-    text = json.dumps({"gathered_at": "t", "entries": [
-        {"region": "r", "host": "h", "distance_km": 1.0, "latency_ms": None, "http_rtt_ms": 3.0},
-    ]})
-    assert MetricMatrix.from_json(text).get("r", "h") == EdgeMetrics(1.0, None, 3.0, probed=True)
-
-
-_value = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
-_edge = st.one_of(
-    st.builds(EdgeMetrics, _value, _value, _value),
-    st.builds(EdgeMetrics, _value, st.none(), st.none(), st.just(False)),
-)
-
-
-@given(st.dictionaries(st.tuples(st.text(max_size=5), st.text(max_size=5)), _edge, max_size=8),
-       st.text(max_size=10))
-def test_matrix_json_round_trip_property(entries, gathered_at):
-    matrix = MetricMatrix(entries=entries, gathered_at=gathered_at)
-    again = MetricMatrix.from_json(matrix.to_json())
-    assert again == matrix
-    assert again.failed_channels() == matrix.failed_channels()
-    assert again.attempted_channels() == matrix.attempted_channels()
-
-
 def test_matrix_get_missing_pair_names_it():
-    matrix = MetricMatrix(entries={}, gathered_at="t")
+    matrix = MetricMatrix(entries={})
     with pytest.raises(CoverageError, match="r9.*ghost.test"):
         matrix.get("r9", "ghost.test")
-
-
-def test_matrix_rejects_malformed_json():
-    with pytest.raises(CoverageError):
-        MetricMatrix.from_json("{")
-    with pytest.raises(CoverageError):
-        MetricMatrix.from_json('{"entries": [{"region": "r"}], "gathered_at": "t"}')
-    for entries in (5, None):
-        with pytest.raises(CoverageError, match="malformed matrix file"):
-            MetricMatrix.from_json(json.dumps({"entries": entries, "gathered_at": "t"}))
-    # one probe key without the other is neither a probed nor an unprobed row
-    with pytest.raises(CoverageError):
-        MetricMatrix.from_json(json.dumps({"gathered_at": "t", "entries": [
-            {"region": "r", "host": "h", "distance_km": 1.0, "latency_ms": 2.0},
-        ]}))

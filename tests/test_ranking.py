@@ -42,7 +42,7 @@ def matrix_for(catalog, values):
         d, l, r = values[region.id]
         for host in ("s.test", "p.test"):
             entries[(region.id, host)] = EdgeMetrics(d, l, r)
-    return MetricMatrix(entries=entries, gathered_at="t")
+    return MetricMatrix(entries=entries)
 
 
 def test_worked_example_recommends_us_east_1(worked_spec, catalog8, worked_env):
@@ -142,7 +142,7 @@ def test_failed_channel_region_never_wins_against_healthy_one():
         ("region-1", "s.test"): EdgeMetrics(2.0, 400.0, 900.0),
         ("region-1", "p.test"): EdgeMetrics(2.0, 400.0, 900.0),
     }
-    matrix = MetricMatrix(entries=entries, gathered_at="t")
+    matrix = MetricMatrix(entries=entries)
     report = rank(SPEC1, catalog, matrix, n=2)
     assert report.recommended == "region-1"
 

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import gather_sim, make_consistent_case
-from regionrank.candidate import build_candidate_graph, total_weight
-from regionrank.geo import EARTH_RADIUS_KM, GeoPoint
+import regionrank.simulator
+from conftest import dag_specs, gather_sim, make_consistent_case
+from regionrank.candidate import build_candidate_graph, candidate_peers, processor_invocations, total_weight
+from regionrank.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import (
     SimEnvironment,
@@ -236,6 +237,86 @@ def test_adversarial_override_beats_geography(worked_spec, catalog8, adversarial
         for r in catalog8
     )
     assert [rid for _, rid in distances].index(region.id) >= 3
+
+
+def per_edge_execution_time(env, spec, orchestrator_host, data_mb, run):
+    """The execution-time model as a plain loop: one sim_latency call per candidate edge."""
+    transfer_s = data_mb * 8.0 / env.bandwidth_mbps
+    total = 0.0
+    for i, peer in enumerate(candidate_peers(spec)):
+        total += sim_latency(env, orchestrator_host, peer, sample=f"run{run}/edge{i}") / 1000.0 + transfer_s
+    total += env.processing_s * processor_invocations(spec)
+    return total
+
+
+@st.composite
+def chain_specs(draw):
+    """Random lines-format chains over the hosts h0..h3.test, hosts repeating."""
+    hosts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    return parse_workflow("".join(f"http://h{h}.test/n{i}\n" for i, h in enumerate(hosts)), format="lines")
+
+
+_SIM_HOSTS = [f"h{i}.test" for i in range(4)] + ["p0.test", "p1.test"]
+_points = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+
+
+@st.composite
+def sim_worlds(draw):
+    """(environment, catalog): regions probe from p0, p1 or a workflow host, overrides may be 0 ms."""
+    locations = {host: draw(_points) for host in _SIM_HOSTS}
+    pairs = [(a, b) for i, a in enumerate(_SIM_HOSTS) for b in _SIM_HOSTS[i:]]
+    overrides = draw(st.dictionaries(
+        st.sampled_from(pairs), st.one_of(st.just(0.0), st.floats(0.0, 500.0)), max_size=8,
+    ))
+    env = SimEnvironment(
+        node_locations=locations,
+        latency_overrides=overrides,
+        base_latency_per_km=draw(st.floats(0.0, 0.05)),
+        bandwidth_mbps=draw(st.floats(1.0, 1000.0)),
+        processing_s=draw(st.floats(0.0, 2.0)),
+        # 0 takes the noise-free path; 500 ms clamps many samples at 0
+        noise_sigma_ms=draw(st.sampled_from([0.0, 2.0, 500.0])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    probe_hosts = draw(st.lists(st.sampled_from(["p0.test", "p1.test", "h0.test"]), min_size=1, max_size=4))
+    catalog = RegionCatalog(tuple(
+        Region(f"r{j}", host, locations[host]) for j, host in enumerate(probe_hosts)
+    ))
+    return env, catalog
+
+
+@given(st.one_of(chain_specs(), dag_specs()), sim_worlds(),
+       st.sampled_from([0.0, 1.0, 3.7]), st.integers(0, 3))
+def test_execution_time_equals_the_per_edge_sum(spec, world, data_mb, run):
+    env, catalog = world
+    for region in catalog:
+        assert (sim_execution_time(env, spec, region.probe_host, data_mb, run=run)
+                == per_edge_execution_time(env, spec, region.probe_host, data_mb, run))
+    times = sorted((per_edge_execution_time(env, spec, r.probe_host, data_mb, 0), r.id) for r in catalog)
+    table = tuple((region_id, t) for t, region_id in times)
+    assert best_region_oracle(env, spec, catalog, data_mb) == (table[0][0], table)
+
+
+def test_oracle_sweep_computes_each_pair_once(monkeypatch):
+    spec, catalog, env = make_consistent_case(seed=11)
+    haversines, peer_lists = [], []
+
+    def counting_haversine(a, b):
+        haversines.append((a, b))
+        return haversine_km(a, b)
+
+    def counting_peers(spec):
+        peer_lists.append(spec)
+        return candidate_peers(spec)
+
+    monkeypatch.setattr(regionrank.simulator, "haversine_km", counting_haversine)
+    monkeypatch.setattr(regionrank.simulator, "candidate_peers", counting_peers)
+    best_region_oracle(env, spec, catalog)
+
+    hosts = len(set(candidate_peers(spec)))
+    assert hosts < len(candidate_peers(spec))  # hosts repeat, so per-edge work would cost more
+    assert len(haversines) == len(catalog.regions) * hosts
+    assert len(peer_lists) == 1
 
 
 # --- env file round-trip ---
