@@ -63,20 +63,15 @@ def processor_invocations(spec: WorkflowSpec) -> int:
     return sum(1 for _, v in spec.hops if roles[v] == ROLE_PROCESSOR)
 
 
-def total_weight(
-    graph: CandidateGraph,
-    channel: str,
-    matrix: MetricMatrix,
-    sentinel: float = FAILURE_SENTINEL_MS,
-) -> float:
+def total_weight(graph: CandidateGraph, channel: str, matrix: MetricMatrix) -> float:
     """Sum one measured channel over every edge of a candidate graph.
 
     Each host's (region, host) measurement counts once per edge ending there;
-    a failed channel contributes `sentinel` per edge so incomplete regions
-    rank last rather than looking free.
+    a failed channel contributes FAILURE_SENTINEL_MS per edge so incomplete
+    regions rank last rather than looking free.
     """
     total = 0.0
     for host, count in graph.weights.items():
         value = matrix.get(graph.region.id, host).channel(channel)
-        total += count * (sentinel if value is None else value)
+        total += count * (FAILURE_SENTINEL_MS if value is None else value)
     return total

@@ -132,6 +132,8 @@ def cmd_rank(args) -> int:
     catalog = load_catalog(_read_text(args.catalog, "catalog"))
     if args.top_n < 1:
         raise UsageError("--top-n must be at least 1")
+    if not 0 <= args.fail_threshold <= 1:
+        raise UsageError(f"--fail-threshold must be between 0 and 1, not {args.fail_threshold}")
     if args.mode == "sim":
         env = _load_sim_env(args)
         probe, resolver = SimulatedProbe(env), env.resolver()
@@ -204,8 +206,6 @@ def cmd_simulate(args) -> int:
     spec = _load_workflow(args.workflow)
     catalog = load_catalog(_read_text(args.catalog, "catalog"))
     env = _load_sim_env(args)
-    if args.data_mb < 0:
-        raise UsageError("--data-mb must be non-negative")
     best, table = best_region_oracle(env, spec, catalog, data_mb=args.data_mb)
     print("region | predicted seconds")
     for region_id, seconds in table:

@@ -6,12 +6,11 @@ good to a fraction of a percent, which is plenty for ranking data centers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Protocol
 
-from .errors import RegionRankError
+from .errors import RegionRankError, decode_json
 
 # Mean Earth radius in kilometers.
 EARTH_RADIUS_KM = 6371.0
@@ -43,6 +42,14 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} out of range [-180, 180]")
 
 
+def parse_point(entry) -> GeoPoint:
+    """The point of a decoded {"lat": num, "lon": num}; JSON true and false are not numbers."""
+    lat, lon = entry["lat"], entry["lon"]
+    if type(lat) not in (int, float) or type(lon) not in (int, float):
+        raise TypeError(f"lat and lon must be numbers, not {lat!r} and {lon!r}")
+    return GeoPoint(float(lat), float(lon))
+
+
 def parse_locations(doc) -> dict[str, GeoPoint]:
     """Locations from a decoded JSON object of the form {host: {"lat": num, "lon": num}}."""
     if not isinstance(doc, dict):
@@ -50,8 +57,8 @@ def parse_locations(doc) -> dict[str, GeoPoint]:
     locations = {}
     for host, entry in doc.items():
         try:
-            locations[str(host)] = GeoPoint(float(entry["lat"]), float(entry["lon"]))
-        except (TypeError, KeyError, ValueError) as exc:
+            locations[str(host)] = parse_point(entry)
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GeoFixtureError(f"bad location for host {host!r}: {exc}") from exc
     return locations
 
@@ -90,11 +97,7 @@ class FixtureResolver:
     @classmethod
     def from_json(cls, text: str) -> "FixtureResolver":
         """Parse a fixture of the form {host: {"lat": num, "lon": num}}."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GeoFixtureError(f"malformed geolocation fixture: {exc}") from exc
-        return cls(parse_locations(doc))
+        return cls(parse_locations(decode_json(text, "geolocation fixture", GeoFixtureError)))
 
     def resolve(self, host: str) -> GeoPoint:
         try:

@@ -25,25 +25,18 @@ Table = tuple[tuple[str, float], ...]
 class RankingReport:
     """Outcome of one ranking run.
 
-    prefilter_n is the effective survivor count (requested n capped at the
-    catalog size); distance_table covers every region while the latency, rtt
-    and final tables cover only prefilter survivors. Every table is sorted
-    ascending by (score, region-id).
+    prefiltered_regions are the survivors, at most n, in prefilter order;
+    distance_table covers every region while the latency, rtt and final
+    tables cover only the survivors. Every table is sorted ascending by
+    (score, region-id).
     """
 
     recommended: str
-    prefilter_n: int
     prefiltered_regions: tuple[str, ...]
     distance_table: Table
     latency_table: Table
     rtt_table: Table
     final_table: Table
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefiltered_regions", tuple(self.prefiltered_regions))
-        for name in ("distance_table", "latency_table", "rtt_table", "final_table"):
-            table = tuple((str(r), float(s)) for r, s in getattr(self, name))
-            object.__setattr__(self, name, table)
 
 
 def _sorted_table(scores: dict[str, float]) -> Table:
@@ -103,7 +96,6 @@ def rank(
     final_table = _sorted_table(final_scores)
     return RankingReport(
         recommended=final_table[0][0],
-        prefilter_n=len(survivors),
         prefiltered_regions=tuple(graph.region.id for graph in survivors),
         distance_table=distance_table,
         latency_table=_sorted_table(latency_scores),
@@ -138,7 +130,7 @@ def render_report(report: RankingReport, format: str = "table") -> str:
     if format == "json":
         doc = {
             "recommended": report.recommended,
-            "prefilter_n": report.prefilter_n,
+            "prefilter_n": len(report.prefiltered_regions),
             "prefiltered_regions": list(report.prefiltered_regions),
             "distance_table": [list(row) for row in report.distance_table],
             "latency_table": [list(row) for row in report.latency_table],

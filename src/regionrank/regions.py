@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .bundled import fixture_text
-from .errors import RegionRankError
-from .geo import GeoPoint
+from .errors import RegionRankError, decode_json
+from .geo import GeoPoint, parse_point
 
 
 class CatalogError(RegionRankError):
@@ -61,24 +60,17 @@ class RegionCatalog:
 
 
 def load_catalog(text: str) -> RegionCatalog:
-    """Parse a catalog file: a JSON array of {id, probe_host, lat, lon}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"malformed catalog file: {exc}") from exc
-    if not isinstance(doc, list):
-        raise CatalogError("malformed catalog file: top-level value must be an array")
+    """Parse a catalog file: a JSON array of {id: str, probe_host: str, lat: num, lon: num}."""
     regions = []
-    for entry in doc:
+    for entry in decode_json(text, "catalog file", CatalogError, list):
         try:
-            region_id = str(entry["id"])
-            probe_host = str(entry["probe_host"])
-            lat, lon = float(entry["lat"]), float(entry["lon"])
-        except (TypeError, KeyError, ValueError) as exc:
+            region_id, probe_host = entry["id"], entry["probe_host"]
+            if not (isinstance(region_id, str) and isinstance(probe_host, str)):
+                raise TypeError("id and probe_host must be strings")
+            location = parse_point(entry)
+        except (TypeError, KeyError) as exc:
             raise CatalogError(f"malformed catalog entry {entry!r}") from exc
-        try:
-            location = GeoPoint(lat, lon)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise CatalogError(f"region {region_id!r}: {exc}") from exc
         regions.append(Region(region_id, probe_host, location))
     return RegionCatalog(tuple(regions))

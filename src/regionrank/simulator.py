@@ -9,14 +9,13 @@ draw is reproducible regardless of call order.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass, field, fields
 from typing import Union
 
 from .candidate import candidate_peers, processor_invocations
-from .errors import RegionRankError
+from .errors import RegionRankError, decode_json
 from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_km, parse_locations
 from .metrics import ProbeError
 from .regions import Region, RegionCatalog
@@ -137,8 +136,8 @@ def _execution_time(
     first edge, so a missing host fails as the first edge reaching it would.
     Edges are still summed one by one in edge order.
     """
-    if data_mb < 0:
-        raise SimulationError("data_mb must be non-negative")
+    if not (data_mb >= 0 and math.isfinite(data_mb)):
+        raise SimulationError(f"data_mb must be non-negative and finite, not {data_mb}")
     transfer_s = data_mb * 8.0 / env.bandwidth_mbps
     bases = {peer: _base_latency(env, orchestrator_host, peer) for peer in dict.fromkeys(peers)}
     total = 0.0
@@ -235,12 +234,7 @@ def load_env(text: str) -> SimEnvironment:
 
     A field left out takes the SimEnvironment default.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"malformed environment file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SimulationError("malformed environment file: top-level value must be an object")
+    doc = decode_json(text, "environment file", SimulationError, dict)
     unknown = set(doc) - {f.name for f in fields(SimEnvironment)}
     if unknown:
         raise SimulationError(f"unknown environment fields: {sorted(unknown)}")

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from .errors import RegionRankError
+from .errors import RegionRankError, decode_json
 
 ROLE_SOURCE = "source"
 ROLE_PROCESSOR = "processor"
@@ -99,58 +99,42 @@ class WorkflowSpec:
         self._validate()
 
     def _validate(self):
-        ids = [n.id for n in self.nodes]
-        seen = set()
-        for node_id in ids:
-            if node_id in seen:
-                raise WorkflowError(f"duplicate node id {node_id!r}")
-            seen.add(node_id)
+        successors: dict[str, list[str]] = {}
+        for node in self.nodes:
+            if node.id in successors:
+                raise WorkflowError(f"duplicate node id {node.id!r}")
+            successors[node.id] = []
+        indegree = dict.fromkeys(successors, 0)
         for u, v in self.hops:
             for node_id in (u, v):
-                if node_id not in seen:
+                if node_id not in successors:
                     raise WorkflowError(f"unknown id {node_id!r} in hop list")
-        if not any(n.role == ROLE_SOURCE for n in self.nodes):
-            raise WorkflowError("workflow needs at least one source node")
-        self._check_graph()
-
-    def _check_graph(self):
-        order = self.topological_order()
-        if len(order) != len(self.nodes):
-            raise WorkflowError("cycle detected in workflow hops")
-        # hops taken in order of their from-node settle reachability and each
-        # node's longest hop path in one sweep
-        position = {node_id: i for i, node_id in enumerate(order)}
+            successors[u].append(v)
+            indegree[v] += 1
         reached = {n.id for n in self.nodes if n.role == ROLE_SOURCE}
-        depth = dict.fromkeys(order, 0)
-        for u, v in sorted(self.hops, key=lambda hop: position[hop[0]]):
-            if u in reached:
-                reached.add(v)
-            depth[v] = max(depth[v], depth[u] + 1)
+        if not reached:
+            raise WorkflowError("workflow needs at least one source node")
+        # Kahn's algorithm: a node is popped only after every node that feeds
+        # it, so its reachability and longest hop path are final by then
+        depth = dict.fromkeys(successors, 0)
+        ready = [node_id for node_id, degree in indegree.items() if degree == 0]
+        popped = 0
+        while ready:
+            u = ready.pop()
+            popped += 1
+            for v in successors[u]:
+                if u in reached:
+                    reached.add(v)
+                depth[v] = max(depth[v], depth[u] + 1)
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+        if popped != len(self.nodes):
+            raise WorkflowError("cycle detected in workflow hops")
         for node in self.nodes:
             if node.role == ROLE_PROCESSOR and node.id not in reached:
                 raise WorkflowError(f"processor {node.id!r} is unreachable from any source")
         object.__setattr__(self, "hop_order", tuple(sorted(self.hops, key=lambda hop: depth[hop[0]])))
-
-    def topological_order(self) -> list[str]:
-        """Node ids, each after every node whose hops feed it (Kahn's algorithm).
-
-        Nodes on or behind a cycle are left out.
-        """
-        successors: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        indegree = dict.fromkeys(successors, 0)
-        for u, v in self.hops:
-            successors[u].append(v)
-            indegree[v] += 1
-        ready = [node_id for node_id, degree in indegree.items() if degree == 0]
-        order = []
-        while ready:
-            u = ready.pop()
-            order.append(u)
-            for v in successors[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-        return order
 
     @property
     def sources(self) -> tuple[ServiceNode, ...]:
@@ -192,13 +176,7 @@ def _parse_lines(text: str) -> WorkflowSpec:
 
 
 def _parse_dag(text: str) -> WorkflowSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkflowError(f"malformed dag file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise WorkflowError("malformed dag file: top-level value must be an object")
-
+    doc = decode_json(text, "dag file", WorkflowError, dict)
     name = str(doc.get("name", "workflow"))
     sources = doc.get("sources", [])
     raw_nodes = doc.get("nodes", [])

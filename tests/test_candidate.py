@@ -12,7 +12,7 @@ from regionrank.candidate import (
     total_weight,
 )
 from regionrank.geo import GeoPoint
-from regionrank.metrics import EdgeMetrics, MetricMatrix
+from regionrank.metrics import FAILURE_SENTINEL_MS, EdgeMetrics, MetricMatrix
 from regionrank.regions import Region
 from regionrank.workflow import parse_workflow, generate_random_workflow
 
@@ -100,9 +100,7 @@ def test_total_weight_failed_channel_uses_sentinel():
     }
     matrix = MetricMatrix(entries=entries)
     graph = build_candidate_graph(CHAIN3, REGION)
-    assert total_weight(graph, "latency", matrix, sentinel=1000.0) == pytest.approx(
-        1000.0 + 5.0 * 4
-    )
+    assert total_weight(graph, "latency", matrix) == pytest.approx(FAILURE_SENTINEL_MS + 5.0 * 4)
 
 
 def test_total_weight_missing_entry_raises_coverage_error():
@@ -174,7 +172,7 @@ def test_total_weight_equals_per_edge_sum(spec, channel, values):
     entries = {("r-east", host): EdgeMetrics(v, v, v) for host, v in values.items()}
     matrix = MetricMatrix(entries=entries)
     per_edge = sum(
-        1000.0 if values[peer] is None else values[peer] for peer in candidate_peers(spec)
+        FAILURE_SENTINEL_MS if values[peer] is None else values[peer] for peer in candidate_peers(spec)
     )
-    score = total_weight(build_candidate_graph(spec, REGION), channel, matrix, sentinel=1000.0)
+    score = total_weight(build_candidate_graph(spec, REGION), channel, matrix)
     assert score == pytest.approx(per_edge, rel=1e-9)

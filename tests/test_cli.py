@@ -98,6 +98,16 @@ def test_rank_rejects_bad_top_n(capsys):
     assert "top-n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["-1", "1.5", "nan"])
+def test_rank_rejects_fail_threshold_outside_0_to_1(monkeypatch, capsys, threshold):
+    # rejected before any gather: a gather call would be a TypeError
+    monkeypatch.setattr("regionrank.cli.gather_metric_matrix", None)
+    assert main(rank_args(**{"--fail-threshold": threshold})) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "fail-threshold" in err
+
+
 def test_rank_probe_failures_exit_3(tmp_path, capsys):
     # env locates nobody, so every channel of every pair fails
     env = {"node_locations": {}, "seed": 1}
@@ -204,7 +214,7 @@ def test_rank_probing_survivors_equals_rank_on_full_matrix(seed, n):
     assert code == EXIT_OK
     doc = json_report(out.getvalue())
     assert doc["recommended"] == expected.recommended
-    assert doc["prefilter_n"] == expected.prefilter_n
+    assert doc["prefilter_n"] == len(expected.prefiltered_regions)
     assert tuple(doc["prefiltered_regions"]) == expected.prefiltered_regions
     for table in ("distance_table", "latency_table", "rtt_table", "final_table"):
         assert tuple(tuple(row) for row in doc[table]) == getattr(expected, table)
@@ -381,11 +391,13 @@ def test_simulate_missing_host_is_input_error(tmp_path, capsys, missing, named, 
      "--vantage-b", "ec2.us-west-1.amazonaws.com"],
 ])
 def test_negative_data_mb_is_input_error(capsys, command):
-    code = main(command + ["--workflow", WORKED_WORKFLOW, "--env", WORKED_ENV, "--data-mb", "-1"])
-    assert code == EXIT_INPUT_ERROR
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "must be non-negative" in err
+    # NaN and infinity too: at NaN simulate printed nan for every region
+    for data_mb in ("-1", "nan", "inf"):
+        code = main(command + ["--workflow", WORKED_WORKFLOW, "--env", WORKED_ENV, "--data-mb", data_mb])
+        assert code == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be non-negative" in err
 
 
 # --- gen ---

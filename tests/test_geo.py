@@ -85,7 +85,16 @@ def test_fixture_resolver_from_json():
 
 @pytest.mark.parametrize(
     "text",
-    ["not json", "[1, 2]", '{"h": {"lat": 1}}', '{"h": {"lat": 95, "lon": 0}}'],
+    [
+        "not json",
+        "[1, 2]",
+        '{"h": {"lat": 1}}',
+        '{"h": {"lat": 95, "lon": 0}}',
+        '{"h": {"lat": true, "lon": 0}}',
+        '{"h": {"lat": 0, "lon": "5"}}',
+        '{"h": {"lat": null, "lon": 0}}',
+        pytest.param('{"h": {"lat": 1%s, "lon": 0}}' % ("0" * 400), id="lat-too-large-for-a-float"),
+    ],
 )
 def test_fixture_resolver_rejects_bad_fixture(text):
     with pytest.raises(GeoFixtureError):

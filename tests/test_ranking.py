@@ -58,7 +58,7 @@ def test_single_region_catalog():
     report = rank(SPEC1, catalog, matrix)
     assert report.recommended == "region-0"
     assert len(report.final_table) == 1
-    assert report.prefilter_n == 1
+    assert report.prefiltered_regions == ("region-0",)
 
 
 def test_rank_agrees_with_oracle_in_consistent_env():
@@ -169,7 +169,6 @@ def table1_report():
     synth = tuple((rid, float(i)) for i, (rid, _) in enumerate(TABLE1))
     return RankingReport(
         recommended=TABLE1[0][0],
-        prefilter_n=8,
         prefiltered_regions=tuple(rid for rid, _ in TABLE1),
         distance_table=synth,
         latency_table=synth,
@@ -191,7 +190,6 @@ def test_render_table_mirrors_published_layout():
 def test_render_single_row_report():
     report = RankingReport(
         recommended="only",
-        prefilter_n=1,
         prefiltered_regions=("only",),
         distance_table=(("only", 1.0),),
         latency_table=(("only", 2.0),),
@@ -205,7 +203,7 @@ def test_render_single_row_report():
 def assert_json_matches(report):
     doc = json.loads(render_report(report, "json"))
     assert doc["recommended"] == report.recommended
-    assert doc["prefilter_n"] == report.prefilter_n
+    assert doc["prefilter_n"] == len(report.prefiltered_regions)
     for name in ("distance_table", "latency_table", "rtt_table", "final_table"):
         assert [tuple(row) for row in doc[name]] == list(getattr(report, name))
 

@@ -49,6 +49,16 @@ def test_unknown_region_id():
         '[{"id": "r", "probe_host": "p", "lat": 95, "lon": 0}]',
         '[{"id": "r", "lat": 0, "lon": 0}]',
         '[{"id": "r", "probe_host": "", "lat": 0, "lon": 0}]',
+        '[{"id": null, "probe_host": "p", "lat": 0, "lon": 0}]',
+        '[{"id": "r", "probe_host": null, "lat": 0, "lon": 0}]',
+        '[{"id": ["a"], "probe_host": "p", "lat": 0, "lon": 0}]',
+        '[{"id": 7, "probe_host": "p", "lat": 0, "lon": 0}]',
+        '[{"id": "r", "probe_host": "p", "lat": true, "lon": 0}]',
+        '[{"id": "r", "probe_host": "p", "lat": 0, "lon": "0"}]',
+        '[{"id": "r", "probe_host": "p", "lat": 0, "lon": null}]',
+        pytest.param('[{"id": "r", "probe_host": "p", "lat": 1%s, "lon": 0}]' % ("0" * 400),
+                     id="lat-too-large-for-a-float"),
+        '["r"]',
     ],
 )
 def test_load_catalog_rejects_malformed(text):

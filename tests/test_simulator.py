@@ -361,6 +361,18 @@ def test_load_env_rejects_bad_location():
         load_env('{"node_locations": {"x.test": {"lat": 120, "lon": 0}}}')
 
 
+@pytest.mark.parametrize("lat", ["true", '"5"', "null"])
+def test_load_env_rejects_location_that_is_not_a_number(lat):
+    # the same coordinate rule as the region catalog: JSON numbers, not booleans
+    with pytest.raises(SimulationError) as err:
+        load_env('{"node_locations": {"x.test": {"lat": %s, "lon": 0}}}' % lat)
+    value = {"true": "True", '"5"': "'5'", "null": "None"}[lat]
+    assert str(err.value) == (
+        f"bad environment field 'node_locations': bad location for host 'x.test': "
+        f"lat and lon must be numbers, not {value} and 0"
+    )
+
+
 def test_bundled_envs_parse(worked_env, adversarial_env):
     assert worked_env.processing_s == 0.5
     assert adversarial_env.latency_overrides

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import regionrank
 from regionrank.metrics import _split_host
@@ -255,6 +255,93 @@ def test_spec_rejects_duplicate_ids():
     )
     with pytest.raises(WorkflowError, match="duplicate"):
         WorkflowSpec(name="x", nodes=nodes, hops=())
+
+
+@st.composite
+def dag_documents(draw):
+    """Dag documents that hit every validation error, and valid DAGs."""
+    n = draw(st.integers(1, 7))
+    ids = [f"n{j}" for j in range(n)]
+    # 7 of 0..9, not 0: Hypothesis draws boundary values far more often
+    if n > 1 and draw(st.integers(0, 9)) == 7:
+        ids[draw(st.integers(1, n - 1))] = ids[draw(st.integers(0, n - 2))]
+    nodes = [{"id": node_id, "url": f"http://h{j}.test/"} for j, node_id in enumerate(ids)]
+    sources = [nodes[j]["url"] for j in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    # hops run forward in a random node order, which need not be file order
+    order = draw(st.permutations(range(n)))
+    position = {j: i for i, j in enumerate(order)}
+    drawn = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10))
+    pairs = [(a, b) if position[a] < position[b] else (b, a) for a, b in drawn if a != b]
+    if draw(st.booleans()):
+        # each node fed from an earlier one, from a source: mostly valid DAGs
+        pairs += [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)]
+        sources.append(nodes[order[0]]["url"])
+    if pairs and draw(st.integers(0, 4)) == 3:
+        a, b = draw(st.sampled_from(pairs))
+        pairs.append((b, a))
+    hops = [[ids[a], ids[b]] for a, b in draw(st.permutations(pairs))]
+    if hops and draw(st.integers(0, 9)) == 7:
+        hops[draw(st.integers(0, len(hops) - 1))][draw(st.integers(0, 1))] = "ghost"
+    return {"name": "w", "sources": sources, "nodes": nodes, "hops": hops}
+
+
+def reference_validation(doc):
+    """The error parse_workflow must raise for a dag document, or the hop order it must set.
+
+    Checks run in the documented order; hop_order is the longest hop path to
+    each hop's from-node, by fixpoint relaxation, then file order.
+    """
+    ids = []
+    for node in doc["nodes"]:
+        if node["id"] in ids:
+            return f"duplicate node id {node['id']!r}"
+        ids.append(node["id"])
+    hops = [tuple(hop) for hop in doc["hops"]]
+    for hop in hops:
+        for node_id in hop:
+            if node_id not in ids:
+                return f"unknown id {node_id!r} in hop list"
+    reached = {node["id"] for node in doc["nodes"] if node["url"] in doc["sources"]}
+    if not reached:
+        return "workflow needs at least one source node"
+    # an acyclic graph's longest path has at most len(ids) - 1 hops, so
+    # relaxation settles within len(ids) passes; on a cycle it never settles
+    depth = dict.fromkeys(ids, 0)
+    for _ in range(len(ids) + 1):
+        relaxed = [(u, v) for u, v in hops if depth[v] < depth[u] + 1]
+        for u, v in relaxed:
+            depth[v] = max(depth[v], depth[u] + 1)
+        if not relaxed:
+            break
+    else:
+        return "cycle detected in workflow hops"
+    while True:
+        grown = reached | {v for u, v in hops if u in reached}
+        if grown == reached:
+            break
+        reached = grown
+    for node in doc["nodes"]:
+        if node["url"] not in doc["sources"] and node["id"] not in reached:
+            return f"processor {node['id']!r} is unreachable from any source"
+    return tuple(sorted(hops, key=lambda hop: depth[hop[0]]))
+
+
+# v's shallow feeder z is settled after its deep feeder y; v's depth stays 3
+@example({
+    "name": "w",
+    "sources": ["http://s.test/"],
+    "nodes": [{"id": n, "url": f"http://{n}.test/"} for n in ("s", "x", "y", "z", "v", "w")],
+    "hops": [["v", "w"], ["y", "v"], ["s", "z"], ["s", "x"], ["x", "y"], ["z", "v"]],
+})
+@given(dag_documents())
+def test_validation_matches_reference(doc):
+    expected = reference_validation(doc)
+    if isinstance(expected, str):
+        with pytest.raises(WorkflowError) as info:
+            parse_workflow(json.dumps(doc), format="dag")
+        assert str(info.value) == expected
+    else:
+        assert parse_workflow(json.dumps(doc), format="dag").hop_order == expected
 
 
 def test_node_rejects_relative_and_schemeless_urls():
