@@ -70,8 +70,8 @@ def total_weight(graph: CandidateGraph, channel: str, matrix: MetricMatrix) -> f
     a failed channel contributes FAILURE_SENTINEL_MS per edge so incomplete
     regions rank last rather than looking free.
     """
+    values = matrix.column(graph.region.id, graph.weights, channel)
     total = 0.0
-    for host, count in graph.weights.items():
-        value = matrix.get(graph.region.id, host).channel(channel)
+    for count, value in zip(graph.weights.values(), values):
         total += count * (FAILURE_SENTINEL_MS if value is None else value)
     return total

@@ -146,7 +146,7 @@ def cmd_rank(args) -> int:
     distances = gather_metric_matrix(probe, resolver, catalog, nodes, probe_regions=())
     survivors = geo_prefilter(spec, catalog, distances, args.top_n)
     probed = gather_metric_matrix(probe, resolver, survivors, nodes, k=args.samples)
-    matrix = replace(probed, entries={**distances.entries, **probed.entries})
+    matrix = replace(probed, distances=distances.distances)
     failed = matrix.failed_channels()
     attempted = matrix.attempted_channels()
     if attempted and len(failed) / attempted > args.fail_threshold:

@@ -26,7 +26,8 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Protocol
 
 from .errors import RegionRankError
 from .geo import GeoResolutionError, GeoResolver, haversine_km
@@ -34,6 +35,8 @@ from .regions import Region
 from .workflow import ServiceNode
 
 CHANNELS = ("distance", "latency", "rtt")
+# where each probed channel sits in a MetricMatrix.probes value
+_PROBE_SLOTS = {"latency": 0, "rtt": 1}
 
 # Score assigned to a failed channel: large enough to dominate any plausible
 # real measurement, finite so argmin and sums stay well defined.
@@ -77,42 +80,72 @@ class EdgeMetrics:
             raise CoverageError(f"the {name} channel of this pair was not probed")
         return self.latency_ms if name == "latency" else self.http_rtt_ms
 
-    def attempted(self) -> tuple[tuple[str, Optional[float]], ...]:
-        """(channel, value) of each channel measured or tried: distance, plus latency and rtt if probed."""
-        if not self.probed:
-            return (("distance", self.distance_km),)
-        return (("distance", self.distance_km), ("latency", self.latency_ms), ("rtt", self.http_rtt_ms))
-
 
 @dataclass(frozen=True)
 class MetricMatrix:
-    """All gathered measurements, keyed by (region id, host)."""
+    """All gathered measurements, keyed by (region id, host), in two maps.
 
-    entries: dict[tuple[str, str], EdgeMetrics]
+    distances holds every gathered pair's distance in km, None where the
+    host could not be located. probes holds (latency_ms, rtt_ms) for the
+    probed pairs only, None marking a failed channel; a pair missing from it
+    was not probed. Every probed pair also has a distance.
+    """
+
+    distances: dict[tuple[str, str], Optional[float]]
+    probes: dict[tuple[str, str], tuple[Optional[float], Optional[float]]]
+
+    def __post_init__(self):
+        if not self.probes.keys() <= self.distances.keys():
+            raise ValueError("every probed pair must also have a distance")
+
+    @property
+    def entries(self) -> Mapping[tuple[str, str], EdgeMetrics]:
+        """Read-only view of every pair as an EdgeMetrics, in distances order."""
+        return MappingProxyType({key: self.get(*key) for key in self.distances})
 
     def get(self, region_id: str, host: str) -> EdgeMetrics:
+        key = (region_id, host)
         try:
-            return self.entries[(region_id, host)]
+            distance = self.distances[key]
         except KeyError:
             raise CoverageError(
                 f"matrix has no entry for region {region_id!r} and host {host!r}"
             ) from None
+        if key in self.probes:
+            return EdgeMetrics(distance, *self.probes[key])
+        return EdgeMetrics(distance, None, None, probed=False)
+
+    def column(self, region_id: str, hosts: Iterable[str], channel: str) -> list[Optional[float]]:
+        """One channel of (region_id, host) for each host, in order; None marks a failure.
+
+        Raises CoverageError for a pair not gathered or a channel not probed.
+        """
+        if channel not in CHANNELS:
+            raise ValueError(f"unknown channel {channel!r}")
+        hosts = list(hosts)
+        try:
+            if channel == "distance":
+                return [self.distances[region_id, host] for host in hosts]
+            slot = _PROBE_SLOTS[channel]
+            return [self.probes[region_id, host][slot] for host in hosts]
+        except KeyError:
+            for host in hosts:
+                self.get(region_id, host).channel(channel)  # raises for the first missing value
+            raise
 
     def attempted_channels(self) -> int:
         """How many channels were measured or tried: 1 per pair, 3 per probed pair."""
-        return sum(len(edge.attempted()) for edge in self.entries.values())
+        return len(self.distances) + 2 * len(self.probes)
 
     def failed_channels(self) -> list[tuple[str, str, str]]:
         """(region, host, channel) triples whose measurement failed, sorted.
 
         Channels of unprobed pairs were never tried, so they never fail.
         """
-        return sorted(
-            (region_id, host, channel)
-            for (region_id, host), edge in self.entries.items()
-            for channel, value in edge.attempted()
-            if value is None
-        )
+        failed = [key + ("distance",) for key, km in self.distances.items() if km is None]
+        for key, measured in self.probes.items():
+            failed += [key + (channel,) for channel, value in zip(_PROBE_SLOTS, measured) if value is None]
+        return sorted(failed)
 
 
 class Probe(Protocol):
@@ -295,11 +328,11 @@ def gather_metric_matrix(
         except GeoResolutionError:
             locations[host] = None
 
-    entries = {}
-    for region in regions:
-        for host, location in locations.items():
-            distance = None if location is None else haversine_km(region.location, location)
-            entries[(region.id, host)] = EdgeMetrics(distance, None, None, probed=False)
+    distances = {
+        (region.id, host): None if location is None else haversine_km(region.location, location)
+        for region in regions
+        for host, location in locations.items()
+    }
 
     def probe_pair(pair: tuple[Region, str]) -> tuple[Optional[float], Optional[float]]:
         region, host = pair
@@ -316,7 +349,5 @@ def gather_metric_matrix(
     pairs = [(region, host) for region in to_probe for host in targets]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         measured = list(pool.map(probe_pair, pairs))
-    for (region, host), (latency, rtt) in zip(pairs, measured):
-        key = (region.id, host)
-        entries[key] = EdgeMetrics(entries[key].distance_km, latency, rtt)
-    return MetricMatrix(entries=entries)
+    probes = {(region.id, host): values for (region, host), values in zip(pairs, measured)}
+    return MetricMatrix(distances=distances, probes=probes)

@@ -71,8 +71,10 @@ class SimEnvironment:
         object.__setattr__(self, "latency_overrides", normalized)
         for name in ("base_latency_per_km", "bandwidth_mbps", "service_overhead_ms",
                      "processing_s", "noise_sigma_ms", "seed"):
-            if not math.isfinite(getattr(self, name)):
-                raise SimulationError(f"{name} must be finite, not {getattr(self, name)}")
+            value = getattr(self, name)
+            # an int is finite; math.isfinite would overflow on a huge one
+            if not isinstance(value, int) and not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, not {value}")
         for name in ("base_latency_per_km", "service_overhead_ms", "processing_s", "noise_sigma_ms"):
             if getattr(self, name) < 0:
                 raise SimulationError(f"{name} must be non-negative")
@@ -221,11 +223,25 @@ class SimulatedProbe:
         return 2.0 * one_way + self.env.service_overhead_ms
 
 
-# how each environment file field becomes a SimEnvironment value; the rest are floats
+def _number(raw) -> float:
+    """A decoded JSON number as a float; true and false are not numbers."""
+    if type(raw) not in (int, float):
+        raise TypeError(f"value must be a JSON number, not {raw!r}")
+    return float(raw)
+
+
+def _integer(raw) -> int:
+    """A decoded JSON integer; 1.0, true and "1" are not integers."""
+    if type(raw) is not int:
+        raise TypeError(f"value must be a JSON integer, not {raw!r}")
+    return raw
+
+
+# how each environment file field becomes a SimEnvironment value; the rest are numbers
 _FIELD_PARSERS = {
     "node_locations": parse_locations,
-    "latency_overrides": lambda raw: {str(key): float(value) for key, value in raw.items()},
-    "seed": int,
+    "latency_overrides": lambda raw: {str(key): _number(value) for key, value in raw.items()},
+    "seed": _integer,
 }
 
 
@@ -241,7 +257,7 @@ def load_env(text: str) -> SimEnvironment:
     values = {}
     for name, raw in doc.items():
         try:
-            values[name] = _FIELD_PARSERS.get(name, float)(raw)
-        except (AttributeError, TypeError, ValueError, GeoFixtureError) as exc:
+            values[name] = _FIELD_PARSERS.get(name, _number)(raw)
+        except (AttributeError, TypeError, ValueError, OverflowError, GeoFixtureError) as exc:
             raise SimulationError(f"bad environment field {name!r}: {exc}") from exc
     return SimEnvironment(**values)

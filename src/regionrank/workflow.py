@@ -184,28 +184,33 @@ def _parse_dag(text: str) -> WorkflowSpec:
     if not isinstance(sources, list) or not isinstance(raw_nodes, list) or not isinstance(raw_hops, list):
         raise WorkflowError("malformed dag file: sources, nodes and hops must be arrays")
 
+    # not through str(), which would read null and ["x"] as the ids 'None' and "['x']"
     for url in sources:
-        endpoint_host(str(url), "sources")
-    source_urls = set(map(str, sources))
+        if not isinstance(url, str):
+            raise WorkflowError(f"malformed dag file: sources entry {url!r} is not a string")
+        endpoint_host(url, "sources")
+    source_urls = set(sources)
     declared_urls = set()
     nodes = []
     for entry in raw_nodes:
         try:
-            node_id, url = str(entry["id"]), str(entry["url"])
+            node_id, url = entry["id"], entry["url"]
         except (TypeError, KeyError) as exc:
             raise WorkflowError(f"malformed dag node entry {entry!r}") from exc
+        if not isinstance(node_id, str) or not isinstance(url, str):
+            raise WorkflowError(f"malformed dag node entry {entry!r}: id and url must be strings")
         declared_urls.add(url)
         role = ROLE_SOURCE if url in source_urls else ROLE_PROCESSOR
         nodes.append(ServiceNode(node_id, url, role))
-    for url in map(str, sources):
+    for url in sources:
         if url not in declared_urls:
             raise WorkflowError(f"source URL {url!r} is not declared in nodes")
 
     hops = []
     for entry in raw_hops:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise WorkflowError(f"malformed hop entry {entry!r}: expected [from_id, to_id]")
-        hops.append((str(entry[0]), str(entry[1])))
+        if not isinstance(entry, list) or len(entry) != 2 or not all(isinstance(end, str) for end in entry):
+            raise WorkflowError(f"malformed hop entry {entry!r}: expected [from_id, to_id] strings")
+        hops.append(tuple(entry))
     return WorkflowSpec(name=name, nodes=tuple(nodes), hops=tuple(hops))
 
 

@@ -12,7 +12,7 @@ from regionrank.candidate import (
     total_weight,
 )
 from regionrank.geo import GeoPoint
-from regionrank.metrics import FAILURE_SENTINEL_MS, EdgeMetrics, MetricMatrix
+from regionrank.metrics import FAILURE_SENTINEL_MS, MetricMatrix
 from regionrank.regions import Region
 from regionrank.workflow import parse_workflow, generate_random_workflow
 
@@ -24,11 +24,9 @@ CHAIN3 = parse_workflow(
 
 
 def latency_matrix(values, region_id="r-east"):
-    entries = {
-        (region_id, host): EdgeMetrics(distance_km=1.0, latency_ms=ms, http_rtt_ms=2 * ms)
-        for host, ms in values.items()
-    }
-    return MetricMatrix(entries=entries)
+    distances = {(region_id, host): 1.0 for host in values}
+    probes = {(region_id, host): (ms, 2 * ms) for host, ms in values.items()}
+    return MetricMatrix(distances=distances, probes=probes)
 
 
 def test_sequential_chain_star_shape():
@@ -93,12 +91,12 @@ def test_total_weight_all_zero():
 
 
 def test_total_weight_failed_channel_uses_sentinel():
-    entries = {
-        ("r-east", "s.test"): EdgeMetrics(1.0, None, 1.0),
-        ("r-east", "p1.test"): EdgeMetrics(1.0, 5.0, 1.0),
-        ("r-east", "p2.test"): EdgeMetrics(1.0, 5.0, 1.0),
+    probes = {
+        ("r-east", "s.test"): (None, 1.0),
+        ("r-east", "p1.test"): (5.0, 1.0),
+        ("r-east", "p2.test"): (5.0, 1.0),
     }
-    matrix = MetricMatrix(entries=entries)
+    matrix = MetricMatrix(distances=dict.fromkeys(probes, 1.0), probes=probes)
     graph = build_candidate_graph(CHAIN3, REGION)
     assert total_weight(graph, "latency", matrix) == pytest.approx(FAILURE_SENTINEL_MS + 5.0 * 4)
 
@@ -169,8 +167,8 @@ def test_host_weights_count_two_per_hop_plus_terminals(spec):
 )
 def test_total_weight_equals_per_edge_sum(spec, channel, values):
     # None is a failed channel: it costs the sentinel once per edge
-    entries = {("r-east", host): EdgeMetrics(v, v, v) for host, v in values.items()}
-    matrix = MetricMatrix(entries=entries)
+    distances = {("r-east", host): v for host, v in values.items()}
+    matrix = MetricMatrix(distances=distances, probes={key: (v, v) for key, v in distances.items()})
     per_edge = sum(
         FAILURE_SENTINEL_MS if values[peer] is None else values[peer] for peer in candidate_peers(spec)
     )

@@ -236,6 +236,20 @@ def test_rank_accepts_dag_workflow(tmp_path, capsys):
     assert "RECOMMENDED: us-east-1" in capsys.readouterr().out
 
 
+def test_rank_dag_workflow_with_a_null_id_is_input_error(tmp_path, capsys):
+    doc = {
+        "sources": ["http://wikimedia.org/images/sample.png"],
+        "nodes": [{"id": None, "url": "http://wikimedia.org/images/sample.png"}],
+        "hops": [],
+    }
+    wf = tmp_path / "flow.json"
+    wf.write_text(json.dumps(doc))
+    assert main(rank_args(**{"--workflow": str(wf)})) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed dag node entry")
+
+
 # --- verify ---
 
 
@@ -315,6 +329,7 @@ def test_simulate_prints_oracle_order(capsys):
     '{"bandwidth_mbps": null}',
     '{"node_locations": [1, 2]}',
     '{"latency_overrides": {"a|b": null}}',
+    '{"bandwidth_mbps": "100", "processing_s": true, "seed": 1.7}',
 ])
 def test_simulate_malformed_env_is_input_error(tmp_path, capsys, env_doc):
     env = tmp_path / "env.json"

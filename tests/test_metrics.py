@@ -5,8 +5,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from regionrank.geo import FixtureResolver, GeoPoint
+from regionrank.geo import FixtureResolver, GeoPoint, haversine_km
 from regionrank.harness import transform_service
 from regionrank.metrics import (
     CoverageError,
@@ -362,13 +363,119 @@ def test_gather_rejects_probe_regions_outside_regions():
 
 
 def test_failed_channels_never_lists_unprobed_channels():
-    entries = {
-        ("r1", "a.test"): EdgeMetrics(None, None, None, probed=False),
-        ("r1", "b.test"): EdgeMetrics(1.0, None, 2.0),
-    }
-    matrix = MetricMatrix(entries=entries)
+    distances = {("r1", "a.test"): None, ("r1", "b.test"): 1.0}
+    matrix = MetricMatrix(distances=distances, probes={("r1", "b.test"): (None, 2.0)})
     assert matrix.failed_channels() == [("r1", "a.test", "distance"), ("r1", "b.test", "latency")]
     assert matrix.attempted_channels() == 1 + 3
+
+
+def test_matrix_entries_is_a_read_only_view_of_both_maps():
+    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None}
+    matrix = MetricMatrix(distances=distances, probes={("r1", "a.test"): (4.0, None)})
+    assert dict(matrix.entries) == {
+        ("r1", "a.test"): EdgeMetrics(3.0, 4.0, None),
+        ("r1", "b.test"): EdgeMetrics(None, None, None, probed=False),
+    }
+    with pytest.raises(TypeError):
+        matrix.entries[("r1", "c.test")] = EdgeMetrics(1.0, 1.0, 1.0)
+
+
+def test_matrix_rejects_a_probed_pair_without_distance():
+    with pytest.raises(ValueError, match="distance"):
+        MetricMatrix(distances={}, probes={("r1", "a.test"): (1.0, 2.0)})
+
+
+def test_matrix_column_reads_one_channel_and_names_what_is_missing():
+    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None}
+    matrix = MetricMatrix(distances=distances, probes={("r1", "a.test"): (4.0, None)})
+    assert matrix.column("r1", ["b.test", "a.test"], "distance") == [None, 3.0]
+    assert matrix.column("r1", ["a.test"], "rtt") == [None]
+    with pytest.raises(CoverageError, match="latency.*not probed"):
+        matrix.column("r1", ["a.test", "b.test"], "latency")
+    with pytest.raises(CoverageError, match="r1.*ghost.test"):
+        matrix.column("r1", ["ghost.test"], "distance")
+    with pytest.raises(ValueError, match="bogus"):
+        matrix.column("r1", [], "bogus")
+
+
+class _ScriptedProbe:
+    """Answers from the pair's names; raises ProbeError for the (region, host, channel) in failing."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def measure_latency(self, region, host, k):
+        if (region.id, host, "latency") in self.failing:
+            raise ProbeError("scripted latency failure")
+        return float(len(region.id) + len(host))
+
+    def measure_http_rtt(self, region, url):
+        host = endpoint_host(url)
+        if (region.id, host, "rtt") in self.failing:
+            raise ProbeError("scripted rtt failure")
+        return float(len(region.id) * len(host))
+
+
+def _attempted(edge):
+    """(channel, value) of each channel an EdgeMetrics says was measured or tried."""
+    if not edge.probed:
+        return (("distance", edge.distance_km),)
+    return (("distance", edge.distance_km), ("latency", edge.latency_ms), ("rtt", edge.http_rtt_ms))
+
+
+_POINTS = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gathered_matrix_matches_haversine_and_edge_semantics(data):
+    regions = [
+        Region(f"region-{j}", f"probe-{j}.test", data.draw(_POINTS))
+        for j in range(data.draw(st.integers(1, 5)))
+    ]
+    hosts = [f"h{i}.test" for i in range(data.draw(st.integers(1, 5)))]
+    located = data.draw(st.lists(st.sampled_from(hosts), unique=True))
+    locations = {host: data.draw(_POINTS) for host in located}
+    failing = data.draw(st.sets(st.tuples(
+        st.sampled_from([region.id for region in regions]),
+        st.sampled_from(hosts),
+        st.sampled_from(["latency", "rtt"]),
+    )))
+    probe_regions = data.draw(st.lists(st.sampled_from(regions), unique_by=lambda r: r.id))
+    probe = _ScriptedProbe(failing)
+    nodes = distinct_nodes(parse_workflow("".join(f"http://{host}/\n" for host in hosts)))
+
+    matrix = gather_metric_matrix(probe, FixtureResolver(locations), regions, nodes,
+                                  parallelism=2, probe_regions=probe_regions)
+
+    probed_ids = {region.id for region in probe_regions}
+    reference = {}
+    for region in regions:
+        for host in hosts:
+            key = (region.id, host)
+            distance = matrix.distances[key]
+            if host in locations:
+                assert distance.hex() == haversine_km(region.location, locations[host]).hex()
+            else:
+                assert distance is None
+            if region.id not in probed_ids:
+                reference[key] = EdgeMetrics(distance, None, None, probed=False)
+                for channel in ("latency", "rtt"):
+                    with pytest.raises(CoverageError, match="not probed"):
+                        matrix.get(*key).channel(channel)
+                continue
+            latency = None if key + ("latency",) in failing else probe.measure_latency(region, host, 1)
+            rtt = None if key + ("rtt",) in failing else probe.measure_http_rtt(region, f"http://{host}/")
+            reference[key] = EdgeMetrics(distance, latency, rtt)
+
+    assert dict(matrix.entries) == reference
+    assert matrix.failed_channels() == sorted(
+        key + (channel,)
+        for key, edge in reference.items()
+        for channel, value in _attempted(edge)
+        if value is None
+    )
+    assert matrix.attempted_channels() == sum(len(_attempted(edge)) for edge in reference.values())
 
 
 def test_gather_survives_probe_failures():
@@ -381,6 +488,6 @@ def test_gather_survives_probe_failures():
 
 
 def test_matrix_get_missing_pair_names_it():
-    matrix = MetricMatrix(entries={})
+    matrix = MetricMatrix(distances={}, probes={})
     with pytest.raises(CoverageError, match="r9.*ghost.test"):
         matrix.get("r9", "ghost.test")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import gather_sim, make_consistent_case
 from regionrank.geo import GeoPoint
-from regionrank.metrics import EdgeMetrics, MetricMatrix
+from regionrank.metrics import MetricMatrix
 from regionrank.ranking import RankingReport, geo_prefilter, rank, render_report
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import best_region_oracle
@@ -37,12 +37,13 @@ def catalog_of(n, at=None):
 
 def matrix_for(catalog, values):
     """values: region-id -> (distance, latency, rtt) applied to every host."""
-    entries = {}
+    distances, probes = {}, {}
     for region in catalog:
         d, l, r = values[region.id]
         for host in ("s.test", "p.test"):
-            entries[(region.id, host)] = EdgeMetrics(d, l, r)
-    return MetricMatrix(entries=entries)
+            distances[(region.id, host)] = d
+            probes[(region.id, host)] = (l, r)
+    return MetricMatrix(distances=distances, probes=probes)
 
 
 def test_worked_example_recommends_us_east_1(worked_spec, catalog8, worked_env):
@@ -136,13 +137,19 @@ def test_argmin_invariant_under_scaling(c):
 
 def test_failed_channel_region_never_wins_against_healthy_one():
     catalog = catalog_of(2)
-    entries = {
-        ("region-0", "s.test"): EdgeMetrics(1.0, None, 5.0),  # failed latency
-        ("region-0", "p.test"): EdgeMetrics(1.0, 1.0, 5.0),
-        ("region-1", "s.test"): EdgeMetrics(2.0, 400.0, 900.0),
-        ("region-1", "p.test"): EdgeMetrics(2.0, 400.0, 900.0),
+    distances = {
+        ("region-0", "s.test"): 1.0,
+        ("region-0", "p.test"): 1.0,
+        ("region-1", "s.test"): 2.0,
+        ("region-1", "p.test"): 2.0,
     }
-    matrix = MetricMatrix(entries=entries)
+    probes = {
+        ("region-0", "s.test"): (None, 5.0),  # failed latency
+        ("region-0", "p.test"): (1.0, 5.0),
+        ("region-1", "s.test"): (400.0, 900.0),
+        ("region-1", "p.test"): (400.0, 900.0),
+    }
+    matrix = MetricMatrix(distances=distances, probes=probes)
     report = rank(SPEC1, catalog, matrix, n=2)
     assert report.recommended == "region-1"
 

@@ -373,6 +373,31 @@ def test_load_env_rejects_location_that_is_not_a_number(lat):
     )
 
 
+@pytest.mark.parametrize("doc, message", [
+    ('{"bandwidth_mbps": "100"}', "bad environment field 'bandwidth_mbps': value must be a JSON number, not '100'"),
+    ('{"processing_s": true}', "bad environment field 'processing_s': value must be a JSON number, not True"),
+    ('{"seed": 1.7}', "bad environment field 'seed': value must be a JSON integer, not 1.7"),
+    ('{"seed": 1.0}', "bad environment field 'seed': value must be a JSON integer, not 1.0"),
+    ('{"seed": false}', "bad environment field 'seed': value must be a JSON integer, not False"),
+    ('{"latency_overrides": {"a|b": true}}',
+     "bad environment field 'latency_overrides': value must be a JSON number, not True"),
+    ('{"latency_overrides": {"a|b": "3"}}',
+     "bad environment field 'latency_overrides': value must be a JSON number, not '3'"),
+    ('{"bandwidth_mbps": 1%s}' % ("0" * 400),
+     "bad environment field 'bandwidth_mbps': int too large to convert to float"),
+])
+def test_load_env_rejects_wrong_json_types(doc, message):
+    with pytest.raises(SimulationError) as err:
+        load_env(doc)
+    assert str(err.value) == message
+
+
+def test_load_env_accepts_integers_for_numbers_and_a_huge_seed():
+    env = load_env('{"bandwidth_mbps": 100, "seed": 1%s}' % ("0" * 400))
+    assert env.bandwidth_mbps == 100.0 and type(env.bandwidth_mbps) is float
+    assert env.seed == 10 ** 400
+
+
 def test_bundled_envs_parse(worked_env, adversarial_env):
     assert worked_env.processing_s == 0.5
     assert adversarial_env.latency_overrides

@@ -210,6 +210,34 @@ def test_parse_dag_names_the_first_undeclared_source_under_any_hash_seed(tmp_pat
         assert result.stdout == "source URL 'http://x1.example/' is not declared in nodes\n"
 
 
+def _dag_with(position, value):
+    doc = {
+        "sources": ["http://s.example/"],
+        "nodes": [{"id": "s", "url": "http://s.example/"}, {"id": "p", "url": "http://p.example/"}],
+        "hops": [["s", "p"]],
+    }
+    if position == "source":
+        doc["sources"].append(value)
+    elif position in ("id", "url"):
+        doc["nodes"][1][position] = value
+    else:
+        doc["hops"][0][position] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("value", [None, ["x"], 1, True])
+@pytest.mark.parametrize("position, message", [
+    ("source", "sources entry .* is not a string"),
+    ("id", "malformed dag node entry .*id and url must be strings"),
+    ("url", "malformed dag node entry .*id and url must be strings"),
+    (0, "malformed hop entry .*strings"),
+    (1, "malformed hop entry .*strings"),
+])
+def test_parse_dag_requires_json_strings(position, message, value):
+    with pytest.raises(WorkflowError, match=message):
+        parse_workflow(_dag_with(position, value), format="dag")
+
+
 def test_spec_requires_a_source():
     with pytest.raises(WorkflowError, match="source"):
         WorkflowSpec(
