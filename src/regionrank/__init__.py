@@ -9,7 +9,7 @@ a combined latency/RTT score to suggest where to host the orchestrator.
 from .errors import RegionRankError
 from .geo import EARTH_RADIUS_KM, FixtureResolver, GeoPoint, haversine_km
 from .harness import ComparisonStats, ExecutionStats, compare_stats, execute_workflow
-from .metrics import EdgeMetrics, MetricMatrix, gather_metric_matrix
+from .metrics import MetricMatrix, gather_metric_matrix
 from .ranking import RankingReport, geo_prefilter, rank, render_report
 from .regions import Region, RegionCatalog, load_catalog, load_default_catalog
 from .simulator import SimEnvironment, SimulatedProbe, best_region_oracle, sim_execution_time
@@ -31,7 +31,6 @@ __all__ = [
     "RegionCatalog",
     "load_catalog",
     "load_default_catalog",
-    "EdgeMetrics",
     "MetricMatrix",
     "gather_metric_matrix",
     "RankingReport",

@@ -10,8 +10,8 @@ workflow host:
 A failed channel is stored as None and later replaced by a large sentinel
 during scoring so broken regions sink to the bottom of rankings instead of
 aborting the run. A pair can also be left unprobed: it then carries only its
-distance, and reading its latency or rtt raises CoverageError, since there is
-no measurement to score, not even a failed one.
+distance, and reading its latency or rtt through MetricMatrix.column raises
+CoverageError, since there is no measurement to score, not even a failed one.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import json
 import os
 import socket
 import struct
+import sys
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Iterable, KeysView, Optional, Protocol
 
 from .errors import RegionRankError
 from .geo import GeoResolutionError, GeoResolver, haversine_km
@@ -55,33 +55,6 @@ class CoverageError(RegionRankError):
 
 
 @dataclass(frozen=True)
-class EdgeMetrics:
-    """Measurements for one (region, host) pair; None marks a failed channel.
-
-    An unprobed pair (probed=False) has only its distance: its latency and
-    rtt were never attempted, so they are neither values nor failures.
-    """
-
-    distance_km: Optional[float]
-    latency_ms: Optional[float]
-    http_rtt_ms: Optional[float]
-    probed: bool = True
-
-    def __post_init__(self):
-        if not self.probed and (self.latency_ms is not None or self.http_rtt_ms is not None):
-            raise ValueError("an unprobed pair cannot carry latency or rtt values")
-
-    def channel(self, name: str) -> Optional[float]:
-        if name == "distance":
-            return self.distance_km
-        if name not in ("latency", "rtt"):
-            raise ValueError(f"unknown channel {name!r}")
-        if not self.probed:
-            raise CoverageError(f"the {name} channel of this pair was not probed")
-        return self.latency_ms if name == "latency" else self.http_rtt_ms
-
-
-@dataclass(frozen=True)
 class MetricMatrix:
     """All gathered measurements, keyed by (region id, host), in two maps.
 
@@ -99,21 +72,9 @@ class MetricMatrix:
             raise ValueError("every probed pair must also have a distance")
 
     @property
-    def entries(self) -> Mapping[tuple[str, str], EdgeMetrics]:
-        """Read-only view of every pair as an EdgeMetrics, in distances order."""
-        return MappingProxyType({key: self.get(*key) for key in self.distances})
-
-    def get(self, region_id: str, host: str) -> EdgeMetrics:
-        key = (region_id, host)
-        try:
-            distance = self.distances[key]
-        except KeyError:
-            raise CoverageError(
-                f"matrix has no entry for region {region_id!r} and host {host!r}"
-            ) from None
-        if key in self.probes:
-            return EdgeMetrics(distance, *self.probes[key])
-        return EdgeMetrics(distance, None, None, probed=False)
+    def entries(self) -> KeysView[tuple[str, str]]:
+        """Read-only view of the gathered (region id, host) pairs, in distances order."""
+        return self.distances.keys()
 
     def column(self, region_id: str, hosts: Iterable[str], channel: str) -> list[Optional[float]]:
         """One channel of (region_id, host) for each host, in order; None marks a failure.
@@ -129,8 +90,12 @@ class MetricMatrix:
             slot = _PROBE_SLOTS[channel]
             return [self.probes[region_id, host][slot] for host in hosts]
         except KeyError:
-            for host in hosts:
-                self.get(region_id, host).channel(channel)  # raises for the first missing value
+            for host in hosts:  # name the first missing value
+                pair = f"region {region_id!r} and host {host!r}"
+                if (region_id, host) not in self.distances:
+                    raise CoverageError(f"matrix has no entry for {pair}") from None
+                if channel != "distance" and (region_id, host) not in self.probes:
+                    raise CoverageError(f"the {channel} channel of {pair} was not probed") from None
             raise
 
     def attempted_channels(self) -> int:
@@ -273,9 +238,12 @@ class RemoteAgentProbe:
         except (urllib.error.URLError, OSError) as exc:
             raise ProbeError(f"agent call {url!r} failed: {exc}") from exc
         try:
-            return float(json.loads(body)[field])
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
+            value = json.loads(body)[field]
+            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"{field} {value!r} is not a finite, non-negative JSON number")
+        except (TypeError, KeyError, ValueError) as exc:
             raise ProbeError(f"agent call {url!r} returned a malformed body") from exc
+        return float(value)
 
     def measure_latency(self, region: Region, host: str, k: int) -> float:
         base = self._agent_base(region)

@@ -177,14 +177,16 @@ def _parse_lines(text: str) -> WorkflowSpec:
 
 def _parse_dag(text: str) -> WorkflowSpec:
     doc = decode_json(text, "dag file", WorkflowError, dict)
-    name = str(doc.get("name", "workflow"))
+    name = doc.get("name", "workflow")
     sources = doc.get("sources", [])
     raw_nodes = doc.get("nodes", [])
     raw_hops = doc.get("hops", [])
     if not isinstance(sources, list) or not isinstance(raw_nodes, list) or not isinstance(raw_hops, list):
         raise WorkflowError("malformed dag file: sources, nodes and hops must be arrays")
 
-    # not through str(), which would read null and ["x"] as the ids 'None' and "['x']"
+    # not through str(), which would read null and ["x"] as 'None' and "['x']"
+    if not isinstance(name, str):
+        raise WorkflowError(f"malformed dag file: name {name!r} is not a string")
     for url in sources:
         if not isinstance(url, str):
             raise WorkflowError(f"malformed dag file: sources entry {url!r} is not a string")

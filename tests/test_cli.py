@@ -250,6 +250,21 @@ def test_rank_dag_workflow_with_a_null_id_is_input_error(tmp_path, capsys):
     assert err.startswith("error: malformed dag node entry")
 
 
+def test_rank_dag_workflow_with_a_null_name_is_input_error(tmp_path, capsys):
+    doc = {
+        "name": None,
+        "sources": ["http://wikimedia.org/images/sample.png"],
+        "nodes": [{"id": "src", "url": "http://wikimedia.org/images/sample.png"}],
+        "hops": [],
+    }
+    wf = tmp_path / "flow.json"
+    wf.write_text(json.dumps(doc))
+    assert main(rank_args(**{"--workflow": str(wf)})) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: malformed dag file: name None is not a string\n"
+
+
 # --- verify ---
 
 

@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+from collections.abc import MutableSet
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from regionrank.geo import FixtureResolver, GeoPoint, haversine_km
 from regionrank.harness import transform_service
 from regionrank.metrics import (
+    CHANNELS,
     CoverageError,
-    EdgeMetrics,
     LiveProbe,
     MetricMatrix,
     ProbeError,
@@ -65,25 +66,6 @@ def test_probe_latency_rejects_zero_samples():
     nodes = distinct_nodes(parse_workflow("http://node.test/\n", format="lines"))
     with pytest.raises(ValueError, match="sample count"):
         gather_metric_matrix(probe, FixtureResolver({}), [REGION], nodes, k=0)
-
-
-def test_edge_metrics_channel_accessor():
-    edge = EdgeMetrics(distance_km=1.0, latency_ms=None, http_rtt_ms=3.0)
-    assert edge.channel("distance") == 1.0
-    assert edge.channel("latency") is None
-    assert edge.channel("rtt") == 3.0
-    with pytest.raises(ValueError):
-        edge.channel("bogus")
-
-
-def test_edge_metrics_unprobed_channels_raise_coverage_error():
-    edge = EdgeMetrics(distance_km=1.0, latency_ms=None, http_rtt_ms=None, probed=False)
-    assert edge.channel("distance") == 1.0
-    for channel in ("latency", "rtt"):
-        with pytest.raises(CoverageError, match=f"{channel}.*not probed"):
-            edge.channel(channel)
-    with pytest.raises(ValueError, match="unprobed"):
-        EdgeMetrics(1.0, 2.0, None, probed=False)
 
 
 @pytest.mark.parametrize("host, split", [
@@ -159,6 +141,17 @@ def test_live_latency_unresolvable_host_is_probe_error():
 # --- remote agent probe ---
 
 
+# rtt bodies the test agent returns for these probed hosts: valid JSON, but
+# no finite, non-negative number of ms
+_HOSTILE_RTT_BODIES = {
+    "nan.test": b'{"rtt_ms": NaN}',
+    "infinity.test": b'{"rtt_ms": Infinity}',
+    "negative.test": b'{"rtt_ms": -5}',
+    "boolean.test": b'{"rtt_ms": true}',
+    "string.test": b'{"rtt_ms": "84"}',
+}
+
+
 class _AgentHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):
         pass
@@ -173,8 +166,13 @@ class _AgentHandler(BaseHTTPRequestHandler):
                 return
             body = json.dumps({"latency_ms": 42.0, "k": int(query["k"][0])}).encode()
         elif parts.path == "/probe_http":
+            host = urlsplit(query["url"][0]).hostname
             if "garbage" in query["url"][0]:
                 body = b"not json"
+            elif host in _HOSTILE_RTT_BODIES:
+                body = _HOSTILE_RTT_BODIES[host]
+            elif host == "zero.test":
+                body = b'{"rtt_ms": 0}'
             else:
                 body = json.dumps({"rtt_ms": 84.0}).encode()
         else:
@@ -220,6 +218,25 @@ def test_remote_agent_probe_malformed_body(agent_url):
         probe.measure_http_rtt(REGION, "http://garbage.test/")
 
 
+@pytest.mark.parametrize("host", _HOSTILE_RTT_BODIES)
+def test_remote_agent_probe_rejects_a_value_that_is_no_duration(agent_url, host):
+    probe = RemoteAgentProbe({"r-test": agent_url})
+    with pytest.raises(ProbeError, match="malformed body") as info:
+        probe.measure_http_rtt(REGION, f"http://{host}/")
+    assert "not a finite, non-negative JSON number" in str(info.value.__cause__)
+    # only that channel fails; the gather goes on
+    nodes = distinct_nodes(parse_workflow(f"http://{host}/\n", format="lines"))
+    matrix = gather_metric_matrix(probe, FixtureResolver({host: GeoPoint(1, 1)}), [REGION], nodes)
+    assert matrix.probes == {("r-test", host): (42.0, None)}
+    assert matrix.failed_channels() == [("r-test", host, "rtt")]
+
+
+def test_remote_agent_probe_accepts_an_integer_zero(agent_url):
+    rtt = RemoteAgentProbe({"r-test": agent_url}).measure_http_rtt(REGION, "http://zero.test/")
+    assert rtt == 0.0
+    assert type(rtt) is float
+
+
 # --- matrix gathering ---
 
 
@@ -255,10 +272,11 @@ def test_gather_single_pair():
     matrix = gather_metric_matrix(
         SimulatedProbe(env), env.resolver(), regions, distinct_nodes(spec)
     )
-    edge = matrix.get("region-0", "node00.test")
-    assert edge.distance_km is not None
-    assert edge.latency_ms is not None
-    assert edge.http_rtt_ms is not None
+    key = ("region-0", "node00.test")
+    assert matrix.distances[key] is not None
+    latency, rtt = matrix.probes[key]
+    assert latency is not None
+    assert rtt is not None
 
 
 class _StaticProbe:
@@ -274,10 +292,8 @@ def test_gather_missing_geolocation_fails_distance_only():
     spec = parse_workflow("http://located.test/\nhttp://unknown.test/\n", format="lines")
     resolver = FixtureResolver({"located.test": GeoPoint(1, 1)})
     matrix = gather_metric_matrix(_StaticProbe(), resolver, [region], distinct_nodes(spec))
-    broken = matrix.get("r", "unknown.test")
-    assert broken.distance_km is None
-    assert broken.latency_ms == 5.0
-    assert broken.http_rtt_ms == 11.0
+    assert matrix.distances["r", "unknown.test"] is None
+    assert matrix.probes["r", "unknown.test"] == (5.0, 11.0)
     assert matrix.failed_channels() == [("r", "unknown.test", "distance")]
 
 
@@ -318,7 +334,8 @@ def test_gather_parallelism_does_not_change_results():
                                   parallelism=1)
     parallel = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes,
                                     parallelism=8)
-    assert list(serial.entries.items()) == list(parallel.entries.items())
+    assert list(serial.distances.items()) == list(parallel.distances.items())
+    assert list(serial.probes.items()) == list(parallel.probes.items())
 
 
 class _FailingProbe(_StaticProbe):
@@ -338,9 +355,10 @@ def test_gather_probes_only_the_named_regions():
     assert len(probe.rtt_calls) == 2 * 3
     assert len(matrix.entries) == 4 * 3
     full = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes)
-    for (region_id, host), edge in matrix.entries.items():
-        assert edge.distance_km == full.get(region_id, host).distance_km
-        assert edge.probed == (region_id in ("region-1", "region-2"))
+    assert matrix.distances == full.distances
+    assert list(matrix.probes) == [
+        (region_id, node.host) for region_id in ("region-1", "region-2") for node in nodes
+    ]
     assert matrix.failed_channels() == []
     assert matrix.attempted_channels() == 4 * 3 + 2 * 2 * 3
 
@@ -351,7 +369,7 @@ def test_gather_with_no_probe_regions_issues_no_probe():
     matrix = gather_metric_matrix(probe, env.resolver(), regions, distinct_nodes(WORKFLOW),
                                   probe_regions=())
     assert probe.latency_calls == probe.rtt_calls == []
-    assert not any(edge.probed for edge in matrix.entries.values())
+    assert matrix.probes == {}
     assert matrix.attempted_channels() == 2 * 3
 
 
@@ -369,15 +387,15 @@ def test_failed_channels_never_lists_unprobed_channels():
     assert matrix.attempted_channels() == 1 + 3
 
 
-def test_matrix_entries_is_a_read_only_view_of_both_maps():
+def test_matrix_entries_is_a_read_only_view_of_the_gathered_pairs():
     distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None}
     matrix = MetricMatrix(distances=distances, probes={("r1", "a.test"): (4.0, None)})
-    assert dict(matrix.entries) == {
-        ("r1", "a.test"): EdgeMetrics(3.0, 4.0, None),
-        ("r1", "b.test"): EdgeMetrics(None, None, None, probed=False),
-    }
+    assert list(matrix.entries) == [("r1", "a.test"), ("r1", "b.test")]
+    assert not isinstance(matrix.entries, MutableSet)
     with pytest.raises(TypeError):
-        matrix.entries[("r1", "c.test")] = EdgeMetrics(1.0, 1.0, 1.0)
+        matrix.entries[("r1", "c.test")] = 1.0
+    distances["r1", "c.test"] = 1.0  # a view of the keys, not a copy
+    assert ("r1", "c.test") in matrix.entries
 
 
 def test_matrix_rejects_a_probed_pair_without_distance():
@@ -398,6 +416,27 @@ def test_matrix_column_reads_one_channel_and_names_what_is_missing():
         matrix.column("r1", [], "bogus")
 
 
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_matrix_column_missing_pair_names_it(channel):
+    matrix = MetricMatrix(distances={}, probes={})
+    with pytest.raises(CoverageError, match="no entry for region 'r9' and host 'ghost.test'"):
+        matrix.column("r9", ["ghost.test"], channel)
+
+
+def test_matrix_column_names_the_first_missing_host():
+    distances = {("r1", "failed.test"): None, ("r1", "unprobed.test"): 2.0}
+    matrix = MetricMatrix(distances=distances, probes={("r1", "failed.test"): (None, None)})
+    hosts = ["failed.test", "unprobed.test", "ghost.test"]
+    for channel in ("latency", "rtt"):
+        with pytest.raises(CoverageError,
+                           match=f"the {channel} channel of region 'r1' and host 'unprobed.test' was not probed"):
+            matrix.column("r1", hosts, channel)
+    with pytest.raises(CoverageError, match="no entry for region 'r1' and host 'ghost.test'"):
+        matrix.column("r1", hosts, "distance")
+    with pytest.raises(CoverageError, match="no entry for region 'r1' and host 'ghost.test'"):
+        matrix.column("r1", hosts[::-1], "latency")
+
+
 class _ScriptedProbe:
     """Answers from the pair's names; raises ProbeError for the (region, host, channel) in failing."""
 
@@ -416,11 +455,19 @@ class _ScriptedProbe:
         return float(len(region.id) * len(host))
 
 
-def _attempted(edge):
-    """(channel, value) of each channel an EdgeMetrics says was measured or tried."""
-    if not edge.probed:
-        return (("distance", edge.distance_km),)
-    return (("distance", edge.distance_km), ("latency", edge.latency_ms), ("rtt", edge.http_rtt_ms))
+def _attempted(distance, measured):
+    """(channel, value) of each channel of a pair that was measured or tried.
+
+    measured is the pair's (latency, rtt), or None if it was not probed.
+    """
+    if measured is None:
+        return (("distance", distance),)
+    return (("distance", distance), ("latency", measured[0]), ("rtt", measured[1]))
+
+
+def _bits(distances):
+    """(key, hex of km or None) of each pair, in order: equal only if every float is bit-identical."""
+    return [(key, None if km is None else km.hex()) for key, km in distances.items()]
 
 
 _POINTS = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
@@ -449,33 +496,27 @@ def test_gathered_matrix_matches_haversine_and_edge_semantics(data):
                                   parallelism=2, probe_regions=probe_regions)
 
     probed_ids = {region.id for region in probe_regions}
-    reference = {}
+    distances, probes = {}, {}
     for region in regions:
         for host in hosts:
             key = (region.id, host)
-            distance = matrix.distances[key]
-            if host in locations:
-                assert distance.hex() == haversine_km(region.location, locations[host]).hex()
-            else:
-                assert distance is None
+            distances[key] = haversine_km(region.location, locations[host]) if host in locations else None
             if region.id not in probed_ids:
-                reference[key] = EdgeMetrics(distance, None, None, probed=False)
                 for channel in ("latency", "rtt"):
-                    with pytest.raises(CoverageError, match="not probed"):
-                        matrix.get(*key).channel(channel)
+                    with pytest.raises(CoverageError, match=f"{channel} channel .* not probed"):
+                        matrix.column(region.id, [host], channel)
                 continue
             latency = None if key + ("latency",) in failing else probe.measure_latency(region, host, 1)
             rtt = None if key + ("rtt",) in failing else probe.measure_http_rtt(region, f"http://{host}/")
-            reference[key] = EdgeMetrics(distance, latency, rtt)
+            probes[key] = (latency, rtt)
 
-    assert dict(matrix.entries) == reference
+    assert _bits(matrix.distances) == _bits(distances)
+    assert matrix.probes == probes
+    attempted = {key: _attempted(distance, probes.get(key)) for key, distance in distances.items()}
     assert matrix.failed_channels() == sorted(
-        key + (channel,)
-        for key, edge in reference.items()
-        for channel, value in _attempted(edge)
-        if value is None
+        key + (channel,) for key, channels in attempted.items() for channel, value in channels if value is None
     )
-    assert matrix.attempted_channels() == sum(len(_attempted(edge)) for edge in reference.values())
+    assert matrix.attempted_channels() == sum(len(channels) for channels in attempted.values())
 
 
 def test_gather_survives_probe_failures():
@@ -483,11 +524,4 @@ def test_gather_survives_probe_failures():
     spec = parse_workflow("http://ok.test/\nhttp://down.test/\n", format="lines")
     resolver = FixtureResolver({"ok.test": GeoPoint(1, 1), "down.test": GeoPoint(2, 2)})
     matrix = gather_metric_matrix(_FailingProbe(), resolver, [region], distinct_nodes(spec))
-    assert matrix.get("r", "down.test").latency_ms is None
-    assert matrix.get("r", "ok.test").latency_ms == 5.0
-
-
-def test_matrix_get_missing_pair_names_it():
-    matrix = MetricMatrix(distances={}, probes={})
-    with pytest.raises(CoverageError, match="r9.*ghost.test"):
-        matrix.get("r9", "ghost.test")
+    assert matrix.column("r", ["down.test", "ok.test"], "latency") == [None, 5.0]

@@ -216,7 +216,9 @@ def _dag_with(position, value):
         "nodes": [{"id": "s", "url": "http://s.example/"}, {"id": "p", "url": "http://p.example/"}],
         "hops": [["s", "p"]],
     }
-    if position == "source":
+    if position == "name":
+        doc["name"] = value
+    elif position == "source":
         doc["sources"].append(value)
     elif position in ("id", "url"):
         doc["nodes"][1][position] = value
@@ -227,6 +229,7 @@ def _dag_with(position, value):
 
 @pytest.mark.parametrize("value", [None, ["x"], 1, True])
 @pytest.mark.parametrize("position, message", [
+    ("name", "malformed dag file: name .* is not a string"),
     ("source", "sources entry .* is not a string"),
     ("id", "malformed dag node entry .*id and url must be strings"),
     ("url", "malformed dag node entry .*id and url must be strings"),
