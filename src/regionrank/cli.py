@@ -142,11 +142,10 @@ def cmd_rank(args) -> int:
         resolver = _load_geo_resolver(args.geo)
     # distances for every region, then latency and rtt probes for the
     # prefilter's survivors only: --top-n is the probe budget
-    nodes = distinct_nodes(spec)
-    distances = gather_metric_matrix(probe, resolver, catalog, nodes, probe_regions=())
-    survivors = geo_prefilter(spec, catalog, distances, args.top_n)
-    probed = gather_metric_matrix(probe, resolver, survivors, nodes, k=args.samples)
-    matrix = replace(probed, distances=distances.distances)
+    matrix = gather_metric_matrix(
+        probe, resolver, catalog, distinct_nodes(spec), k=args.samples,
+        probe_regions=lambda distances: geo_prefilter(spec, catalog, distances, args.top_n),
+    )
     failed = matrix.failed_channels()
     attempted = matrix.attempted_channels()
     if attempted and len(failed) / attempted > args.fail_threshold:

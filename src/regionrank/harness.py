@@ -88,24 +88,18 @@ def compare_stats(baseline: ExecutionStats, candidate: ExecutionStats) -> Compar
     return ComparisonStats(speedup_pct=speedup, delta_sigma_pct=delta)
 
 
-def _http_get(url: str, timeout: float) -> bytes:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.read()
-    except (urllib.error.URLError, OSError) as exc:
-        raise WorkflowRunError(f"GET {url} failed: {exc}") from exc
-
-
-def _http_post(url: str, payload: bytes, timeout: float) -> bytes:
+def _http(url: str, timeout: float, payload: Optional[bytes] = None) -> bytes:
+    """GET url, or POST payload to it when one is given; the reply body."""
+    method = "GET" if payload is None else "POST"
     request = urllib.request.Request(
-        url, data=payload, method="POST",
-        headers={"Content-Type": "application/octet-stream"},
+        url, data=payload, method=method,
+        headers={} if payload is None else {"Content-Type": "application/octet-stream"},
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.read()
     except (urllib.error.URLError, OSError) as exc:
-        raise WorkflowRunError(f"POST {url} failed: {exc}") from exc
+        raise WorkflowRunError(f"{method} {url} failed: {exc}") from exc
 
 
 def run_workflow_once(
@@ -117,11 +111,11 @@ def run_workflow_once(
     outputs: dict[str, bytes] = {}
     for node in spec.nodes:
         if node.role == ROLE_SOURCE:
-            outputs[node.id] = _http_get(node.endpoint, timeout)
+            outputs[node.id] = _http(node.endpoint, timeout)
     for u, v in spec.hop_order:
         if u not in outputs:
             raise WorkflowRunError(f"hop source {u!r} produced no payload")
-        outputs[v] = _http_post(endpoints[v], outputs[u], timeout)
+        outputs[v] = _http(endpoints[v], timeout, outputs[u])
     return time.perf_counter() - start, outputs
 
 
@@ -203,10 +197,8 @@ class _PayloadHandler(_ServiceHandler):
         self._reply(200, self.server.payload)
 
     def do_POST(self):
-        length = self._body_length()
-        if length is not None:
-            self.rfile.read(min(length, DEFAULT_BODY_CAP))
-            self._reply(405)
+        if self._body_length() is not None:
+            self._refuse(405)
 
 
 class _LocalService:

@@ -16,7 +16,6 @@ CoverageError, since there is no measurement to score, not even a failed one.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import struct
@@ -27,9 +26,9 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, KeysView, Optional, Protocol
+from typing import Callable, Iterable, KeysView, Optional, Protocol
 
-from .errors import RegionRankError
+from .errors import RegionRankError, decode_json
 from .geo import GeoResolutionError, GeoResolver, haversine_km
 from .regions import Region
 from .workflow import ServiceNode
@@ -237,11 +236,12 @@ class RemoteAgentProbe:
                 body = response.read()
         except (urllib.error.URLError, OSError) as exc:
             raise ProbeError(f"agent call {url!r} failed: {exc}") from exc
+        doc = decode_json(body, f"body from agent call {url!r}", ProbeError, dict)
         try:
-            value = json.loads(body)[field]
+            value = doc[field]
             if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"{field} {value!r} is not a finite, non-negative JSON number")
-        except (TypeError, KeyError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ProbeError(f"agent call {url!r} returned a malformed body") from exc
         return float(value)
 
@@ -263,12 +263,13 @@ def gather_metric_matrix(
     nodes: list[ServiceNode],
     k: int = DEFAULT_SAMPLE_COUNT,
     parallelism: int = 8,
-    probe_regions: Optional[Iterable[Region]] = None,
+    probe_regions: Optional[Callable[[MetricMatrix], Iterable[Region]]] = None,
 ) -> MetricMatrix:
     """Measure every channel for every (region, distinct host) pair.
 
-    Distances come from geolocation alone and are computed for every region.
-    Latency and rtt are probed only for the regions in probe_regions (default:
+    Distances come from geolocation alone and are computed once for every
+    region. probe_regions, when given, is called once with the distance-only
+    matrix and returns the regions whose latency and rtt are probed (default:
     all of them); the other regions' pairs are left unprobed.
 
     Channels fail independently: an unresolvable host only loses its distance
@@ -280,10 +281,6 @@ def gather_metric_matrix(
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     regions = list(regions)
-    to_probe = regions if probe_regions is None else list(probe_regions)
-    unknown = {region.id for region in to_probe} - {region.id for region in regions}
-    if unknown:
-        raise ValueError(f"regions to probe are not among the gathered regions: {sorted(unknown)}")
 
     targets: dict[str, str] = {}
     for node in nodes:
@@ -301,6 +298,10 @@ def gather_metric_matrix(
         for region in regions
         for host, location in locations.items()
     }
+    to_probe = regions if probe_regions is None else list(probe_regions(MetricMatrix(distances, {})))
+    unknown = {region.id for region in to_probe} - {region.id for region in regions}
+    if unknown:
+        raise ValueError(f"regions to probe are not among the gathered regions: {sorted(unknown)}")
 
     def probe_pair(pair: tuple[Region, str]) -> tuple[Optional[float], Optional[float]]:
         region, host = pair

@@ -17,6 +17,10 @@ from regionrank.regions import Region, RegionCatalog, load_catalog
 from regionrank.simulator import SimEnvironment, SimulatedProbe, load_env
 from regionrank.workflow import distinct_nodes, generate_random_workflow, parse_workflow
 
+# valid JSON nested deeper than the decoder goes; it starts with "{", so a
+# workflow file holding it is read as a dag file
+DEEP_JSON = '{"a": ' * 100_000 + "0" + "}" * 100_000
+
 
 def make_consistent_case(seed: int):
     """A random (spec, catalog, env) triple with latency proportional to distance.

@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gather_sim, make_consistent_case
+import regionrank.cli
+import regionrank.metrics
+from conftest import DEEP_JSON, gather_sim, make_consistent_case
 from regionrank.bundled import fixture_path
 from regionrank.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROBE_FAILURE, main
+from regionrank.geo import haversine_km
 from regionrank.ranking import rank
 from regionrank.simulator import SimulatedProbe
 from regionrank.workflow import render_workflow
@@ -140,6 +143,27 @@ def test_rank_probes_only_prefilter_survivors(monkeypatch, capsys, top_n, probes
     assert set(issued) == set(doc["prefiltered_regions"])
 
 
+def test_rank_gathers_once_and_computes_each_distance_once(monkeypatch, capsys):
+    gathers, distances = [], []
+    gather = regionrank.cli.gather_metric_matrix
+
+    def counted_gather(*args, **kwargs):
+        gathers.append(kwargs)
+        return gather(*args, **kwargs)
+
+    def counted_haversine(a, b):
+        distances.append((a, b))
+        return haversine_km(a, b)
+
+    monkeypatch.setattr(regionrank.cli, "gather_metric_matrix", counted_gather)
+    monkeypatch.setattr(regionrank.metrics, "haversine_km", counted_haversine)
+    assert main(rank_args(**{"--top-n": "3"})) == EXIT_OK
+    assert capsys.readouterr().out.rstrip().endswith("RECOMMENDED: us-east-1")
+    assert len(gathers) == 1
+    # 8 regions x 3 hosts; the survivors' distances are not worked out again
+    assert len(distances) == 24
+
+
 def test_rank_fail_threshold_counts_only_attempted_channels(tmp_path, capsys):
     # the env cannot locate the probe hosts of the five regions far from the
     # workflow; the prefilter drops them, so their probes are never tried
@@ -218,6 +242,24 @@ def test_rank_probing_survivors_equals_rank_on_full_matrix(seed, n):
     assert tuple(doc["prefiltered_regions"]) == expected.prefiltered_regions
     for table in ("distance_table", "latency_table", "rtt_table", "final_table"):
         assert tuple(tuple(row) for row in doc[table]) == getattr(expected, table)
+
+
+@pytest.mark.parametrize("flag, what", [
+    ("--workflow", "dag file"),
+    ("--catalog", "catalog file"),
+    ("--env", "environment file"),
+    ("--geo", "geolocation fixture"),
+])
+def test_rank_deeply_nested_input_is_input_error(tmp_path, capsys, flag, what):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    # --geo is read in live mode only, before anything is probed
+    mode = "live" if flag == "--geo" else "sim"
+    assert main(rank_args(**{flag: str(deep), "--mode": mode})) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: malformed {what}: ")
+    assert err.count("\n") == 1
 
 
 def test_rank_accepts_dag_workflow(tmp_path, capsys):

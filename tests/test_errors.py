@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import DEEP_JSON
 from regionrank.geo import FixtureResolver, GeoFixtureError
 from regionrank.regions import CatalogError, load_catalog
 from regionrank.simulator import SimulationError, load_env
@@ -30,3 +31,16 @@ def test_loaders_report_malformed_json_exactly(loader, error, text, message):
     with pytest.raises(error) as info:
         loader(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("loader, error, what", [
+    (load_catalog, CatalogError, "catalog file"),
+    (load_env, SimulationError, "environment file"),
+    (parse_dag, WorkflowError, "dag file"),
+    (FixtureResolver.from_json, GeoFixtureError, "geolocation fixture"),
+])
+@pytest.mark.parametrize("text", [DEEP_JSON, "[" + "1" * 5000 + "]"], ids=["deep", "too-many-digits"])
+def test_loaders_report_undecodable_json_as_malformed(loader, error, what, text):
+    # the decoder's own message varies across Python versions; the prefix does not
+    with pytest.raises(error, match=f"^malformed {what}: "):
+        loader(text)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import socket
 import statistics
 import urllib.error
@@ -12,6 +13,7 @@ from regionrank.harness import (
     ComparisonStats,
     ExecutionStats,
     HarnessError,
+    WorkflowRunError,
     compare_stats,
     execute_workflow,
     payload_source,
@@ -177,6 +179,19 @@ def test_malformed_content_length_gets_400_and_close(start, length):
     assert b"Connection: close" in headers
 
 
+def test_payload_source_refuses_a_post_without_reading_the_body():
+    # a valid length but no body: the source must not wait for the bytes
+    request = "POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 1048576\r\n\r\n"
+    with payload_source() as svc, socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
+        sock.sendall(request.encode())
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status, _, headers = reply.partition(b"\r\n")
+    assert status.startswith(b"HTTP/1.1 405")
+    assert b"Connection: close" in headers
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(HarnessError):
         transform_service(mode="mirror")
@@ -269,6 +284,16 @@ def test_execute_workflow_all_failures_raise():
     spec = parse_workflow(url, format="lines")
     with pytest.raises(HarnessError, match="failed"):
         execute_workflow(spec, runs=2, timeout=2)
+
+
+def test_run_workflow_once_names_the_failed_request():
+    with payload_source(b"x") as gone:
+        closed = gone.url  # reserve-and-release leaves the port closed
+    with payload_source(b"x") as src:
+        with pytest.raises(WorkflowRunError, match=f"^GET {re.escape(closed)} failed: "):
+            run_workflow_once(parse_workflow(closed, format="lines"), timeout=2)
+        with pytest.raises(WorkflowRunError, match=f"^POST {re.escape(closed)} failed: "):
+            run_workflow_once(parse_workflow(f"{src.url}\n{closed}\n", format="lines"), timeout=2)
 
 
 def test_execute_workflow_rejects_zero_runs():

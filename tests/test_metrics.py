@@ -150,6 +150,8 @@ _HOSTILE_RTT_BODIES = {
     "boolean.test": b'{"rtt_ms": true}',
     "string.test": b'{"rtt_ms": "84"}',
 }
+# valid JSON nested deeper than the decoder goes
+_NESTED_BODY = b"[" * 200_000 + b"]" * 200_000
 
 
 class _AgentHandler(BaseHTTPRequestHandler):
@@ -169,6 +171,10 @@ class _AgentHandler(BaseHTTPRequestHandler):
             host = urlsplit(query["url"][0]).hostname
             if "garbage" in query["url"][0]:
                 body = b"not json"
+            elif host == "nested.test":
+                body = _NESTED_BODY
+            elif host == "array.test":
+                body = b"[84.0]"
             elif host in _HOSTILE_RTT_BODIES:
                 body = _HOSTILE_RTT_BODIES[host]
             elif host == "zero.test":
@@ -212,23 +218,30 @@ def test_remote_agent_probe_server_error(agent_url):
         probe.measure_latency(REGION, "broken.test", k=1)
 
 
-def test_remote_agent_probe_malformed_body(agent_url):
+def _assert_gather_fails_only_rtt(probe, host):
+    nodes = distinct_nodes(parse_workflow(f"http://{host}/\n", format="lines"))
+    matrix = gather_metric_matrix(probe, FixtureResolver({host: GeoPoint(1, 1)}), [REGION], nodes)
+    assert matrix.probes == {("r-test", host): (42.0, None)}
+    assert matrix.failed_channels() == [("r-test", host, "rtt")]
+
+
+@pytest.mark.parametrize("host", ["garbage.test", "nested.test", "array.test"])
+def test_remote_agent_probe_malformed_body(agent_url, host):
     probe = RemoteAgentProbe({"r-test": agent_url})
-    with pytest.raises(ProbeError, match="malformed"):
-        probe.measure_http_rtt(REGION, "http://garbage.test/")
+    with pytest.raises(ProbeError, match="malformed body from agent call"):
+        probe.measure_http_rtt(REGION, f"http://{host}/")
+    # only that channel fails; the gather goes on
+    _assert_gather_fails_only_rtt(probe, host)
 
 
 @pytest.mark.parametrize("host", _HOSTILE_RTT_BODIES)
 def test_remote_agent_probe_rejects_a_value_that_is_no_duration(agent_url, host):
     probe = RemoteAgentProbe({"r-test": agent_url})
-    with pytest.raises(ProbeError, match="malformed body") as info:
+    with pytest.raises(ProbeError, match="returned a malformed body") as info:
         probe.measure_http_rtt(REGION, f"http://{host}/")
     assert "not a finite, non-negative JSON number" in str(info.value.__cause__)
     # only that channel fails; the gather goes on
-    nodes = distinct_nodes(parse_workflow(f"http://{host}/\n", format="lines"))
-    matrix = gather_metric_matrix(probe, FixtureResolver({host: GeoPoint(1, 1)}), [REGION], nodes)
-    assert matrix.probes == {("r-test", host): (42.0, None)}
-    assert matrix.failed_channels() == [("r-test", host, "rtt")]
+    _assert_gather_fails_only_rtt(probe, host)
 
 
 def test_remote_agent_probe_accepts_an_integer_zero(agent_url):
@@ -345,12 +358,29 @@ class _FailingProbe(_StaticProbe):
         return 5.0
 
 
+class _Picker:
+    """A probe_regions function that returns `regions` and keeps each matrix it is given."""
+
+    def __init__(self, regions):
+        self.regions = regions
+        self.seen = []
+
+    def __call__(self, distances):
+        self.seen.append(distances)
+        return self.regions
+
+
 def test_gather_probes_only_the_named_regions():
     regions, env = sim_setup(n_regions=4)
     probe = _CountingProbe()
     nodes = distinct_nodes(WORKFLOW)
+    pick = _Picker(regions[1:3])
     matrix = gather_metric_matrix(probe, env.resolver(), regions, nodes, parallelism=1,
-                                  probe_regions=regions[1:3])
+                                  probe_regions=pick)
+    # called once, with the distance-only matrix whose distances are returned
+    [seen] = pick.seen
+    assert seen.probes == {}
+    assert seen.distances == matrix.distances
     assert sorted({region for region, _ in probe.latency_calls}) == ["region-1", "region-2"]
     assert len(probe.rtt_calls) == 2 * 3
     assert len(matrix.entries) == 4 * 3
@@ -367,7 +397,7 @@ def test_gather_with_no_probe_regions_issues_no_probe():
     regions, env = sim_setup(n_regions=2)
     probe = _CountingProbe()
     matrix = gather_metric_matrix(probe, env.resolver(), regions, distinct_nodes(WORKFLOW),
-                                  probe_regions=())
+                                  probe_regions=lambda _: ())
     assert probe.latency_calls == probe.rtt_calls == []
     assert matrix.probes == {}
     assert matrix.attempted_channels() == 2 * 3
@@ -377,7 +407,7 @@ def test_gather_rejects_probe_regions_outside_regions():
     regions, env = sim_setup(n_regions=2)
     with pytest.raises(ValueError, match="region-1"):
         gather_metric_matrix(_CountingProbe(), env.resolver(), regions[:1],
-                             distinct_nodes(WORKFLOW), probe_regions=regions[1:])
+                             distinct_nodes(WORKFLOW), probe_regions=lambda _: regions[1:])
 
 
 def test_failed_channels_never_lists_unprobed_channels():
@@ -492,8 +522,12 @@ def test_gathered_matrix_matches_haversine_and_edge_semantics(data):
     probe = _ScriptedProbe(failing)
     nodes = distinct_nodes(parse_workflow("".join(f"http://{host}/\n" for host in hosts)))
 
+    pick = _Picker(probe_regions)
     matrix = gather_metric_matrix(probe, FixtureResolver(locations), regions, nodes,
-                                  parallelism=2, probe_regions=probe_regions)
+                                  parallelism=2, probe_regions=pick)
+    [seen] = pick.seen
+    assert seen.probes == {}
+    assert _bits(seen.distances) == _bits(matrix.distances)
 
     probed_ids = {region.id for region in probe_regions}
     distances, probes = {}, {}
