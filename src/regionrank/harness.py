@@ -13,13 +13,11 @@ import math
 import statistics
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from .errors import RegionRankError
+from .errors import RegionRankError, http_body
 from .workflow import ROLE_SOURCE, WorkflowSpec
 
 DEFAULT_RUNS = 5
@@ -88,20 +86,6 @@ def compare_stats(baseline: ExecutionStats, candidate: ExecutionStats) -> Compar
     return ComparisonStats(speedup_pct=speedup, delta_sigma_pct=delta)
 
 
-def _http(url: str, timeout: float, payload: Optional[bytes] = None) -> bytes:
-    """GET url, or POST payload to it when one is given; the reply body."""
-    method = "GET" if payload is None else "POST"
-    request = urllib.request.Request(
-        url, data=payload, method=method,
-        headers={} if payload is None else {"Content-Type": "application/octet-stream"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.read()
-    except (urllib.error.URLError, OSError) as exc:
-        raise WorkflowRunError(f"{method} {url} failed: {exc}") from exc
-
-
 def run_workflow_once(
     spec: WorkflowSpec, timeout: float = DEFAULT_RUN_TIMEOUT_S
 ) -> tuple[float, dict[str, bytes]]:
@@ -111,11 +95,11 @@ def run_workflow_once(
     outputs: dict[str, bytes] = {}
     for node in spec.nodes:
         if node.role == ROLE_SOURCE:
-            outputs[node.id] = _http(node.endpoint, timeout)
+            outputs[node.id] = http_body(node.endpoint, timeout, WorkflowRunError)
     for u, v in spec.hop_order:
         if u not in outputs:
             raise WorkflowRunError(f"hop source {u!r} produced no payload")
-        outputs[v] = _http(endpoints[v], timeout, outputs[u])
+        outputs[v] = http_body(endpoints[v], timeout, WorkflowRunError, outputs[u])
     return time.perf_counter() - start, outputs
 
 

@@ -21,14 +21,13 @@ import socket
 import struct
 import sys
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, KeysView, Optional, Protocol
+from urllib.error import HTTPError
 
-from .errors import RegionRankError, decode_json
+from .errors import RegionRankError, decode_json, http_body
 from .geo import GeoResolutionError, GeoResolver, haversine_km
 from .regions import Region
 from .workflow import ServiceNode
@@ -152,7 +151,7 @@ class LiveProbe:
     IPv6 addresses, hosts with an explicit port, and platforms refusing ICMP
     fall back to a timed TCP connect. HTTP round-trip is a timed GET; any
     HTTP status counts as a completed round-trip, only transport failures
-    count as probe failures.
+    and unparsable replies count as probe failures.
     """
 
     def __init__(self, deadline_s: float = DEFAULT_DEADLINE_S):
@@ -180,7 +179,7 @@ class LiveProbe:
         name, port = _split_host(host)
         try:
             family, _, _, _, sockaddr = socket.getaddrinfo(name, None, type=socket.SOCK_STREAM)[0]
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:  # UnicodeError: a name idna cannot encode
             raise ProbeError(f"cannot resolve {name!r}: {exc}") from exc
         address = sockaddr[0]
         samples = []
@@ -199,16 +198,12 @@ class LiveProbe:
         return sum(samples) / len(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
-        request = urllib.request.Request(url, method="GET")
         start = time.perf_counter()
         try:
-            with urllib.request.urlopen(request, timeout=self.deadline_s) as response:
-                response.read()
-        except urllib.error.HTTPError as err:
-            err.read()  # error responses still complete the round-trip
-            err.close()
-        except (urllib.error.URLError, OSError) as exc:
-            raise ProbeError(f"HTTP probe to {url!r} failed: {exc}") from exc
+            http_body(url, self.deadline_s, ProbeError)
+        except ProbeError as exc:
+            if not isinstance(exc.__cause__, HTTPError):  # an error status completes the round trip
+                raise
         return (time.perf_counter() - start) * 1000.0
 
 
@@ -231,11 +226,7 @@ class RemoteAgentProbe:
             raise ProbeError(f"no probe agent registered for region {region.id!r}") from None
 
     def _call(self, url: str, field: str) -> float:
-        try:
-            with urllib.request.urlopen(url, timeout=self.deadline_s) as response:
-                body = response.read()
-        except (urllib.error.URLError, OSError) as exc:
-            raise ProbeError(f"agent call {url!r} failed: {exc}") from exc
+        body = http_body(url, self.deadline_s, ProbeError)
         doc = decode_json(body, f"body from agent call {url!r}", ProbeError, dict)
         try:
             value = doc[field]

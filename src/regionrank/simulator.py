@@ -153,6 +153,10 @@ def _execution_time(
         for peer in peers:
             total += terms[peer]
     total += env.processing_s * invocations
+    if not math.isfinite(total):
+        raise SimulationError(
+            f"environment overflows: simulated time with the orchestrator at {orchestrator_host!r} is {total}"
+        )
     return total
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import socket
+import threading
 from urllib.parse import urlsplit
 
 import pytest
@@ -20,6 +23,46 @@ from regionrank.workflow import distinct_nodes, generate_random_workflow, parse_
 # valid JSON nested deeper than the decoder goes; it starts with "{", so a
 # workflow file holding it is read as a dag file
 DEEP_JSON = '{"a": ' * 100_000 + "0" + "}" * 100_000
+
+# replies no HTTP client can parse, each failing in http.client, not in the socket layer
+HOSTILE_REPLIES = {
+    "hello": b"HELLO\r\n\r\n",  # BadStatusLine
+    "short-body": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort",  # IncompleteRead
+    "long-header": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",  # LineTooLong
+}
+
+
+@contextlib.contextmanager
+def raw_peer(reply: bytes):
+    """A loopback peer that reads each request's head, sends `reply` and hangs up; yields its URL."""
+    stop = threading.Event()
+
+    def serve(server):
+        while not stop.is_set():
+            try:
+                conn, _ = server.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                try:
+                    conn.settimeout(5)
+                    head = b""
+                    # a TCP-connect latency probe hangs up without a request
+                    while b"\r\n\r\n" not in head and (chunk := conn.recv(4096)):
+                        head += chunk
+                    conn.sendall(reply)
+                except OSError:
+                    pass
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(0.05)
+        thread = threading.Thread(target=serve, args=(server,), daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.getsockname()[1]}/"
+        finally:
+            stop.set()
+            thread.join(timeout=5)
 
 
 def make_consistent_case(seed: int):
@@ -106,6 +149,13 @@ def worked_env():
 @pytest.fixture(scope="session")
 def adversarial_env():
     return load_env(fixture_text("adversarial_env.json"))
+
+
+@pytest.fixture(params=sorted(HOSTILE_REPLIES))
+def hostile_peer(request):
+    """URL of a raw_peer sending each of the HOSTILE_REPLIES in turn."""
+    with raw_peer(HOSTILE_REPLIES[request.param]) as url:
+        yield url
 
 
 @pytest.fixture

@@ -15,13 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 import regionrank.cli
 import regionrank.metrics
-from conftest import DEEP_JSON, gather_sim, make_consistent_case
+from conftest import DEEP_JSON, HOSTILE_REPLIES, gather_sim, make_consistent_case, raw_peer
 from regionrank.bundled import fixture_path
 from regionrank.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROBE_FAILURE, main
 from regionrank.geo import haversine_km
+from regionrank.harness import transform_service
 from regionrank.ranking import rank
 from regionrank.simulator import SimulatedProbe
-from regionrank.workflow import render_workflow
+from regionrank.workflow import endpoint_host, render_workflow
 
 WORKED_WORKFLOW = str(fixture_path("worked_example.workflow"))
 WORKED_ENV = str(fixture_path("worked_example_env.json"))
@@ -307,6 +308,40 @@ def test_rank_dag_workflow_with_a_null_name_is_input_error(tmp_path, capsys):
     assert err == "error: malformed dag file: name None is not a string\n"
 
 
+def _rank_live(tmp_path, urls):
+    """Exit code of live rank with --fail-threshold 0 over a workflow of `urls`, all located."""
+    geo = tmp_path / "geo.json"
+    geo.write_text(json.dumps({endpoint_host(url): {"lat": 40.0, "lon": -75.0} for url in urls}))
+    wf = tmp_path / "live.workflow"
+    wf.write_text("".join(f"{url}\n" for url in urls))
+    return main(["rank", "--workflow", str(wf), "--catalog", CATALOG, "--mode", "live",
+                 "--geo", str(geo), "--fail-threshold", "0"])
+
+
+def _failed_host_channels(err):
+    """(host, channel) of every failed channel a rank past its threshold lists on stderr."""
+    lines = err.splitlines()
+    assert lines[-1].startswith("error: ") and "channels failed" in lines[-1]
+    return {tuple(line.split(" -> ")[1].rstrip("]").split(" [")) for line in lines[:-1]}
+
+
+def test_rank_live_reply_no_client_parses_fails_only_that_hosts_rtt(tmp_path, capsys):
+    with transform_service() as svc, raw_peer(HOSTILE_REPLIES["hello"]) as hello:
+        assert _rank_live(tmp_path, [svc.url, hello]) == EXIT_PROBE_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _failed_host_channels(err) == {(endpoint_host(hello), "rtt")}
+
+
+def test_rank_live_host_name_idna_cannot_encode_fails_only_that_hosts_probes(tmp_path, capsys):
+    long_name = "a" * 64 + ".test"  # endpoint_host accepts it; the idna codec does not
+    with transform_service() as svc:
+        assert _rank_live(tmp_path, [svc.url, f"http://{long_name}/"]) == EXIT_PROBE_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _failed_host_channels(err) == {(long_name, "latency"), (long_name, "rtt")}
+
+
 # --- verify ---
 
 
@@ -364,6 +399,15 @@ def test_verify_sim_unknown_vantage_is_input_error(small_world, capsys):
     ])
     assert code == EXIT_INPUT_ERROR
     assert "ghost.test" in capsys.readouterr().err
+
+
+def test_verify_live_counts_a_reply_no_client_parses_as_a_failed_run(tmp_path, capsys):
+    wf = tmp_path / "hello.workflow"
+    with raw_peer(HOSTILE_REPLIES["hello"]) as hello:
+        wf.write_text(f"{hello}\n")
+        code = main(["verify", "--workflow", str(wf), "--vantage-a", "a", "--vantage-b", "b", "--runs", "2"])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: all 2 workflow runs failed\n")
 
 
 # --- simulate ---
@@ -470,6 +514,25 @@ def test_negative_data_mb_is_input_error(capsys, command):
         out, err = capsys.readouterr()
         assert out == ""
         assert "must be non-negative" in err
+
+
+# the oracle sweeps regions in catalog order, and verify times vantage-a first
+@pytest.mark.parametrize("field, value", [("processing_s", 1e308), ("bandwidth_mbps", 1e-308)])
+@pytest.mark.parametrize("command, host", [
+    (["simulate", "--catalog", CATALOG], "ec2.us-east-1.amazonaws.com"),
+    (["verify", "--mode", "sim", "--vantage-a", "ec2.us-west-1.amazonaws.com",
+      "--vantage-b", "ec2.us-east-1.amazonaws.com"], "ec2.us-west-1.amazonaws.com"),
+], ids=["simulate", "verify"])
+def test_simulated_time_that_overflows_is_input_error(tmp_path, capsys, command, host, field, value):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env[field] = value  # finite, but the simulated time is not
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    code = main(command + ["--workflow", WORKED_WORKFLOW, "--env", str(path)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == (
+        "", f"error: environment overflows: simulated time with the orchestrator at {host!r} is inf\n"
+    )
 
 
 # --- gen ---

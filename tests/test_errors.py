@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from conftest import DEEP_JSON
+from regionrank.errors import RegionRankError, http_body
 from regionrank.geo import FixtureResolver, GeoFixtureError
 from regionrank.regions import CatalogError, load_catalog
 from regionrank.simulator import SimulationError, load_env
@@ -44,3 +47,14 @@ def test_loaders_report_undecodable_json_as_malformed(loader, error, what, text)
     # the decoder's own message varies across Python versions; the prefix does not
     with pytest.raises(error, match=f"^malformed {what}: "):
         loader(text)
+
+
+class _CallerError(RegionRankError):
+    pass
+
+
+def test_http_body_raises_the_callers_error_for_a_host_name_idna_cannot_encode():
+    url = f"http://{'a' * 64}.test/"
+    with pytest.raises(_CallerError, match=f"^GET {re.escape(url)} failed: ") as info:
+        http_body(url, 1.0, _CallerError)
+    assert isinstance(info.value.__cause__, UnicodeError)

@@ -296,6 +296,14 @@ def test_run_workflow_once_names_the_failed_request():
             run_workflow_once(parse_workflow(f"{src.url}\n{closed}\n", format="lines"), timeout=2)
 
 
+def test_run_workflow_once_names_a_request_whose_reply_no_client_parses(hostile_peer):
+    with pytest.raises(WorkflowRunError, match=f"^GET {re.escape(hostile_peer)} failed: "):
+        run_workflow_once(parse_workflow(hostile_peer, format="lines"), timeout=2)
+    with payload_source(b"x") as src:
+        with pytest.raises(WorkflowRunError, match=f"^POST {re.escape(hostile_peer)} failed: "):
+            run_workflow_once(parse_workflow(f"{src.url}\n{hostile_peer}\n", format="lines"), timeout=2)
+
+
 def test_execute_workflow_rejects_zero_runs():
     with pytest.raises(HarnessError):
         execute_workflow(parse_workflow("http://x.test/", format="lines"), runs=0)

@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import threading
 from collections.abc import MutableSet
@@ -8,6 +9,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import raw_peer
 from regionrank.geo import FixtureResolver, GeoPoint, haversine_km
 from regionrank.harness import transform_service
 from regionrank.metrics import (
@@ -103,6 +105,24 @@ def test_live_http_rtt_connection_refused_is_probe_error():
     probe = LiveProbe(deadline_s=1.0)
     with pytest.raises(ProbeError):
         probe.measure_http_rtt(REGION, f"http://127.0.0.1:{port}/")
+
+
+def test_live_http_rtt_reply_no_client_parses_is_probe_error(hostile_peer):
+    with pytest.raises(ProbeError, match=f"^GET {re.escape(hostile_peer)} failed: "):
+        LiveProbe(deadline_s=2.0).measure_http_rtt(REGION, hostile_peer)
+
+
+def test_live_http_rtt_truncated_error_body_is_probe_error():
+    # an error status completes the round trip only once its whole body is read
+    with raw_peer(b"HTTP/1.1 404 Not Found\r\nContent-Length: 100\r\n\r\nshort") as url:
+        with pytest.raises(ProbeError, match=f"^GET {re.escape(url)} failed: "):
+            LiveProbe(deadline_s=2.0).measure_http_rtt(REGION, url)
+
+
+def test_live_latency_host_name_idna_cannot_encode_is_probe_error():
+    host = "a" * 64 + ".test"  # one label past the 63-character limit
+    with pytest.raises(ProbeError, match="^cannot resolve"):
+        LiveProbe(deadline_s=1.0).measure_latency(REGION, host, k=1)
 
 
 def test_live_latency_tcp_fallback_on_explicit_port():
@@ -248,6 +268,17 @@ def test_remote_agent_probe_accepts_an_integer_zero(agent_url):
     rtt = RemoteAgentProbe({"r-test": agent_url}).measure_http_rtt(REGION, "http://zero.test/")
     assert rtt == 0.0
     assert type(rtt) is float
+
+
+def test_remote_agent_probe_reply_no_client_parses_fails_both_channels(hostile_peer):
+    probe = RemoteAgentProbe({"r-test": hostile_peer})
+    with pytest.raises(ProbeError, match="^GET "):
+        probe.measure_latency(REGION, "node.test", k=1)
+    with pytest.raises(ProbeError, match="^GET "):
+        probe.measure_http_rtt(REGION, "http://node.test/")
+    nodes = distinct_nodes(parse_workflow("http://node.test/\n", format="lines"))
+    matrix = gather_metric_matrix(probe, FixtureResolver({"node.test": GeoPoint(1, 1)}), [REGION], nodes)
+    assert matrix.probes == {("r-test", "node.test"): (None, None)}
 
 
 # --- matrix gathering ---

@@ -29,6 +29,21 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
+def _urlopen_calls(path):
+    """Line of every urlopen call in one source file, whether by module path or by imported name."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "urlopen":
+                yield node.lineno
+
+
+def test_the_package_makes_its_http_requests_at_one_site():
+    # errors.http_body is the one exception boundary for every HTTP client
+    sites = [path.name for path in SOURCES for _ in _urlopen_calls(path)]
+    assert sites == ["errors.py"]
+
+
 def test_every_public_name_resolves_on_the_package():
     assert [name for name in regionrank.__all__ if not hasattr(regionrank, name)] == []
     assert len(set(regionrank.__all__)) == len(regionrank.__all__)
