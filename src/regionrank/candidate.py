@@ -7,7 +7,8 @@ therefore yields 2H + T edges, every one of them with R at one end.
 
 So a region's score on any channel m is sum_h w_h * m(R, h), where w_h counts
 the edges whose far end is host h. The weight vector w depends only on the
-workflow: it is computed once and shared by every region.
+workflow: its edges are listed once per workflow, when the WorkflowSpec is
+validated, and every region shares them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping
 
 from .metrics import FAILURE_SENTINEL_MS, MetricMatrix
 from .regions import Region
-from .workflow import ROLE_PROCESSOR, WorkflowSpec
+from .workflow import WorkflowSpec
 
 
 def candidate_peers(spec: WorkflowSpec) -> list[str]:
@@ -27,21 +28,12 @@ def candidate_peers(spec: WorkflowSpec) -> list[str]:
     Every hop (u, v) contributes host(u) (u -> R) then host(v) (R -> v); then
     every node with no outgoing hop contributes its return edge (t -> R).
     """
-    hosts = {node.id: node.host for node in spec.nodes}
-    peers = []
-    for u, v in spec.hops:
-        peers.append(hosts[u])
-        peers.append(hosts[v])
-    has_outgoing = {u for u, _ in spec.hops}
-    for node in spec.nodes:
-        if node.id not in has_outgoing:
-            peers.append(hosts[node.id])
-    return peers
+    return list(spec.edge_peers)
 
 
 def host_weights(spec: WorkflowSpec) -> Counter[str]:
     """Per-host weight vector: how many candidate edges end at each host."""
-    return Counter(candidate_peers(spec))
+    return Counter(spec.edge_peers)
 
 
 @dataclass(frozen=True)
@@ -59,8 +51,7 @@ def build_candidate_graph(spec: WorkflowSpec, region: Region) -> CandidateGraph:
 
 def processor_invocations(spec: WorkflowSpec) -> int:
     """How many hop deliveries trigger processing work (target is a processor)."""
-    roles = {node.id: node.role for node in spec.nodes}
-    return sum(1 for _, v in spec.hops if roles[v] == ROLE_PROCESSOR)
+    return spec.invocations
 
 
 def total_weight(graph: CandidateGraph, channel: str, matrix: MetricMatrix) -> float:

@@ -9,9 +9,11 @@ tables are ordinal: scores order regions but do not predict run times.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .candidate import CandidateGraph, host_weights, total_weight
+from .errors import RegionRankError
 from .metrics import MetricMatrix
 from .regions import Region, RegionCatalog
 from .workflow import WorkflowSpec
@@ -19,6 +21,10 @@ from .workflow import WorkflowSpec
 DEFAULT_PREFILTER_N = 3
 
 Table = tuple[tuple[str, float], ...]
+
+
+class RankingError(RegionRankError):
+    """The metrics give a region a score that no table can order."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,9 @@ def rank(
 
     The recommendation is the argmin of final_score = (total rtt +
     total latency) / 2 over prefilter survivors, ties broken by region id.
+    A survivor whose latency, rtt or final score is not finite (summed
+    metrics that overflow, from any probe) raises RankingError naming the
+    region and the score.
     """
     distance_table, survivors = _prefilter(spec, catalog, matrix, n)
 
@@ -89,9 +98,13 @@ def rank(
         region_id = graph.region.id
         latency = total_weight(graph, "latency", matrix)
         rtt = total_weight(graph, "rtt", matrix)
+        final = (rtt + latency) / 2.0
+        for channel, score in (("latency", latency), ("rtt", rtt), ("final", final)):
+            if not math.isfinite(score):
+                raise RankingError(f"{channel} score of region {region_id!r} is not finite: {score}")
         latency_scores[region_id] = latency
         rtt_scores[region_id] = rtt
-        final_scores[region_id] = (rtt + latency) / 2.0
+        final_scores[region_id] = final
 
     final_table = _sorted_table(final_scores)
     return RankingReport(

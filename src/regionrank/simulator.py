@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Union
 
-from .candidate import candidate_peers, processor_invocations
 from .errors import RegionRankError, decode_json
 from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_km, parse_locations
 from .metrics import ProbeError
@@ -98,14 +97,13 @@ def _noise_ms(env: SimEnvironment, pair: tuple[str, str], sample: Union[int, str
     return rng.gauss(0.0, env.noise_sigma_ms)
 
 
-def _base_latency(env: SimEnvironment, a: str, b: str) -> float:
-    """Noise-free one-way latency a<->b in ms: the pair's override or distance-based.
+def _base_latency(env: SimEnvironment, a: str, pa: GeoPoint, b: str, pb: GeoPoint) -> float:
+    """Noise-free one-way latency a<->b in ms, given both hosts' located points.
 
-    Both hosts must be located in the environment even when an override pins
-    the pair; a typo in a host name should fail loudly and not silently
-    bypass the geography.
+    The pair's override wins, else the distance-based latency. Callers locate
+    both hosts even when an override pins the pair; a typo in a host name
+    should fail loudly and not silently bypass the geography.
     """
-    pa, pb = env.locate(a), env.locate(b)
     pair = _pair_key(a, b)
     if pair in env.latency_overrides:
         return env.latency_overrides[pair]
@@ -121,38 +119,51 @@ def _add_noise(env: SimEnvironment, base: float, a: str, b: str, sample: Union[i
 
 def sim_latency(env: SimEnvironment, a: str, b: str, sample: Union[int, str] = 0) -> float:
     """One-way latency a<->b in ms: override or distance-based, plus noise."""
-    return _add_noise(env, _base_latency(env, a, b), a, b, sample)
+    return _add_noise(env, _base_latency(env, a, env.locate(a), b, env.locate(b)), a, b, sample)
+
+
+def _transfer_s(env: SimEnvironment, data_mb: float) -> float:
+    """Seconds to serialise data_mb megabytes at the environment bandwidth."""
+    if not (data_mb >= 0 and math.isfinite(data_mb)):
+        raise SimulationError(f"data_mb must be non-negative and finite, not {data_mb}")
+    return data_mb * 8.0 / env.bandwidth_mbps
+
+
+def _locate_peers(env: SimEnvironment, spec: WorkflowSpec) -> dict[str, GeoPoint]:
+    """Each distinct candidate peer's point, located in the order of its first edge."""
+    return {peer: env.locate(peer) for peer in spec.distinct_peers}
 
 
 def _execution_time(
     env: SimEnvironment,
-    peers: list[str],
-    invocations: int,
+    spec: WorkflowSpec,
     orchestrator_host: str,
-    data_mb: float,
+    origin: GeoPoint,
+    peers: dict[str, GeoPoint],
+    transfer_s: float,
     run: Union[int, str],
 ) -> float:
-    """sim_execution_time for a workflow given as its candidate peers and processor invocations.
+    """sim_execution_time, given every host's point and the per-edge transfer seconds.
 
-    Each distinct peer's base latency is computed once, in the order of its
-    first edge, so a missing host fails as the first edge reaching it would.
-    Edges are still summed one by one in edge order.
+    `origin` is the orchestrator host's point and `peers` maps each of
+    spec.distinct_peers to its point: the caller locates each host once.
+    Each distinct peer's base latency is computed once; edges are still
+    summed one by one in edge order.
     """
-    if not (data_mb >= 0 and math.isfinite(data_mb)):
-        raise SimulationError(f"data_mb must be non-negative and finite, not {data_mb}")
-    transfer_s = data_mb * 8.0 / env.bandwidth_mbps
-    bases = {peer: _base_latency(env, orchestrator_host, peer) for peer in dict.fromkeys(peers)}
+    bases = {
+        peer: _base_latency(env, orchestrator_host, origin, peer, point) for peer, point in peers.items()
+    }
     total = 0.0
     if env.noise_sigma_ms > 0:
-        for i, peer in enumerate(peers):
+        for i, peer in enumerate(spec.edge_peers):
             latency = _add_noise(env, bases[peer], orchestrator_host, peer, f"run{run}/edge{i}")
             total += latency / 1000.0 + transfer_s
     else:
         # noise-free, an edge's latency is max(0, base): its whole term depends only on its peer
         terms = {peer: max(0.0, base) / 1000.0 + transfer_s for peer, base in bases.items()}
-        for peer in peers:
+        for peer in spec.edge_peers:
             total += terms[peer]
-    total += env.processing_s * invocations
+    total += env.processing_s * spec.invocations
     if not math.isfinite(total):
         raise SimulationError(
             f"environment overflows: simulated time with the orchestrator at {orchestrator_host!r} is {total}"
@@ -172,11 +183,12 @@ def sim_execution_time(
     Each candidate edge costs its latency plus the serialisation time of
     data_mb megabytes at the environment bandwidth; each hop that targets a
     processor adds processing_s of service time. Edge i of run r draws its
-    noise under the sample key "run{r}/edge{i}".
+    noise under the sample key "run{r}/edge{i}". The candidate edges are the
+    spec's, listed once when it was validated, not once per run.
     """
-    return _execution_time(
-        env, candidate_peers(spec), processor_invocations(spec), orchestrator_host, data_mb, run
-    )
+    transfer_s = _transfer_s(env, data_mb)
+    origin = env.locate(orchestrator_host)
+    return _execution_time(env, spec, orchestrator_host, origin, _locate_peers(env, spec), transfer_s, run)
 
 
 def best_region_oracle(
@@ -190,13 +202,18 @@ def best_region_oracle(
     Returns (best region id, full (id, seconds) table sorted fastest first,
     ties broken by id). It walks every candidate edge of every region and
     never reads host_weights, so it stays an independent check of ranking.
+    The spec's peers are located once per sweep, right after the first
+    region's probe host, so a missing host fails as it would in a sweep that
+    located every host per region: in catalog order, then in edge order.
     """
-    peers = candidate_peers(spec)
-    invocations = processor_invocations(spec)
-    times = [
-        (_execution_time(env, peers, invocations, region.probe_host, data_mb, 0), region.id)
-        for region in catalog
-    ]
+    transfer_s = _transfer_s(env, data_mb)
+    peers = None
+    times = []
+    for region in catalog:
+        origin = env.locate(region.probe_host)
+        if peers is None:
+            peers = _locate_peers(env, spec)
+        times.append((_execution_time(env, spec, region.probe_host, origin, peers, transfer_s, 0), region.id))
     times.sort()
     table = tuple((region_id, t) for t, region_id in times)
     return table[0][0], table

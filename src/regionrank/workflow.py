@@ -81,17 +81,27 @@ class WorkflowSpec:
     """A validated DAG workflow.
 
     Hops are directed (from-id, to-id) dataflow transfers. The final delivery
-    of each terminal node's output back to the orchestrator is implicit and
-    added during candidate-graph construction, never stored here.
+    of each terminal node's output back to the orchestrator is implicit: it
+    is never a hop, only a candidate edge in edge_peers.
 
-    hop_order, set by validation, is the order a run sends the hops in: by
-    the longest hop path to each hop's from-node, then in file order.
+    Validation also sets these values, which depend only on the workflow:
+
+    * hop_order, the order a run sends the hops in: by the longest hop path
+      to each hop's from-node, then in file order.
+    * edge_peers, the host at the far end of each candidate edge, in edge
+      order (see candidate.candidate_peers).
+    * distinct_peers, the distinct edge_peers, in the order of their first
+      edge.
+    * invocations, how many hops deliver to a processor.
     """
 
     name: str
     nodes: tuple[ServiceNode, ...]
     hops: tuple[tuple[str, str], ...]
     hop_order: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    edge_peers: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    distinct_peers: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    invocations: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -135,6 +145,23 @@ class WorkflowSpec:
             if node.role == ROLE_PROCESSOR and node.id not in reached:
                 raise WorkflowError(f"processor {node.id!r} is unreachable from any source")
         object.__setattr__(self, "hop_order", tuple(sorted(self.hops, key=lambda hop: depth[hop[0]])))
+        self._derive(successors)
+
+    def _derive(self, successors: dict[str, list[str]]):
+        """Set the candidate-edge values from the validated nodes and hops.
+
+        Each hop (u, v) is two edges, ending at host(u) then host(v); each
+        node without successors, in node order, adds its return edge.
+        """
+        nodes = {node.id: node for node in self.nodes}
+        hosts = {node_id: node.host for node_id, node in nodes.items()}
+        peers = [hosts[end] for hop in self.hops for end in hop]
+        peers += [hosts[node_id] for node_id, after in successors.items() if not after]
+        object.__setattr__(self, "edge_peers", tuple(peers))
+        object.__setattr__(self, "distinct_peers", tuple(dict.fromkeys(peers)))
+        object.__setattr__(
+            self, "invocations", sum(1 for _, v in self.hops if nodes[v].role == ROLE_PROCESSOR)
+        )
 
     @property
     def sources(self) -> tuple[ServiceNode, ...]:

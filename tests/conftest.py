@@ -169,3 +169,17 @@ def urlsplit_calls(monkeypatch):
 
     monkeypatch.setattr(regionrank.workflow, "urlsplit", counting)
     return calls
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Specs whose per-workflow candidate-edge values are derived from now on, in order."""
+    specs = []
+    derive = regionrank.workflow.WorkflowSpec._derive
+
+    def counting(spec, successors):
+        specs.append(spec)
+        derive(spec, successors)
+
+    monkeypatch.setattr(regionrank.workflow.WorkflowSpec, "_derive", counting)
+    return specs

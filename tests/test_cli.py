@@ -263,6 +263,15 @@ def test_rank_deeply_nested_input_is_input_error(tmp_path, capsys, flag, what):
     assert err.count("\n") == 1
 
 
+def test_rank_scores_that_overflow_are_input_error(tmp_path, capsys):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env["base_latency_per_km"] = 1e308  # finite, but every probed latency is inf
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    assert main(rank_args(**{"--env": str(path)})) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: latency score of region 'us-east-1' is not finite: inf\n")
+
+
 def test_rank_accepts_dag_workflow(tmp_path, capsys):
     doc = {
         "name": "dagged",
@@ -389,6 +398,35 @@ def test_verify_sim_identical_vantages_zero_speedup(small_world, capsys):
     out = capsys.readouterr().out
     assert "speedup: 0.00%" in out
     assert "delta-sigma: n/a" in out
+
+
+def test_verify_sim_noisy_worked_example(tmp_path, capsys):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env.update(noise_sigma_ms=5.0, seed=7)
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(env))
+    code = main([
+        "verify", "--mode", "sim", "--workflow", WORKED_WORKFLOW, "--env", str(path), "--runs", "20",
+        "--vantage-a", "ec2.us-east-1.amazonaws.com", "--vantage-b", "ec2.eu-west-1.amazonaws.com",
+    ])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "vantage-a (ec2.us-east-1.amazonaws.com): mean 1.563 s  stddev 0.010 s  runs 20  failures 0\n"
+        "vantage-b (ec2.eu-west-1.amazonaws.com): mean 2.004 s  stddev 0.013 s  runs 20  failures 0\n"
+        "speedup: -22.00%\n"
+        "delta-sigma: 29.17%\n"
+    )
+
+
+def test_verify_sim_derives_the_workflow_once(small_world, capsys, derivations):
+    wf, env_file = small_world
+    code = main([
+        "verify", "--workflow", wf, "--mode", "sim", "--env", env_file,
+        "--vantage-a", "far.probe.test", "--vantage-b", "near.probe.test", "--runs", "5",
+    ])
+    assert code == EXIT_OK
+    assert "runs 5" in capsys.readouterr().out
+    assert len(derivations) == 1  # when the workflow file was parsed, not once per run
 
 
 def test_verify_sim_unknown_vantage_is_input_error(small_world, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import gather_sim, make_consistent_case
 from regionrank.geo import GeoPoint
 from regionrank.metrics import MetricMatrix
-from regionrank.ranking import RankingReport, geo_prefilter, rank, render_report
+from regionrank.ranking import RankingError, RankingReport, geo_prefilter, rank, render_report
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import best_region_oracle
 from regionrank.workflow import parse_workflow
@@ -60,6 +60,18 @@ def test_single_region_catalog():
     assert report.recommended == "region-0"
     assert len(report.final_table) == 1
     assert report.prefiltered_regions == ("region-0",)
+
+
+# SPEC1 has three candidate edges, so 1e308 per edge overflows a channel's
+# sum, and 5e307 overflows only latency + rtt
+@pytest.mark.parametrize("latency, rtt, channel", [
+    (1e308, 1.0, "latency"), (1.0, 1e308, "rtt"), (5e307, 5e307, "final"),
+])
+def test_rank_rejects_a_score_that_overflows(latency, rtt, channel):
+    catalog = catalog_of(2)
+    matrix = matrix_for(catalog, {"region-0": (1.0, 1.0, 1.0), "region-1": (2.0, latency, rtt)})
+    with pytest.raises(RankingError, match=f"^{channel} score of region 'region-1' is not finite: inf$"):
+        rank(SPEC1, catalog, matrix, n=2)
 
 
 def test_rank_agrees_with_oracle_in_consistent_env():

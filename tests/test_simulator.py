@@ -297,26 +297,29 @@ def test_execution_time_equals_the_per_edge_sum(spec, world, data_mb, run):
     assert best_region_oracle(env, spec, catalog, data_mb) == (table[0][0], table)
 
 
-def test_oracle_sweep_computes_each_pair_once(monkeypatch):
+def test_oracle_sweep_computes_each_pair_once(monkeypatch, derivations):
     spec, catalog, env = make_consistent_case(seed=11)
-    haversines, peer_lists = [], []
+    haversines = []
 
     def counting_haversine(a, b):
         haversines.append((a, b))
         return haversine_km(a, b)
 
-    def counting_peers(spec):
-        peer_lists.append(spec)
-        return candidate_peers(spec)
-
     monkeypatch.setattr(regionrank.simulator, "haversine_km", counting_haversine)
-    monkeypatch.setattr(regionrank.simulator, "candidate_peers", counting_peers)
     best_region_oracle(env, spec, catalog)
 
     hosts = len(set(candidate_peers(spec)))
     assert hosts < len(candidate_peers(spec))  # hosts repeat, so per-edge work would cost more
     assert len(haversines) == len(catalog.regions) * hosts
-    assert len(peer_lists) == 1
+    assert len(derivations) == 1 and derivations[0] is spec  # when the spec was made
+
+
+def test_sweep_then_runs_derive_the_workflow_once(derivations):
+    spec, catalog, env = make_consistent_case(seed=12)
+    best_region_oracle(env, spec, catalog)
+    for run in range(5):
+        sim_execution_time(env, spec, catalog.regions[0].probe_host, run=run)
+    assert len(derivations) == 1 and derivations[0] is spec
 
 
 # --- env file round-trip ---

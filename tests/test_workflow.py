@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,31 @@ def test_distinct_nodes_worked_example():
 def test_distinct_nodes_source_only():
     spec = parse_workflow("http://only.example/\n", format="lines")
     assert [n.host for n in distinct_nodes(spec)] == ["only.example"]
+
+
+# --- values derived once per workflow ---
+
+
+def test_specs_parsed_from_the_same_text_compare_and_hash_equal():
+    first, second = parse_workflow(THREE_LINES), parse_workflow(THREE_LINES)
+    assert first == second and hash(first) == hash(second)
+    hosts = ("wikimedia.org", "planetlab-03.cs.princeton.edu", "cs-planetlab4.cs.surrey.sfu.ca")
+    assert second.edge_peers == (hosts[0], hosts[1], hosts[1], hosts[2], hosts[2])
+    assert second.distinct_peers == hosts
+    assert second.invocations == 2
+
+
+def test_replace_derives_the_values_again(derivations):
+    spec = parse_workflow(THREE_LINES)
+    renamed = replace(spec, name="renamed")
+    shorter = replace(spec, nodes=spec.nodes[:2], hops=spec.hops[:1])
+    assert [id(s) for s in derivations] == [id(spec), id(renamed), id(shorter)]
+    assert (renamed.edge_peers, renamed.distinct_peers, renamed.invocations) == (
+        spec.edge_peers, spec.distinct_peers, spec.invocations
+    )
+    assert shorter.edge_peers == spec.edge_peers[:3]
+    assert shorter.distinct_peers == spec.distinct_peers[:2]
+    assert shorter.invocations == 1
 
 
 def test_round_trip_lines():
