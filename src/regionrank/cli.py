@@ -20,17 +20,11 @@ from typing import Optional
 from .bundled import fixture_text
 from .errors import RegionRankError
 from .geo import FixtureResolver
-from .harness import (
-    DEFAULT_RUNS,
-    ExecutionStats,
-    compare_stats,
-    execute_workflow,
-    transform_service,
-)
 from .metrics import DEFAULT_SAMPLE_COUNT, LiveProbe, gather_metric_matrix
 from .ranking import DEFAULT_PREFILTER_N, geo_prefilter, rank, render_report
 from .regions import load_catalog
 from .simulator import SimEnvironment, SimulatedProbe, best_region_oracle, load_env, sim_execution_time
+from .stats import DEFAULT_RUNS, ExecutionStats, compare_stats
 from .workflow import (
     distinct_nodes,
     generate_random_workflow,
@@ -179,6 +173,9 @@ def cmd_verify(args) -> int:
         stats_a = _sim_stats(env, spec, args.vantage_a, args.runs, args.data_mb)
         stats_b = _sim_stats(env, spec, args.vantage_b, args.runs, args.data_mb)
     else:
+        # deferred: the harness loads http.server, which no simulated command needs
+        from .harness import execute_workflow
+
         # Live mode times the workflow from this process; the vantage names
         # label the two measurement batches (deploying the orchestrator into
         # a remote region is outside this tool's scope).
@@ -214,6 +211,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .harness import transform_service  # deferred, as in cmd_verify
+
     service = transform_service(port=args.port, delay_ms=args.delay_ms, mode=args.mode)
     print(f"serving transform ({args.mode}) on {service.url}", flush=True)
     try:

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import http.client
 import json
-import urllib.error
-import urllib.request
 
 _KIND_NAMES = {list: "an array", dict: "an object"}
 
@@ -30,6 +27,13 @@ def decode_json(text: str | bytes, what: str, error: type[RegionRankError], kind
     return doc
 
 
+def load_http_client() -> None:
+    """Import what a first http_body call would, so a caller that times
+    requests can load it before its clock starts."""
+    import encodings.idna  # noqa: F401 - socket.getaddrinfo encodes host names with it
+    import urllib.request  # noqa: F401 - with http.client, urllib.error, ssl and email
+
+
 def http_body(url: str, timeout: float, error: type[RegionRankError], payload: bytes | None = None) -> bytes:
     """GET url, or POST payload to it when one is given; the reply body.
 
@@ -37,6 +41,13 @@ def http_body(url: str, timeout: float, error: type[RegionRankError], payload: b
     host name, error status. An error status's body is read first, so only
     a whole one leaves its HTTPError as the raised error's __cause__.
     """
+    # deferred: the HTTP client (with ssl and email) is about half of the
+    # package's import time, and no simulated command makes a request;
+    # callers that time a request call load_http_client first
+    import http.client
+    import urllib.error
+    import urllib.request
+
     method = "GET" if payload is None else "POST"
     headers = {} if payload is None else {"Content-Type": "application/octet-stream"}
     try:

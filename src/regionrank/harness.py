@@ -1,95 +1,40 @@
-"""Verification harness: sequential orchestrator, run statistics, toy services.
+"""Verification harness: sequential orchestrator and toy services over real HTTP.
 
 execute_workflow drives a workflow over real HTTP from the local process:
 fetch each source payload with GET, then push payloads hop by hop with POST,
-timing whole runs. The bundled transform service stands in for the remote
-processing services a deployment would talk to; byte reversal replaces image
-rotation so no imaging stack is needed.
+timing whole runs into run statistics (``stats.ExecutionStats``). The bundled
+transform service stands in for the remote processing services a deployment
+would talk to; byte reversal replaces image rotation so no imaging stack is
+needed.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 import threading
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from .errors import RegionRankError, http_body
+from .errors import RegionRankError, http_body, load_http_client
+# ComparisonStats and compare_stats are re-exported: the run statistics live in
+# .stats so that verify --mode sim can summarise without loading http.server
+from .stats import DEFAULT_RUNS, ComparisonStats, ExecutionStats, HarnessError, compare_stats  # noqa: F401
 from .workflow import ROLE_SOURCE, WorkflowSpec
 
-DEFAULT_RUNS = 5
 DEFAULT_RUN_TIMEOUT_S = 30.0
 DEFAULT_BODY_CAP = 64 * 1024 * 1024
-
-
-class HarnessError(RegionRankError):
-    """The whole verification batch failed."""
 
 
 class WorkflowRunError(RegionRankError):
     """A single workflow run failed; the batch may still continue."""
 
 
-@dataclass(frozen=True)
-class ExecutionStats:
-    """Wall-clock seconds of successful runs, plus the failed-run count."""
-
-    workflow: str
-    runs: tuple[float, ...]
-    failures: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(float(r) for r in self.runs))
-        if not self.runs:
-            raise HarnessError("stats need at least one successful run")
-        if self.failures < 0:
-            raise HarnessError("failure count cannot be negative")
-
-    @property
-    def mean(self) -> float:
-        return statistics.fmean(self.runs)
-
-    @property
-    def stddev(self) -> float:
-        # sample (n-1) stddev; a single run has no spread to report
-        if len(self.runs) < 2:
-            return 0.0
-        return statistics.stdev(self.runs)
-
-
-@dataclass(frozen=True)
-class ComparisonStats:
-    """Relative change of candidate vs baseline; negative delta = less spread."""
-
-    speedup_pct: float
-    delta_sigma_pct: Optional[float]
-
-
-def compare_stats(baseline: ExecutionStats, candidate: ExecutionStats) -> ComparisonStats:
-    """speedup_pct = (baseline.mean/candidate.mean - 1)*100, likewise for stddev.
-
-    A baseline with zero spread makes the sigma ratio undefined, so
-    delta_sigma_pct is None in that case rather than infinite.
-    """
-    if baseline.mean <= 0:
-        raise HarnessError("baseline mean must be positive")
-    if candidate.mean == 0:
-        raise HarnessError("candidate mean is zero; speedup undefined")
-    speedup = (baseline.mean / candidate.mean - 1.0) * 100.0
-    if baseline.stddev == 0:
-        delta = None
-    else:
-        delta = (candidate.stddev / baseline.stddev - 1.0) * 100.0
-    return ComparisonStats(speedup_pct=speedup, delta_sigma_pct=delta)
-
-
 def run_workflow_once(
     spec: WorkflowSpec, timeout: float = DEFAULT_RUN_TIMEOUT_S
 ) -> tuple[float, dict[str, bytes]]:
     """Execute one run; returns (elapsed seconds, last output bytes per node)."""
+    load_http_client()  # before the clock, so a first run does not time the import
     start = time.perf_counter()
     endpoints = {node.id: node.endpoint for node in spec.nodes}
     outputs: dict[str, bytes] = {}

@@ -17,17 +17,14 @@ CoverageError, since there is no measurement to score, not even a failed one.
 from __future__ import annotations
 
 import os
-import socket
 import struct
 import sys
 import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, KeysView, Optional, Protocol
-from urllib.error import HTTPError
 
-from .errors import RegionRankError, decode_json, http_body
+from .errors import RegionRankError, decode_json, http_body, load_http_client
 from .geo import GeoResolutionError, GeoResolver, haversine_km
 from .regions import Region
 from .workflow import ServiceNode
@@ -158,6 +155,8 @@ class LiveProbe:
         self.deadline_s = deadline_s
 
     def _ping_once(self, address: str, seq: int) -> float:
+        import socket  # deferred: only live probing opens sockets
+
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM, socket.IPPROTO_ICMP) as sock:
             sock.settimeout(self.deadline_s)
             ident = os.getpid() & 0xFFFF
@@ -171,11 +170,15 @@ class LiveProbe:
             return (time.perf_counter() - start) * 1000.0
 
     def _tcp_once(self, address: str, port: int) -> float:
+        import socket  # deferred: only live probing opens sockets
+
         start = time.perf_counter()
         with socket.create_connection((address, port), timeout=self.deadline_s):
             return (time.perf_counter() - start) * 1000.0
 
     def measure_latency(self, region: Region, host: str, k: int) -> float:
+        import socket  # deferred: only live probing opens sockets
+
         name, port = _split_host(host)
         try:
             family, _, _, _, sockaddr = socket.getaddrinfo(name, None, type=socket.SOCK_STREAM)[0]
@@ -198,6 +201,9 @@ class LiveProbe:
         return sum(samples) / len(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
+        load_http_client()  # before the clock, so a first probe does not time the import
+        from urllib.error import HTTPError  # deferred, as in errors.http_body
+
         start = time.perf_counter()
         try:
             http_body(url, self.deadline_s, ProbeError)
@@ -305,6 +311,10 @@ def gather_metric_matrix(
         except ProbeError:
             rtt = None
         return latency, rtt
+
+    # deferred: concurrent.futures loads logging, and most imports of this
+    # module (simulate, verify) never gather
+    from concurrent.futures import ThreadPoolExecutor
 
     pairs = [(region, host) for region in to_probe for host in targets]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
