@@ -7,33 +7,18 @@ therefore yields 2H + T edges, every one of them with R at one end.
 
 So a region's score on any channel m is sum_h w_h * m(R, h), where w_h counts
 the edges whose far end is host h. The weight vector w depends only on the
-workflow: its edges are listed once per workflow, when the WorkflowSpec is
-validated, and every region shares them.
+workflow: it is WorkflowSpec.host_weights, derived once when the workflow is
+validated, and every region's graph shares it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 from .metrics import FAILURE_SENTINEL_MS, MetricMatrix
 from .regions import Region
 from .workflow import WorkflowSpec
-
-
-def candidate_peers(spec: WorkflowSpec) -> list[str]:
-    """Host at the far end of each candidate edge, in edge order.
-
-    Every hop (u, v) contributes host(u) (u -> R) then host(v) (R -> v); then
-    every node with no outgoing hop contributes its return edge (t -> R).
-    """
-    return list(spec.edge_peers)
-
-
-def host_weights(spec: WorkflowSpec) -> Counter[str]:
-    """Per-host weight vector: how many candidate edges end at each host."""
-    return Counter(spec.edge_peers)
 
 
 @dataclass(frozen=True)
@@ -46,12 +31,7 @@ class CandidateGraph:
 
 def build_candidate_graph(spec: WorkflowSpec, region: Region) -> CandidateGraph:
     """The transfers a workflow would route through one region."""
-    return CandidateGraph(region, host_weights(spec))
-
-
-def processor_invocations(spec: WorkflowSpec) -> int:
-    """How many hop deliveries trigger processing work (target is a processor)."""
-    return spec.invocations
+    return CandidateGraph(region, spec.host_weights)
 
 
 def total_weight(graph: CandidateGraph, channel: str, matrix: MetricMatrix) -> float:

@@ -24,6 +24,8 @@ from .workflow import ROLE_SOURCE, WorkflowSpec
 
 DEFAULT_RUN_TIMEOUT_S = 30.0
 DEFAULT_BODY_CAP = 64 * 1024 * 1024
+# how often serve_forever checks for shutdown; close() waits up to one interval
+_SHUTDOWN_POLL_S = 0.05
 
 
 class WorkflowRunError(RegionRankError):
@@ -135,7 +137,7 @@ class _LocalService:
 
     def __init__(self, server: ThreadingHTTPServer):
         self._server = server
-        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=server.serve_forever, args=(_SHUTDOWN_POLL_S,), daemon=True)
         self._thread.start()
 
     @property

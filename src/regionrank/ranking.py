@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .candidate import CandidateGraph, host_weights, total_weight
+from .candidate import CandidateGraph, build_candidate_graph, total_weight
 from .errors import RegionRankError
 from .metrics import MetricMatrix
 from .regions import Region, RegionCatalog
@@ -58,8 +58,7 @@ def _prefilter(
     """Distance table over every region, and the graphs of the top n regions."""
     if n < 1:
         raise ValueError("prefilter size must be at least 1")
-    weights = host_weights(spec)
-    graphs = {region.id: CandidateGraph(region, weights) for region in catalog}
+    graphs = {region.id: build_candidate_graph(spec, region) for region in catalog}
     table = _sorted_table(
         {region_id: total_weight(graph, "distance", matrix) for region_id, graph in graphs.items()}
     )

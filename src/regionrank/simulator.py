@@ -130,8 +130,8 @@ def _transfer_s(env: SimEnvironment, data_mb: float) -> float:
 
 
 def _locate_peers(env: SimEnvironment, spec: WorkflowSpec) -> dict[str, GeoPoint]:
-    """Each distinct candidate peer's point, located in the order of its first edge."""
-    return {peer: env.locate(peer) for peer in spec.distinct_peers}
+    """Each host of spec.host_weights located, in the order of its first edge."""
+    return {peer: env.locate(peer) for peer in spec.host_weights}
 
 
 def _execution_time(
@@ -145,8 +145,8 @@ def _execution_time(
 ) -> float:
     """sim_execution_time, given every host's point and the per-edge transfer seconds.
 
-    `origin` is the orchestrator host's point and `peers` maps each of
-    spec.distinct_peers to its point: the caller locates each host once.
+    `origin` is the orchestrator host's point and `peers` maps each host of
+    spec.host_weights to its point: the caller locates each host once.
     Each distinct peer's base latency is computed once; edges are still
     summed one by one in edge order.
     """
@@ -200,8 +200,9 @@ def best_region_oracle(
     """Brute-force ground truth: simulate every region, pick the fastest.
 
     Returns (best region id, full (id, seconds) table sorted fastest first,
-    ties broken by id). It walks every candidate edge of every region and
-    never reads host_weights, so it stays an independent check of ranking.
+    ties broken by id). It sums spec.edge_peers one edge at a time for every
+    region and reads no weight of spec.host_weights, only its hosts, so it
+    stays an independent check of the ranking's weighted sums.
     The spec's peers are located once per sweep, right after the first
     region's probe host, so a missing host fails as it would in a sweep that
     located every host per region: in catalog order, then in edge order.

@@ -89,9 +89,12 @@ class WorkflowSpec:
     * hop_order, the order a run sends the hops in: by the longest hop path
       to each hop's from-node, then in file order.
     * edge_peers, the host at the far end of each candidate edge, in edge
-      order (see candidate.candidate_peers).
-    * distinct_peers, the distinct edge_peers, in the order of their first
-      edge.
+      order. Each hop (u, v) is two edges, u -> R then R -> v, ending at
+      host(u) then host(v); each node without successors, in node order,
+      adds its return edge.
+    * host_weights, how many candidate edges end at each host, in the order
+      of each host's first edge: the weight vector w of every region's score
+      sum_h w_h * m(R, h).
     * invocations, how many hops deliver to a processor.
     """
 
@@ -100,7 +103,7 @@ class WorkflowSpec:
     hops: tuple[tuple[str, str], ...]
     hop_order: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
     edge_peers: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    distinct_peers: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    host_weights: Counter[str] = field(init=False, repr=False, compare=False)
     invocations: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,17 +151,13 @@ class WorkflowSpec:
         self._derive(successors)
 
     def _derive(self, successors: dict[str, list[str]]):
-        """Set the candidate-edge values from the validated nodes and hops.
-
-        Each hop (u, v) is two edges, ending at host(u) then host(v); each
-        node without successors, in node order, adds its return edge.
-        """
+        """Set the candidate-edge values from the validated nodes and hops."""
         nodes = {node.id: node for node in self.nodes}
         hosts = {node_id: node.host for node_id, node in nodes.items()}
         peers = [hosts[end] for hop in self.hops for end in hop]
         peers += [hosts[node_id] for node_id, after in successors.items() if not after]
         object.__setattr__(self, "edge_peers", tuple(peers))
-        object.__setattr__(self, "distinct_peers", tuple(dict.fromkeys(peers)))
+        object.__setattr__(self, "host_weights", Counter(peers))
         object.__setattr__(
             self, "invocations", sum(1 for _, v in self.hops if nodes[v].role == ROLE_PROCESSOR)
         )

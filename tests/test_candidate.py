@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import dag_specs
-from regionrank.candidate import (
-    build_candidate_graph,
-    candidate_peers,
-    host_weights,
-    processor_invocations,
-    total_weight,
-)
+from regionrank.candidate import build_candidate_graph, total_weight
 from regionrank.geo import GeoPoint
 from regionrank.metrics import FAILURE_SENTINEL_MS, MetricMatrix
 from regionrank.regions import Region
@@ -31,14 +25,14 @@ def latency_matrix(values, region_id="r-east"):
 
 def test_sequential_chain_star_shape():
     # s -> R, R -> p1, p1 -> R, R -> p2, then p2's return edge p2 -> R
-    assert candidate_peers(CHAIN3) == ["s.test", "p1.test", "p1.test", "p2.test", "p2.test"]
-    assert host_weights(CHAIN3) == {"s.test": 1, "p1.test": 2, "p2.test": 2}
+    assert CHAIN3.edge_peers == ("s.test", "p1.test", "p1.test", "p2.test", "p2.test")
+    assert CHAIN3.host_weights == {"s.test": 1, "p1.test": 2, "p2.test": 2}
 
 
 def test_source_only_single_return_edge():
     spec = parse_workflow("http://s.test/\n", format="lines")
-    assert candidate_peers(spec) == ["s.test"]
-    assert host_weights(spec) == {"s.test": 1}
+    assert spec.edge_peers == ("s.test",)
+    assert spec.host_weights == {"s.test": 1}
 
 
 def test_two_source_join_counts_inbound_per_hop():
@@ -52,8 +46,8 @@ def test_two_source_join_counts_inbound_per_hop():
         "hops": [["s1", "p"], ["s2", "p"]],
     }
     spec = parse_workflow(json.dumps(doc), format="dag")
-    assert candidate_peers(spec) == ["s1.test", "p.test", "s2.test", "p.test", "p.test"]
-    assert host_weights(spec) == {"s1.test": 1, "s2.test": 1, "p.test": 3}
+    assert spec.edge_peers == ("s1.test", "p.test", "s2.test", "p.test", "p.test")
+    assert spec.host_weights == {"s1.test": 1, "s2.test": 1, "p.test": 3}
 
 
 def test_edge_count_is_two_hops_plus_terminals():
@@ -61,13 +55,13 @@ def test_edge_count_is_two_hops_plus_terminals():
     for seed in range(10):
         spec = generate_random_workflow(pool, length=6, seed=seed, source="http://src.test/")
         terminals = len(spec.nodes) - len({u for u, _ in spec.hops})
-        assert len(candidate_peers(spec)) == 2 * len(spec.hops) + terminals
+        assert len(spec.edge_peers) == 2 * len(spec.hops) + terminals
 
 
-def test_processor_invocations_counts_processor_targets():
-    assert processor_invocations(CHAIN3) == 2
+def test_invocations_count_processor_targets():
+    assert CHAIN3.invocations == 2
     spec = parse_workflow("http://s.test/\n", format="lines")
-    assert processor_invocations(spec) == 0
+    assert spec.invocations == 0
 
 
 def test_total_weight_sequential_example():
@@ -153,7 +147,7 @@ def test_monotonicity_in_single_entry():
 @given(dag_specs())
 def test_host_weights_count_two_per_hop_plus_terminals(spec):
     terminals = len(spec.nodes) - len({u for u, _ in spec.hops})
-    assert sum(host_weights(spec).values()) == 2 * len(spec.hops) + terminals
+    assert sum(spec.host_weights.values()) == 2 * len(spec.hops) + terminals
 
 
 @given(
@@ -170,7 +164,7 @@ def test_total_weight_equals_per_edge_sum(spec, channel, values):
     distances = {("r-east", host): v for host, v in values.items()}
     matrix = MetricMatrix(distances=distances, probes={key: (v, v) for key, v in distances.items()})
     per_edge = sum(
-        FAILURE_SENTINEL_MS if values[peer] is None else values[peer] for peer in candidate_peers(spec)
+        FAILURE_SENTINEL_MS if values[peer] is None else values[peer] for peer in spec.edge_peers
     )
     score = total_weight(build_candidate_graph(spec, REGION), channel, matrix)
     assert score == pytest.approx(per_edge, rel=1e-9)

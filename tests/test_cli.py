@@ -418,6 +418,26 @@ def test_verify_sim_noisy_worked_example(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [
+    rank_args(**{"--env": None}),
+    ["verify", "--mode", "sim", "--workflow", WORKED_WORKFLOW,
+     "--vantage-a", "ec2.us-east-1.amazonaws.com", "--vantage-b", "ec2.eu-west-1.amazonaws.com"],
+], ids=["rank", "verify"])
+def test_seed_option_replaces_the_environment_seed(tmp_path, capsys, command):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env["noise_sigma_ms"] = 20.0  # every simulated sample draws seeded noise
+
+    def output(seed, *extra):
+        path = tmp_path / f"env-{seed}.json"
+        path.write_text(json.dumps({**env, "seed": seed}))
+        assert main([*command, "--env", str(path), *extra]) == EXIT_OK
+        return capsys.readouterr()
+
+    overridden = output(env["seed"], "--seed", "3")
+    assert overridden == output(3)
+    assert overridden.out != output(env["seed"]).out
+
+
 def test_verify_sim_derives_the_workflow_once(small_world, capsys, derivations):
     wf, env_file = small_world
     code = main([
@@ -649,4 +669,4 @@ def test_serve_subprocess_round_trip():
             pytest.fail(f"serve never came up: {last_error}")
     finally:
         proc.terminate()
-        proc.wait(timeout=10)
+        proc.communicate(timeout=10)  # waits, then closes both pipes

@@ -3,6 +3,7 @@ import math
 import re
 import socket
 import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -151,14 +152,16 @@ def test_get_root_is_probe_target_other_paths_404():
             assert resp.read() == b""
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(svc.url + "nope", timeout=10)
-        assert err.value.code == 404
+        with err.value:  # an HTTPError holds the open response
+            assert err.value.code == 404
 
 
 def test_oversized_body_rejected_with_413():
     with transform_service(body_cap=16) as svc:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(svc.url, b"x" * 17)
-        assert err.value.code == 413
+        with err.value:
+            assert err.value.code == 413
         # service stays up for well-sized requests
         assert post(svc.url, b"ok")[0] == 200
 
@@ -190,6 +193,18 @@ def test_payload_source_refuses_a_post_without_reading_the_body():
     status, _, headers = reply.partition(b"\r\n")
     assert status.startswith(b"HTTP/1.1 405")
     assert b"Connection: close" in headers
+
+
+@pytest.mark.parametrize("start", [transform_service, payload_source], ids=["transform", "payload"])
+def test_close_returns_well_within_the_default_shutdown_poll(start):
+    svc = start()
+    # after serving a request, serve_forever is back in its poll wait
+    with urllib.request.urlopen(svc.url, timeout=10) as resp:
+        resp.read()
+    began = time.perf_counter()
+    svc.close()
+    # socketserver's default poll interval is 0.5 s
+    assert time.perf_counter() - began < 0.25
 
 
 def test_unknown_mode_rejected():

@@ -132,6 +132,34 @@ def test_live_latency_tcp_fallback_on_explicit_port():
         assert 0.0 < ms < 1000.0
 
 
+def test_live_latency_falls_back_to_tcp_port_80_when_icmp_is_refused(monkeypatch):
+    # Linux refuses an unprivileged ICMP socket with EACCES when
+    # net.ipv4.ping_group_range excludes the caller
+    pings, connects = [], []
+
+    def refused_ping(address, seq):
+        pings.append((address, seq))
+        raise PermissionError(13, "Permission denied")
+
+    def timed_connect(address, port):
+        connects.append((address, port))
+        return float(len(connects))
+
+    probe = LiveProbe()
+    monkeypatch.setattr(probe, "_ping_once", refused_ping)
+    monkeypatch.setattr(probe, "_tcp_once", timed_connect)
+    assert probe.measure_latency(REGION, "127.0.0.1", k=3) == pytest.approx(2.0)  # mean of 1, 2, 3
+    assert pings == [("127.0.0.1", 0)]
+    assert connects == [("127.0.0.1", 80)] * 3
+
+
+def test_live_latency_uses_icmp_alone_when_it_answers(monkeypatch):
+    probe = LiveProbe()
+    monkeypatch.setattr(probe, "_ping_once", lambda address, seq: 10.0 * (seq + 1))
+    monkeypatch.setattr(probe, "_tcp_once", lambda address, port: pytest.fail("TCP connect after ICMP answered"))
+    assert probe.measure_latency(REGION, "127.0.0.1", k=3) == pytest.approx(20.0)
+
+
 def test_live_latency_over_ipv6_uses_tcp():
     try:
         server = socket.create_server(("::1", 0), family=socket.AF_INET6)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import regionrank.simulator
 from conftest import dag_specs, gather_sim, make_consistent_case
-from regionrank.candidate import build_candidate_graph, candidate_peers, processor_invocations, total_weight
+from regionrank.candidate import build_candidate_graph, total_weight
 from regionrank.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import (
@@ -243,9 +243,9 @@ def per_edge_execution_time(env, spec, orchestrator_host, data_mb, run):
     """The execution-time model as a plain loop: one sim_latency call per candidate edge."""
     transfer_s = data_mb * 8.0 / env.bandwidth_mbps
     total = 0.0
-    for i, peer in enumerate(candidate_peers(spec)):
+    for i, peer in enumerate(spec.edge_peers):
         total += sim_latency(env, orchestrator_host, peer, sample=f"run{run}/edge{i}") / 1000.0 + transfer_s
-    total += env.processing_s * processor_invocations(spec)
+    total += env.processing_s * spec.invocations
     return total
 
 
@@ -308,8 +308,8 @@ def test_oracle_sweep_computes_each_pair_once(monkeypatch, derivations):
     monkeypatch.setattr(regionrank.simulator, "haversine_km", counting_haversine)
     best_region_oracle(env, spec, catalog)
 
-    hosts = len(set(candidate_peers(spec)))
-    assert hosts < len(candidate_peers(spec))  # hosts repeat, so per-edge work would cost more
+    hosts = len(set(spec.edge_peers))
+    assert hosts < len(spec.edge_peers)  # hosts repeat, so per-edge work would cost more
     assert len(haversines) == len(catalog.regions) * hosts
     assert len(derivations) == 1 and derivations[0] is spec  # when the spec was made
 

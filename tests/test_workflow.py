@@ -410,7 +410,8 @@ def test_specs_parsed_from_the_same_text_compare_and_hash_equal():
     assert first == second and hash(first) == hash(second)
     hosts = ("wikimedia.org", "planetlab-03.cs.princeton.edu", "cs-planetlab4.cs.surrey.sfu.ca")
     assert second.edge_peers == (hosts[0], hosts[1], hosts[1], hosts[2], hosts[2])
-    assert second.distinct_peers == hosts
+    assert second.host_weights == {hosts[0]: 1, hosts[1]: 2, hosts[2]: 2}
+    assert tuple(second.host_weights) == hosts  # in the order of each host's first edge
     assert second.invocations == 2
 
 
@@ -419,11 +420,12 @@ def test_replace_derives_the_values_again(derivations):
     renamed = replace(spec, name="renamed")
     shorter = replace(spec, nodes=spec.nodes[:2], hops=spec.hops[:1])
     assert [id(s) for s in derivations] == [id(spec), id(renamed), id(shorter)]
-    assert (renamed.edge_peers, renamed.distinct_peers, renamed.invocations) == (
-        spec.edge_peers, spec.distinct_peers, spec.invocations
+    assert (renamed.edge_peers, renamed.host_weights, renamed.invocations) == (
+        spec.edge_peers, spec.host_weights, spec.invocations
     )
     assert shorter.edge_peers == spec.edge_peers[:3]
-    assert shorter.distinct_peers == spec.distinct_peers[:2]
+    source, first = tuple(spec.host_weights)[:2]
+    assert list(shorter.host_weights.items()) == [(source, 1), (first, 2)]
     assert shorter.invocations == 1
 
 
