@@ -130,14 +130,14 @@ def cmd_rank(args) -> int:
         raise UsageError(f"--fail-threshold must be between 0 and 1, not {args.fail_threshold}")
     if args.mode == "sim":
         env = _load_sim_env(args)
-        probe, resolver = SimulatedProbe(env), env.resolver()
+        # a simulated probe never waits, so threads would only add overhead
+        probe, resolver, parallelism = SimulatedProbe(env), env.resolver(), 1
     else:
-        probe = LiveProbe()
-        resolver = _load_geo_resolver(args.geo)
+        probe, resolver, parallelism = LiveProbe(), _load_geo_resolver(args.geo), 8
     # distances for every region, then latency and rtt probes for the
     # prefilter's survivors only: --top-n is the probe budget
     matrix = gather_metric_matrix(
-        probe, resolver, catalog, distinct_nodes(spec), k=args.samples,
+        probe, resolver, catalog, distinct_nodes(spec), k=args.samples, parallelism=parallelism,
         probe_regions=lambda distances: geo_prefilter(spec, catalog, distances, args.top_n),
     )
     failed = matrix.failed_channels()

@@ -2,18 +2,22 @@
 
 Distances use the haversine formula on a sphere with the mean Earth radius;
 good to a fraction of a percent, which is plenty for ranking data centers.
+There is one formula: haversine_row computes the distances from one origin
+to many points, and haversine_km, a single pair, is a row of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Iterable, Mapping, Protocol
 
 from .errors import RegionRankError, decode_json
 
 # Mean Earth radius in kilometers.
 EARTH_RADIUS_KM = 6371.0
+# the factor math.radians multiplies by
+_RADIANS_PER_DEGREE = math.pi / 180
 
 
 class GeoResolutionError(RegionRankError):
@@ -68,14 +72,29 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
 
     Symmetric and non-negative; bounded by pi * EARTH_RADIUS_KM.
     """
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlat = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
+    return haversine_row(a, (b,))[0]
 
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    # Guard against tiny floating excursions above 1.0 near antipodes.
-    return EARTH_RADIUS_KM * 2 * math.asin(min(1.0, math.sqrt(h)))
+
+def haversine_row(origin: GeoPoint, points: Iterable[GeoPoint]) -> list[float]:
+    """haversine_km(origin, p) for each of points, in order: one row of distances.
+
+    The origin's cosine is taken once per row. Every other operation is the
+    one the single-pair formula has always made, in the same order, with
+    `x * _RADIANS_PER_DEGREE` for math.radians(x) (the product CPython's
+    math.radians computes), so each value is the same float to the last bit.
+    """
+    sin, cos, asin, sqrt = math.sin, math.cos, math.asin, math.sqrt
+    per_degree, diameter = _RADIANS_PER_DEGREE, EARTH_RADIUS_KM * 2
+    lat_a, lon_a = origin.lat, origin.lon
+    cos_a = cos(lat_a * per_degree)
+    row = []
+    for p in points:
+        root = sqrt(sin((p.lat - lat_a) * per_degree / 2) ** 2
+                    + cos_a * cos(p.lat * per_degree) * sin((p.lon - lon_a) * per_degree / 2) ** 2)
+        # min(1.0, root) without the call: guards against tiny floating
+        # excursions above 1.0 near antipodes
+        row.append(diameter * asin(root if root < 1.0 else 1.0))
+    return row
 
 
 class GeoResolver(Protocol):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, KeysView, Optional, Protocol
 
 from .errors import RegionRankError, decode_json, http_body, load_http_client
-from .geo import GeoResolutionError, GeoResolver, haversine_km
+from .geo import GeoResolutionError, GeoResolver, haversine_row
 from .regions import Region
 from .workflow import ServiceNode
 
@@ -271,7 +271,9 @@ def gather_metric_matrix(
 
     Channels fail independently: an unresolvable host only loses its distance
     channel, a dead HTTP endpoint only its rtt channel. Each distinct host is
-    probed once per region even when several workflow nodes share it.
+    probed once per region even when several workflow nodes share it. The
+    probes run on a pool of `parallelism` threads, or one after another in
+    the calling thread when parallelism is 1.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
@@ -290,11 +292,13 @@ def gather_metric_matrix(
         except GeoResolutionError:
             locations[host] = None
 
-    distances = {
-        (region.id, host): None if location is None else haversine_km(region.location, location)
-        for region in regions
-        for host, location in locations.items()
-    }
+    # one row of distances per region, to the located hosts, in host order
+    points = [location for location in locations.values() if location is not None]
+    distances = {}
+    for region in regions:
+        row = iter(haversine_row(region.location, points))
+        for host, location in locations.items():
+            distances[region.id, host] = None if location is None else next(row)
     to_probe = regions if probe_regions is None else list(probe_regions(MetricMatrix(distances, {})))
     unknown = {region.id for region in to_probe} - {region.id for region in regions}
     if unknown:
@@ -312,12 +316,15 @@ def gather_metric_matrix(
             rtt = None
         return latency, rtt
 
-    # deferred: concurrent.futures loads logging, and most imports of this
-    # module (simulate, verify) never gather
-    from concurrent.futures import ThreadPoolExecutor
-
     pairs = [(region, host) for region in to_probe for host in targets]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        measured = list(pool.map(probe_pair, pairs))
+    if parallelism == 1:
+        measured = list(map(probe_pair, pairs))
+    else:
+        # deferred: concurrent.futures loads logging, and a gather of one
+        # thread, like most imports of this module, never needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            measured = list(pool.map(probe_pair, pairs))
     probes = {(region.id, host): values for (region, host), values in zip(pairs, measured)}
     return MetricMatrix(distances=distances, probes=probes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import Union
 
 from .errors import RegionRankError, decode_json
-from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_km, parse_locations
+from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_row, parse_locations
 from .metrics import ProbeError
 from .regions import Region, RegionCatalog
 from .workflow import WorkflowSpec, endpoint_host
@@ -36,7 +36,9 @@ class SimEnvironment:
     latency_overrides pins specific host pairs to a fixed one-way latency in
     ms (symmetric); every other pair costs base_latency_per_km times the
     great-circle distance. Keys may be given as (a, b) tuples or "a|b"
-    strings and are normalised to sorted tuples.
+    strings and are normalised to sorted tuples. `pinned` is derived from
+    them: each host's pinned peers, pinned[a][b] == pinned[b][a], so a row
+    of pairs from one host looks up its overrides without building keys.
     """
 
     node_locations: dict[str, GeoPoint] = field(default_factory=dict)
@@ -47,6 +49,7 @@ class SimEnvironment:
     processing_s: float = 0.0
     noise_sigma_ms: float = 0.0
     seed: int = 0
+    pinned: dict[str, dict[str, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "node_locations", dict(self.node_locations))
@@ -68,6 +71,11 @@ class SimEnvironment:
                 raise SimulationError(f"override for {pair!r} must be non-negative")
             normalized[pair] = value
         object.__setattr__(self, "latency_overrides", normalized)
+        pinned: dict[str, dict[str, float]] = {}
+        for (a, b), value in normalized.items():
+            pinned.setdefault(a, {})[b] = value
+            pinned.setdefault(b, {})[a] = value
+        object.__setattr__(self, "pinned", pinned)
         for name in ("base_latency_per_km", "bandwidth_mbps", "service_overhead_ms",
                      "processing_s", "noise_sigma_ms", "seed"):
             value = getattr(self, name)
@@ -97,17 +105,22 @@ def _noise_ms(env: SimEnvironment, pair: tuple[str, str], sample: Union[int, str
     return rng.gauss(0.0, env.noise_sigma_ms)
 
 
-def _base_latency(env: SimEnvironment, a: str, pa: GeoPoint, b: str, pb: GeoPoint) -> float:
-    """Noise-free one-way latency a<->b in ms, given both hosts' located points.
+def _base_row(env: SimEnvironment, a: str, pa: GeoPoint, peers: dict[str, GeoPoint]) -> dict[str, float]:
+    """Noise-free one-way latency in ms from a to each host of peers, given the located points.
 
-    The pair's override wins, else the distance-based latency. Callers locate
-    both hosts even when an override pins the pair; a typo in a host name
-    should fail loudly and not silently bypass the geography.
+    A pair's override wins, else base_latency_per_km times the distance; the
+    distances come from one row. Every base latency of the simulator comes
+    from here, so the override rule has one copy. Callers locate every host
+    even when an override pins the pair; a typo in a host name should fail
+    loudly and not silently bypass the geography.
     """
-    pair = _pair_key(a, b)
-    if pair in env.latency_overrides:
-        return env.latency_overrides[pair]
-    return env.base_latency_per_km * haversine_km(pa, pb)
+    rate, pinned = env.base_latency_per_km, env.pinned.get(a, {})
+    return {b: pinned.get(b, rate * km) for b, km in zip(peers, haversine_row(pa, peers.values()))}
+
+
+def _base_latency(env: SimEnvironment, a: str, pa: GeoPoint, b: str, pb: GeoPoint) -> float:
+    """Noise-free one-way latency a<->b in ms: a row of one of _base_row."""
+    return _base_row(env, a, pa, {b: pb})[b]
 
 
 def _add_noise(env: SimEnvironment, base: float, a: str, b: str, sample: Union[int, str]) -> float:
@@ -147,12 +160,10 @@ def _execution_time(
 
     `origin` is the orchestrator host's point and `peers` maps each host of
     spec.host_weights to its point: the caller locates each host once.
-    Each distinct peer's base latency is computed once; edges are still
-    summed one by one in edge order.
+    Each distinct peer's base latency is computed once, in one _base_row;
+    edges are still summed one by one in edge order.
     """
-    bases = {
-        peer: _base_latency(env, orchestrator_host, origin, peer, point) for peer, point in peers.items()
-    }
+    bases = _base_row(env, orchestrator_host, origin, peers)
     total = 0.0
     if env.noise_sigma_ms > 0:
         for i, peer in enumerate(spec.edge_peers):
@@ -227,13 +238,13 @@ class SimulatedProbe:
         self.env = env
 
     def measure_latency(self, region: Region, host: str, k: int) -> float:
+        env, source = self.env, region.probe_host
         try:
-            samples = [
-                sim_latency(self.env, region.probe_host, host, sample=f"lat{i}")
-                for i in range(k)
-            ]
+            base = _base_latency(env, source, env.locate(source), host, env.locate(host))
         except SimulationError as exc:
             raise ProbeError(str(exc)) from exc
+        # the k samples share the pair's base latency and differ only in noise
+        samples = [_add_noise(env, base, source, host, f"lat{i}") for i in range(k)]
         return sum(samples) / len(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
@@ -273,7 +284,7 @@ def load_env(text: str) -> SimEnvironment:
     A field left out takes the SimEnvironment default.
     """
     doc = decode_json(text, "environment file", SimulationError, dict)
-    unknown = set(doc) - {f.name for f in fields(SimEnvironment)}
+    unknown = set(doc) - {f.name for f in fields(SimEnvironment) if f.init}
     if unknown:
         raise SimulationError(f"unknown environment fields: {sorted(unknown)}")
     values = {}

@@ -18,7 +18,7 @@ import regionrank.metrics
 from conftest import DEEP_JSON, HOSTILE_REPLIES, gather_sim, make_consistent_case, raw_peer
 from regionrank.bundled import fixture_path
 from regionrank.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROBE_FAILURE, main
-from regionrank.geo import haversine_km
+from regionrank.geo import haversine_row
 from regionrank.harness import transform_service
 from regionrank.ranking import rank
 from regionrank.simulator import SimulatedProbe
@@ -152,12 +152,13 @@ def test_rank_gathers_once_and_computes_each_distance_once(monkeypatch, capsys):
         gathers.append(kwargs)
         return gather(*args, **kwargs)
 
-    def counted_haversine(a, b):
-        distances.append((a, b))
-        return haversine_km(a, b)
+    def counted_row(origin, points):
+        points = list(points)
+        distances.extend((origin, point) for point in points)
+        return haversine_row(origin, points)
 
     monkeypatch.setattr(regionrank.cli, "gather_metric_matrix", counted_gather)
-    monkeypatch.setattr(regionrank.metrics, "haversine_km", counted_haversine)
+    monkeypatch.setattr(regionrank.metrics, "haversine_row", counted_row)
     assert main(rank_args(**{"--top-n": "3"})) == EXIT_OK
     assert capsys.readouterr().out.rstrip().endswith("RECOMMENDED: us-east-1")
     assert len(gathers) == 1

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from regionrank.geo import (
     EARTH_RADIUS_KM,
@@ -10,6 +10,7 @@ from regionrank.geo import (
     GeoPoint,
     GeoResolutionError,
     haversine_km,
+    haversine_row,
 )
 
 points = st.builds(
@@ -62,6 +63,30 @@ def test_triangle_inequality(a, b, c):
     direct = haversine_km(a, c)
     detour = haversine_km(a, b) + haversine_km(b, c)
     assert direct <= detour + 1e-6 * max(1.0, detour)
+
+
+def reference_haversine_km(a, b):
+    """The single-pair formula before rows existed, kept to pin haversine_row to it."""
+    lat1 = math.radians(a.lat)
+    lat2 = math.radians(b.lat)
+    dlat = math.radians(b.lat - a.lat)
+    dlon = math.radians(b.lon - a.lon)
+
+    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    return EARTH_RADIUS_KM * 2 * math.asin(min(1.0, math.sqrt(h)))
+
+
+@example(GeoPoint(0, 0), [GeoPoint(0, 180)])  # antipodes
+@example(GeoPoint(90, 0), [GeoPoint(-90, 0), GeoPoint(90, 45)])  # both poles
+@example(GeoPoint(0, -180), [GeoPoint(0, 180), GeoPoint(-33.5, -180), GeoPoint(12.25, 180)])  # +-180 longitude
+@example(GeoPoint(48.8566, 2.3522), [GeoPoint(48.8566, 2.3522)])  # identical points
+@example(GeoPoint(5e-324, -1e-310), [GeoPoint(-5e-324, 1e-310)])  # subnormal degrees
+@example(GeoPoint(12.5, 7.0), [])  # an empty row
+@given(points, st.lists(points, max_size=8))
+def test_row_is_the_single_pair_formula_bit_for_bit(origin, row_points):
+    expected = [reference_haversine_km(origin, p).hex() for p in row_points]
+    assert [km.hex() for km in haversine_row(origin, row_points)] == expected
+    assert [haversine_km(origin, p).hex() for p in row_points] == expected
 
 
 @pytest.mark.parametrize("lat,lon", [(91, 0), (-90.5, 0), (0, 181), (0, -180.01)])

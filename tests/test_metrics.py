@@ -410,6 +410,20 @@ def test_gather_parallelism_does_not_change_results():
     assert list(serial.probes.items()) == list(parallel.probes.items())
 
 
+def test_gather_of_one_thread_probes_in_the_calling_thread():
+    regions, env = sim_setup()
+    threads = set()
+
+    class _ThreadNotingProbe(SimulatedProbe):
+        def measure_latency(self, region, host, k):
+            threads.add(threading.get_ident())
+            return super().measure_latency(region, host, k)
+
+    gather_metric_matrix(_ThreadNotingProbe(env), env.resolver(), regions, distinct_nodes(WORKFLOW),
+                         parallelism=1)
+    assert threads == {threading.get_ident()}
+
+
 class _FailingProbe(_StaticProbe):
     def measure_latency(self, region, host, k):
         if host == "down.test":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,10 +8,11 @@ from hypothesis import given, strategies as st
 import regionrank.simulator
 from conftest import dag_specs, gather_sim, make_consistent_case
 from regionrank.candidate import build_candidate_graph, total_weight
-from regionrank.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km
+from regionrank.geo import EARTH_RADIUS_KM, GeoPoint, haversine_km, haversine_row
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import (
     SimEnvironment,
+    SimulatedProbe,
     SimulationError,
     best_region_oracle,
     load_env,
@@ -297,15 +299,49 @@ def test_execution_time_equals_the_per_edge_sum(spec, world, data_mb, run):
     assert best_region_oracle(env, spec, catalog, data_mb) == (table[0][0], table)
 
 
+@given(sim_worlds(), st.sampled_from(_SIM_HOSTS), st.integers(1, 5))
+def test_probe_latency_is_the_mean_of_per_sample_latencies(world, host, k):
+    env, catalog = world
+    for region in catalog:
+        samples = [sim_latency(env, region.probe_host, host, sample=f"lat{i}") for i in range(k)]
+        assert SimulatedProbe(env).measure_latency(region, host, k).hex() == (sum(samples) / len(samples)).hex()
+
+
+@given(sim_worlds())
+def test_every_base_latency_is_the_pinned_value_or_the_distance(world):
+    """The simulator's one override rule, against the rule spelled out pair by pair."""
+    env, _ = world
+    quiet = dataclasses.replace(env, noise_sigma_ms=0.0)
+    located = {host: env.locate(host) for host in _SIM_HOSTS}
+    for a in _SIM_HOSTS:
+        expected = {}
+        for b in _SIM_HOSTS:
+            pair = (a, b) if a <= b else (b, a)
+            expected[b] = (env.latency_overrides[pair] if pair in env.latency_overrides
+                           else env.base_latency_per_km * haversine_km(located[a], located[b]))
+            assert sim_latency(quiet, a, b) == expected[b]
+        assert regionrank.simulator._base_row(env, a, located[a], located) == expected
+
+
+def test_pinned_is_derived_from_the_overrides():
+    env = SimEnvironment(latency_overrides={"b.test|a.test": 7.0, ("a.test", "a.test"): 0.0})
+    assert env.pinned == {"a.test": {"b.test": 7.0, "a.test": 0.0}, "b.test": {"a.test": 7.0}}
+    assert env == SimEnvironment(latency_overrides={("a.test", "b.test"): 7.0, "a.test|a.test": 0.0})
+    assert dataclasses.replace(env, latency_overrides={}).pinned == {}
+    with pytest.raises(SimulationError, match="unknown"):
+        load_env('{"pinned": {}}')
+
+
 def test_oracle_sweep_computes_each_pair_once(monkeypatch, derivations):
     spec, catalog, env = make_consistent_case(seed=11)
     haversines = []
 
-    def counting_haversine(a, b):
-        haversines.append((a, b))
-        return haversine_km(a, b)
+    def counting_row(origin, points):
+        points = list(points)
+        haversines.extend((origin, point) for point in points)
+        return haversine_row(origin, points)
 
-    monkeypatch.setattr(regionrank.simulator, "haversine_km", counting_haversine)
+    monkeypatch.setattr(regionrank.simulator, "haversine_row", counting_row)
     best_region_oracle(env, spec, catalog)
 
     hosts = len(set(spec.edge_peers))
