@@ -1,9 +1,10 @@
 """Pre-deployment placement ranking for HTTP service workflows.
 
 Given a workflow of HTTP services and a catalog of candidate cloud regions,
-this package measures (or simulates) per-region network metrics, expands the
-workflow into per-region candidate transfer graphs, and ranks the regions by
-a combined latency/RTT score to suggest where to host the orchestrator.
+this package measures (or simulates) one row of network metrics per region,
+weights each host by the workflow's candidate transfers that end there, and
+ranks the regions by a combined latency/RTT score to suggest where to host
+the orchestrator.
 """
 
 from .errors import RegionRankError

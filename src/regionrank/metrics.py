@@ -7,11 +7,13 @@ workflow host:
 * ``latency``: network round-trip in ms (ICMP echo, TCP-connect fallback)
 * ``rtt``: full HTTP GET round-trip in ms
 
-A failed channel is stored as None and later replaced by a large sentinel
-during scoring so broken regions sink to the bottom of rankings instead of
-aborting the run. A pair can also be left unprobed: it then carries only its
-distance, and reading its latency or rtt through MetricMatrix.column raises
-CoverageError, since there is no measurement to score, not even a failed one.
+A MetricMatrix keeps one row per region, one value per host, and scores
+every region with one weighted sum over its row. A failed channel is stored
+as None and later replaced by a large sentinel during scoring so broken
+regions sink to the bottom of rankings instead of aborting the run. A region
+can also be left unprobed: it then carries only its distances, and reading
+its latency or rtt raises CoverageError, since there is no measurement to
+score, not even a failed one.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import struct
 import sys
 import time
 import urllib.parse
-from dataclasses import dataclass
-from typing import Callable, Iterable, KeysView, Optional, Protocol
+from collections.abc import Set
+from dataclasses import dataclass, field
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .errors import RegionRankError, decode_json, http_body, load_http_client
 from .geo import GeoResolutionError, GeoResolver, haversine_row
@@ -30,7 +33,7 @@ from .regions import Region
 from .workflow import ServiceNode
 
 CHANNELS = ("distance", "latency", "rtt")
-# where each probed channel sits in a MetricMatrix.probes value
+# where each probed channel sits in a MetricMatrix.probes row's pairs
 _PROBE_SLOTS = {"latency": 0, "rtt": 1}
 
 # Score assigned to a failed channel: large enough to dominate any plausible
@@ -49,27 +52,86 @@ class CoverageError(RegionRankError):
     """The metric matrix is missing a (region, host) pair a caller needs."""
 
 
+Row = Sequence[Optional[float]]
+ProbeRow = Sequence[tuple[Optional[float], Optional[float]]]
+
+
 @dataclass(frozen=True)
 class MetricMatrix:
-    """All gathered measurements, keyed by (region id, host), in two maps.
+    """All gathered measurements, as one row per region over one tuple of hosts.
 
-    distances holds every gathered pair's distance in km, None where the
-    host could not be located. probes holds (latency_ms, rtt_ms) for the
-    probed pairs only, None marking a failed channel; a pair missing from it
-    was not probed. Every probed pair also has a distance.
+    hosts are the distinct workflow hosts; column i of every row belongs to
+    hosts[i]. distances maps each gathered region id to its row of km, None
+    where the host could not be located. probes maps each probed region id to
+    its row of (latency_ms, rtt_ms), None marking a failed channel; a region
+    missing from it was not probed. Every probed region also has distances.
+    from_pairs builds a matrix from maps keyed by (region id, host).
     """
 
-    distances: dict[tuple[str, str], Optional[float]]
-    probes: dict[tuple[str, str], tuple[Optional[float], Optional[float]]]
+    hosts: tuple[str, ...]
+    distances: dict[str, Row]
+    probes: dict[str, ProbeRow]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.probes.keys() <= self.distances.keys():
+            raise ValueError("every probed region must also have a row of distances")
+        index = {host: column for column, host in enumerate(self.hosts)}
+        if len(index) != len(self.hosts):
+            raise ValueError("matrix hosts must be distinct")
+        if any(len(row) != len(index) for rows in (self.distances, self.probes) for row in rows.values()):
+            raise ValueError(f"every row must hold one value per host ({len(index)})")
+        object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def from_pairs(
+        cls,
+        distances: Mapping[tuple[str, str], Optional[float]],
+        probes: Mapping[tuple[str, str], tuple[Optional[float], Optional[float]]],
+    ) -> "MetricMatrix":
+        """The matrix of maps keyed by (region id, host).
+
+        Regions and hosts take the order of their first pair in distances.
+        Every region needs a distance to every host, a probed pair a distance,
+        and a probed region a probe of every host; ValueError otherwise.
+        """
+        if not probes.keys() <= distances.keys():
             raise ValueError("every probed pair must also have a distance")
+        hosts = tuple(dict.fromkeys(host for _, host in distances))
+        try:
+            return cls(
+                hosts,
+                {region_id: [distances[region_id, host] for host in hosts]
+                 for region_id in dict.fromkeys(region_id for region_id, _ in distances)},
+                {region_id: [probes[region_id, host] for host in hosts]
+                 for region_id in dict.fromkeys(region_id for region_id, _ in probes)},
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"no value for the pair {exc.args[0]!r}: a matrix holds every host of each "
+                "region, and probes every host of a probed region"
+            ) from None
 
     @property
-    def entries(self) -> KeysView[tuple[str, str]]:
-        """Read-only view of the gathered (region id, host) pairs, in distances order."""
-        return self.distances.keys()
+    def entries(self) -> AbstractSet[tuple[str, str]]:
+        """Read-only view of the gathered (region id, host) pairs, region by region in host order."""
+        return _Pairs(self)
+
+    def _row(self, region_id: str, channel: str) -> Row:
+        """region_id's row of one channel; empty if the region has none."""
+        if channel == "distance":
+            return self.distances.get(region_id, ())
+        slot = _PROBE_SLOTS[channel]
+        return [measured[slot] for measured in self.probes.get(region_id, ())]
+
+    def _check_coverage(self, region_id: str, hosts: Iterable[str], channel: str) -> None:
+        """Raise CoverageError for the first of hosts whose pair has no value of channel."""
+        for host in hosts:
+            pair = f"region {region_id!r} and host {host!r}"
+            if host not in self._index or region_id not in self.distances:
+                raise CoverageError(f"matrix has no entry for {pair}")
+            if channel != "distance" and region_id not in self.probes:
+                raise CoverageError(f"the {channel} channel of {pair} was not probed")
 
     def column(self, region_id: str, hosts: Iterable[str], channel: str) -> list[Optional[float]]:
         """One channel of (region_id, host) for each host, in order; None marks a failure.
@@ -79,33 +141,80 @@ class MetricMatrix:
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
         hosts = list(hosts)
-        try:
-            if channel == "distance":
-                return [self.distances[region_id, host] for host in hosts]
-            slot = _PROBE_SLOTS[channel]
-            return [self.probes[region_id, host][slot] for host in hosts]
-        except KeyError:
-            for host in hosts:  # name the first missing value
-                pair = f"region {region_id!r} and host {host!r}"
-                if (region_id, host) not in self.distances:
-                    raise CoverageError(f"matrix has no entry for {pair}") from None
-                if channel != "distance" and (region_id, host) not in self.probes:
-                    raise CoverageError(f"the {channel} channel of {pair} was not probed") from None
-            raise
+        self._check_coverage(region_id, hosts, channel)
+        row = self._row(region_id, channel)
+        return [row[self._index[host]] for host in hosts]
+
+    def weighted_sums(
+        self, weights: Mapping[str, int], region_ids: Iterable[str], channel: str
+    ) -> list[float]:
+        """sum_h w_h * m(R, h) of one channel m for each region R of region_ids, in order.
+
+        weights maps each host h to w_h, the number of edges that end there
+        (WorkflowSpec.host_weights). Each row is summed in weights order, so
+        a total is the float that adding up the (R, h) pairs in that order
+        gives. A failed channel counts FAILURE_SENTINEL_MS per edge, so
+        incomplete regions rank last rather than looking free. Raises
+        CoverageError for the first region, and its first host in weights
+        order, that has no value of the channel.
+        """
+        if channel not in CHANNELS:
+            raise ValueError(f"unknown channel {channel!r}")
+        index = self._index
+        columns = [(index[host], count) for host, count in weights.items() if host in index]
+        rows = self.distances if channel == "distance" else self.probes
+        sums = []
+        for region_id in region_ids:
+            if len(columns) < len(weights) or region_id not in rows:
+                self._check_coverage(region_id, weights, channel)
+            row = self._row(region_id, channel)
+            total = 0.0
+            for column, count in columns:
+                value = row[column]
+                total += count * (FAILURE_SENTINEL_MS if value is None else value)
+            sums.append(total)
+        return sums
 
     def attempted_channels(self) -> int:
         """How many channels were measured or tried: 1 per pair, 3 per probed pair."""
-        return len(self.distances) + 2 * len(self.probes)
+        return len(self.hosts) * (len(self.distances) + 2 * len(self.probes))
 
     def failed_channels(self) -> list[tuple[str, str, str]]:
         """(region, host, channel) triples whose measurement failed, sorted.
 
-        Channels of unprobed pairs were never tried, so they never fail.
+        Channels of unprobed regions were never tried, so they never fail.
         """
-        failed = [key + ("distance",) for key, km in self.distances.items() if km is None]
-        for key, measured in self.probes.items():
-            failed += [key + (channel,) for channel, value in zip(_PROBE_SLOTS, measured) if value is None]
+        failed = [
+            (region_id, host, "distance")
+            for region_id, row in self.distances.items()
+            for host, km in zip(self.hosts, row) if km is None
+        ]
+        for region_id, row in self.probes.items():
+            for host, measured in zip(self.hosts, row):
+                failed += [
+                    (region_id, host, channel)
+                    for channel, value in zip(_PROBE_SLOTS, measured) if value is None
+                ]
         return sorted(failed)
+
+
+class _Pairs(Set):
+    """The (region id, host) pairs of a matrix as a read-only set, in MetricMatrix.entries order."""
+
+    def __init__(self, matrix: MetricMatrix):
+        self._matrix = matrix
+
+    def __len__(self) -> int:
+        return len(self._matrix.distances) * len(self._matrix.hosts)
+
+    def __contains__(self, pair) -> bool:
+        return (isinstance(pair, tuple) and len(pair) == 2
+                and pair[0] in self._matrix.distances and pair[1] in self._matrix._index)
+
+    def __iter__(self):
+        for region_id in self._matrix.distances:
+            for host in self._matrix.hosts:
+                yield region_id, host
 
 
 class Probe(Protocol):
@@ -118,6 +227,18 @@ class Probe(Protocol):
     def measure_http_rtt(self, region: Region, url: str) -> float:
         """One full HTTP GET round-trip region->url, in ms."""
         ...
+
+
+def _mean(samples: list[float]) -> float:
+    """Mean of samples, added left to right from 0.0: the same float on every Python.
+
+    Python 3.12 made sum() of floats compensated, so sum(samples) / len(samples)
+    can differ in its last bit between Python versions.
+    """
+    total = 0.0
+    for sample in samples:
+        total += sample
+    return total / len(samples)
 
 
 def _split_host(host: str) -> tuple[str, Optional[int]]:
@@ -198,7 +319,7 @@ class LiveProbe:
                 samples.append(self._tcp_once(address, port or 80))
             except OSError as exc:
                 raise ProbeError(f"latency probe to {host!r} failed: {exc}") from exc
-        return sum(samples) / len(samples)
+        return _mean(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
         load_http_client()  # before the clock, so a first probe does not time the import
@@ -265,9 +386,10 @@ def gather_metric_matrix(
     """Measure every channel for every (region, distinct host) pair.
 
     Distances come from geolocation alone and are computed once for every
-    region. probe_regions, when given, is called once with the distance-only
-    matrix and returns the regions whose latency and rtt are probed (default:
-    all of them); the other regions' pairs are left unprobed.
+    region, one row per region. probe_regions, when given, is called once
+    with the distance-only matrix and returns the regions whose latency and
+    rtt are probed (default: all of them); the other regions are left
+    unprobed.
 
     Channels fail independently: an unresolvable host only loses its distance
     channel, a dead HTTP endpoint only its rtt channel. Each distinct host is
@@ -285,21 +407,25 @@ def gather_metric_matrix(
     for node in nodes:
         targets.setdefault(node.host, node.endpoint)
 
-    locations = {}
-    for host in targets:
+    hosts = tuple(targets)
+    locations = []
+    for host in hosts:
         try:
-            locations[host] = resolver.resolve(host)
+            locations.append(resolver.resolve(host))
         except GeoResolutionError:
-            locations[host] = None
+            locations.append(None)
 
-    # one row of distances per region, to the located hosts, in host order
-    points = [location for location in locations.values() if location is not None]
+    # one row of distances per region: the row to the located hosts, with
+    # None put back in the column of each host that has no location
+    points = [location for location in locations if location is not None]
+    unlocated = [column for column, location in enumerate(locations) if location is None]
     distances = {}
     for region in regions:
-        row = iter(haversine_row(region.location, points))
-        for host, location in locations.items():
-            distances[region.id, host] = None if location is None else next(row)
-    to_probe = regions if probe_regions is None else list(probe_regions(MetricMatrix(distances, {})))
+        row = haversine_row(region.location, points)
+        for column in unlocated:
+            row.insert(column, None)
+        distances[region.id] = row
+    to_probe = regions if probe_regions is None else list(probe_regions(MetricMatrix(hosts, distances, {})))
     unknown = {region.id for region in to_probe} - {region.id for region in regions}
     if unknown:
         raise ValueError(f"regions to probe are not among the gathered regions: {sorted(unknown)}")
@@ -316,7 +442,7 @@ def gather_metric_matrix(
             rtt = None
         return latency, rtt
 
-    pairs = [(region, host) for region in to_probe for host in targets]
+    pairs = [(region, host) for region in to_probe for host in hosts]
     if parallelism == 1:
         measured = list(map(probe_pair, pairs))
     else:
@@ -326,5 +452,7 @@ def gather_metric_matrix(
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             measured = list(pool.map(probe_pair, pairs))
-    probes = {(region.id, host): values for (region, host), values in zip(pairs, measured)}
-    return MetricMatrix(distances=distances, probes=probes)
+    # the probes come back region by region, so each region's row is one slice
+    width = len(hosts)
+    probes = {region.id: measured[i * width:(i + 1) * width] for i, region in enumerate(to_probe)}
+    return MetricMatrix(hosts, distances, probes)

@@ -1,9 +1,18 @@
 """Two-stage region ranking: geographic prefilter, then latency/RTT scoring.
 
-Stage one ranks every candidate region by total great-circle distance over
-the candidate graph and keeps the top n. Stage two scores each survivor as
-the average of its summed HTTP round-trip and summed network latency. All
-tables are ordinal: scores order regions but do not predict run times.
+Deploying the orchestrator in region R turns each workflow hop (u, v) into
+two transfers that traverse R (u -> R, then R -> v), and routes each terminal
+node's final output back to R. A workflow with H hops and T terminal nodes
+therefore yields 2H + T candidate edges, every one of them with R at one end.
+So a region's score on any channel m is sum_h w_h * m(R, h), where w_h,
+WorkflowSpec.host_weights, counts the edges whose far end is host h; every
+region shares it, and MetricMatrix.weighted_sums computes it over each
+region's row of the matrix.
+
+Stage one ranks every candidate region by total great-circle distance and
+keeps the top n. Stage two scores each survivor as the average of its summed
+HTTP round-trip and summed network latency. All tables are ordinal: scores
+order regions but do not predict run times.
 """
 
 from __future__ import annotations
@@ -12,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .candidate import CandidateGraph, build_candidate_graph, total_weight
 from .errors import RegionRankError
 from .metrics import MetricMatrix
 from .regions import Region, RegionCatalog
@@ -54,15 +62,14 @@ def _prefilter(
     catalog: RegionCatalog,
     matrix: MetricMatrix,
     n: int,
-) -> tuple[Table, list[CandidateGraph]]:
-    """Distance table over every region, and the graphs of the top n regions."""
+) -> tuple[Table, list[Region]]:
+    """Distance table over every region, and the top n regions."""
     if n < 1:
         raise ValueError("prefilter size must be at least 1")
-    graphs = {region.id: build_candidate_graph(spec, region) for region in catalog}
-    table = _sorted_table(
-        {region_id: total_weight(graph, "distance", matrix) for region_id, graph in graphs.items()}
-    )
-    return table, [graphs[region_id] for region_id, _ in table[:n]]
+    regions = {region.id: region for region in catalog}
+    totals = matrix.weighted_sums(spec.host_weights, regions, "distance")
+    table = _sorted_table(dict(zip(regions, totals)))
+    return table, [regions[region_id] for region_id, _ in table[:n]]
 
 
 def geo_prefilter(
@@ -72,8 +79,7 @@ def geo_prefilter(
     n: int,
 ) -> list[Region]:
     """Top n regions by total geographic distance (ascending, ties by id)."""
-    _, survivors = _prefilter(spec, catalog, matrix, n)
-    return [graph.region for graph in survivors]
+    return _prefilter(spec, catalog, matrix, n)[1]
 
 
 def rank(
@@ -91,12 +97,12 @@ def rank(
     region and the score.
     """
     distance_table, survivors = _prefilter(spec, catalog, matrix, n)
+    survivor_ids = [region.id for region in survivors]
+    latencies = matrix.weighted_sums(spec.host_weights, survivor_ids, "latency")
+    rtts = matrix.weighted_sums(spec.host_weights, survivor_ids, "rtt")
 
     latency_scores, rtt_scores, final_scores = {}, {}, {}
-    for graph in survivors:
-        region_id = graph.region.id
-        latency = total_weight(graph, "latency", matrix)
-        rtt = total_weight(graph, "rtt", matrix)
+    for region_id, latency, rtt in zip(survivor_ids, latencies, rtts):
         final = (rtt + latency) / 2.0
         for channel, score in (("latency", latency), ("rtt", rtt), ("final", final)):
             if not math.isfinite(score):
@@ -108,7 +114,7 @@ def rank(
     final_table = _sorted_table(final_scores)
     return RankingReport(
         recommended=final_table[0][0],
-        prefiltered_regions=tuple(graph.region.id for graph in survivors),
+        prefiltered_regions=tuple(survivor_ids),
         distance_table=distance_table,
         latency_table=_sorted_table(latency_scores),
         rtt_table=_sorted_table(rtt_scores),

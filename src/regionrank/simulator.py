@@ -16,7 +16,7 @@ from typing import Union
 
 from .errors import RegionRankError, decode_json
 from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_row, parse_locations
-from .metrics import ProbeError
+from .metrics import ProbeError, _mean
 from .regions import Region, RegionCatalog
 from .workflow import WorkflowSpec, endpoint_host
 
@@ -245,7 +245,7 @@ class SimulatedProbe:
             raise ProbeError(str(exc)) from exc
         # the k samples share the pair's base latency and differ only in noise
         samples = [_add_noise(env, base, source, host, f"lat{i}") for i in range(k)]
-        return sum(samples) / len(samples)
+        return _mean(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
         host = endpoint_host(url)

@@ -20,7 +20,7 @@ CHAIN3 = parse_workflow(
 def latency_matrix(values, region_id="r-east"):
     distances = {(region_id, host): 1.0 for host in values}
     probes = {(region_id, host): (ms, 2 * ms) for host, ms in values.items()}
-    return MetricMatrix(distances=distances, probes=probes)
+    return MetricMatrix.from_pairs(distances, probes)
 
 
 def test_sequential_chain_star_shape():
@@ -90,7 +90,7 @@ def test_total_weight_failed_channel_uses_sentinel():
         ("r-east", "p1.test"): (5.0, 1.0),
         ("r-east", "p2.test"): (5.0, 1.0),
     }
-    matrix = MetricMatrix(distances=dict.fromkeys(probes, 1.0), probes=probes)
+    matrix = MetricMatrix.from_pairs(dict.fromkeys(probes, 1.0), probes)
     graph = build_candidate_graph(CHAIN3, REGION)
     assert total_weight(graph, "latency", matrix) == pytest.approx(FAILURE_SENTINEL_MS + 5.0 * 4)
 
@@ -162,7 +162,7 @@ def test_host_weights_count_two_per_hop_plus_terminals(spec):
 def test_total_weight_equals_per_edge_sum(spec, channel, values):
     # None is a failed channel: it costs the sentinel once per edge
     distances = {("r-east", host): v for host, v in values.items()}
-    matrix = MetricMatrix(distances=distances, probes={key: (v, v) for key, v in distances.items()})
+    matrix = MetricMatrix.from_pairs(distances, {key: (v, v) for key, v in distances.items()})
     per_edge = sum(
         FAILURE_SENTINEL_MS if values[peer] is None else values[peer] for peer in spec.edge_peers
     )

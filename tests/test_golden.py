@@ -1,9 +1,11 @@
-"""Golden outputs: `simulate` and `rank --format json --top-n 8` on seeded 64-region worlds.
+"""Golden outputs: `simulate` and `rank --mode sim` on seeded 64-region worlds.
 
 The expected stdout under tests/golden/ pins every printed digit, and the
-JSON report prints full float reprs, so a change in how a distance, a base
-latency or a noise draw is computed shows up as a diff. To look at a world,
-`write_world` writes its files into any directory.
+JSON reports print full float reprs, so a change in how a distance, a base
+latency, a noise draw or a score is computed shows up as a diff. `rank` runs
+at the default --top-n 3, which probes only the prefilter's survivors, and
+at --top-n 8. To look at a world, `write_world` writes its files into any
+directory.
 """
 
 import json
@@ -64,28 +66,30 @@ def write_world(directory: Path, seed: int, noise_sigma_ms: float) -> dict[str, 
     return paths
 
 
-# world: (seed, noise sigma in ms, latency samples per pair for rank).
-# Python 3.12 made sum() of floats compensated, so the mean of several noisy
-# samples can differ in its last bit between Python versions; the noisy world
-# ranks on one sample, which every version averages alike.
-WORLDS = {"still": (3, 0.0, 4), "noisy": (4, 5.0, 1)}
-COMMANDS = {
-    "simulate": ["simulate"],
-    "rank-top8": ["rank", "--mode", "sim", "--format", "json", "--top-n", "8"],
+# world: (seed, noise sigma in ms)
+WORLDS = {"still": (3, 0.0), "noisy": (4, 5.0)}
+RANK_TOP8 = ["rank", "--mode", "sim", "--format", "json", "--top-n", "8"]
+# (world, name): argv before the world's files; the golden file is world-name.txt
+CASES = {
+    ("still", "simulate"): ["simulate"],
+    ("still", "rank"): ["rank", "--mode", "sim"],
+    ("still", "rank-top8"): RANK_TOP8,
+    ("noisy", "simulate"): ["simulate"],
+    ("noisy", "rank"): ["rank", "--mode", "sim"],
+    # one latency sample, and the default 4, whose mean every Python must
+    # add up in the same order to print the same digits
+    ("noisy", "rank-top8"): RANK_TOP8 + ["--samples", "1"],
+    ("noisy", "rank-top8-samples4"): RANK_TOP8,
 }
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("world", sorted(WORLDS))
-def test_stdout_matches_the_golden_file(world, command, tmp_path, capsys):
-    seed, sigma, samples = WORLDS[world]
-    paths = write_world(tmp_path, seed, sigma)
-    argv = list(COMMANDS[command])
-    if command.startswith("rank"):
-        argv += ["--samples", str(samples)]
-    for flag, path in paths.items():
+@pytest.mark.parametrize("world, name", sorted(CASES), ids=[f"{world}-{name}" for world, name in sorted(CASES)])
+def test_stdout_matches_the_golden_file(world, name, tmp_path, capsys):
+    seed, sigma = WORLDS[world]
+    argv = list(CASES[world, name])
+    for flag, path in write_world(tmp_path, seed, sigma).items():
         argv += [flag, path]
     assert main(argv) == EXIT_OK
     out, err = capsys.readouterr()
     assert err == ""
-    assert out == (GOLDEN / f"{world}-{command}.txt").read_text()
+    assert out == (GOLDEN / f"{world}-{name}.txt").read_text()

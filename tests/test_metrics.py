@@ -269,7 +269,7 @@ def test_remote_agent_probe_server_error(agent_url):
 def _assert_gather_fails_only_rtt(probe, host):
     nodes = distinct_nodes(parse_workflow(f"http://{host}/\n", format="lines"))
     matrix = gather_metric_matrix(probe, FixtureResolver({host: GeoPoint(1, 1)}), [REGION], nodes)
-    assert matrix.probes == {("r-test", host): (42.0, None)}
+    assert matrix.probes == {"r-test": [(42.0, None)]}
     assert matrix.failed_channels() == [("r-test", host, "rtt")]
 
 
@@ -306,7 +306,7 @@ def test_remote_agent_probe_reply_no_client_parses_fails_both_channels(hostile_p
         probe.measure_http_rtt(REGION, "http://node.test/")
     nodes = distinct_nodes(parse_workflow("http://node.test/\n", format="lines"))
     matrix = gather_metric_matrix(probe, FixtureResolver({"node.test": GeoPoint(1, 1)}), [REGION], nodes)
-    assert matrix.probes == {("r-test", "node.test"): (None, None)}
+    assert matrix.probes == {"r-test": [(None, None)]}
 
 
 # --- matrix gathering ---
@@ -344,9 +344,10 @@ def test_gather_single_pair():
     matrix = gather_metric_matrix(
         SimulatedProbe(env), env.resolver(), regions, distinct_nodes(spec)
     )
-    key = ("region-0", "node00.test")
-    assert matrix.distances[key] is not None
-    latency, rtt = matrix.probes[key]
+    assert matrix.hosts == ("node00.test",)
+    [km] = matrix.distances["region-0"]
+    assert km is not None
+    [(latency, rtt)] = matrix.probes["region-0"]
     assert latency is not None
     assert rtt is not None
 
@@ -364,8 +365,9 @@ def test_gather_missing_geolocation_fails_distance_only():
     spec = parse_workflow("http://located.test/\nhttp://unknown.test/\n", format="lines")
     resolver = FixtureResolver({"located.test": GeoPoint(1, 1)})
     matrix = gather_metric_matrix(_StaticProbe(), resolver, [region], distinct_nodes(spec))
-    assert matrix.distances["r", "unknown.test"] is None
-    assert matrix.probes["r", "unknown.test"] == (5.0, 11.0)
+    assert matrix.hosts == ("located.test", "unknown.test")
+    assert matrix.distances["r"][1] is None
+    assert matrix.probes["r"] == [(5.0, 11.0), (5.0, 11.0)]
     assert matrix.failed_channels() == [("r", "unknown.test", "distance")]
 
 
@@ -459,9 +461,8 @@ def test_gather_probes_only_the_named_regions():
     assert len(matrix.entries) == 4 * 3
     full = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes)
     assert matrix.distances == full.distances
-    assert list(matrix.probes) == [
-        (region_id, node.host) for region_id in ("region-1", "region-2") for node in nodes
-    ]
+    assert matrix.hosts == tuple(node.host for node in nodes)
+    assert list(matrix.probes) == ["region-1", "region-2"]
     assert matrix.failed_channels() == []
     assert matrix.attempted_channels() == 4 * 3 + 2 * 2 * 3
 
@@ -484,35 +485,57 @@ def test_gather_rejects_probe_regions_outside_regions():
 
 
 def test_failed_channels_never_lists_unprobed_channels():
-    distances = {("r1", "a.test"): None, ("r1", "b.test"): 1.0}
-    matrix = MetricMatrix(distances=distances, probes={("r1", "b.test"): (None, 2.0)})
-    assert matrix.failed_channels() == [("r1", "a.test", "distance"), ("r1", "b.test", "latency")]
-    assert matrix.attempted_channels() == 1 + 3
+    distances = {("r1", "a.test"): None, ("r1", "b.test"): 1.0, ("r2", "a.test"): 3.0, ("r2", "b.test"): None}
+    probes = {("r2", "a.test"): (None, 2.0), ("r2", "b.test"): (1.0, 1.0)}
+    matrix = MetricMatrix.from_pairs(distances, probes)
+    assert matrix.failed_channels() == [
+        ("r1", "a.test", "distance"), ("r2", "a.test", "latency"), ("r2", "b.test", "distance")
+    ]
+    assert matrix.attempted_channels() == 2 + 2 * 3
 
 
 def test_matrix_entries_is_a_read_only_view_of_the_gathered_pairs():
-    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None}
-    matrix = MetricMatrix(distances=distances, probes={("r1", "a.test"): (4.0, None)})
-    assert list(matrix.entries) == [("r1", "a.test"), ("r1", "b.test")]
+    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None, ("r2", "a.test"): 1.0, ("r2", "b.test"): 2.0}
+    matrix = MetricMatrix.from_pairs(distances, {("r1", "a.test"): (4.0, None), ("r1", "b.test"): (1.0, 1.0)})
+    assert list(matrix.entries) == list(distances)
+    assert len(matrix.entries) == 4
+    assert matrix.entries == distances.keys()
     assert not isinstance(matrix.entries, MutableSet)
     with pytest.raises(TypeError):
         matrix.entries[("r1", "c.test")] = 1.0
-    distances["r1", "c.test"] = 1.0  # a view of the keys, not a copy
-    assert ("r1", "c.test") in matrix.entries
+    assert ("r2", "b.test") in matrix.entries
+    for absent in (("r1", "c.test"), ("r3", "a.test"), ("r1",), "r1", None):
+        assert absent not in matrix.entries
 
 
 def test_matrix_rejects_a_probed_pair_without_distance():
     with pytest.raises(ValueError, match="distance"):
-        MetricMatrix(distances={}, probes={("r1", "a.test"): (1.0, 2.0)})
+        MetricMatrix.from_pairs({}, {("r1", "a.test"): (1.0, 2.0)})
+    with pytest.raises(ValueError, match="distances"):
+        MetricMatrix(("a.test",), {}, {"r1": [(1.0, 2.0)]})
+
+
+def test_matrix_rejects_rows_that_leave_out_a_host():
+    with pytest.raises(ValueError, match=r"\('r2', 'b.test'\)"):
+        MetricMatrix.from_pairs({("r1", "a.test"): 1.0, ("r1", "b.test"): 2.0, ("r2", "a.test"): 3.0}, {})
+    with pytest.raises(ValueError, match=r"\('r1', 'b.test'\)"):
+        MetricMatrix.from_pairs({("r1", "a.test"): 1.0, ("r1", "b.test"): 2.0}, {("r1", "a.test"): (1.0, 2.0)})
+    with pytest.raises(ValueError, match="one value per host"):
+        MetricMatrix(("a.test", "b.test"), {"r1": [1.0]}, {})
+    with pytest.raises(ValueError, match="distinct"):
+        MetricMatrix(("a.test", "a.test"), {"r1": [1.0, 1.0]}, {})
 
 
 def test_matrix_column_reads_one_channel_and_names_what_is_missing():
-    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None}
-    matrix = MetricMatrix(distances=distances, probes={("r1", "a.test"): (4.0, None)})
+    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None, ("r2", "a.test"): 1.0, ("r2", "b.test"): 2.0}
+    probes = {("r1", "a.test"): (4.0, None), ("r1", "b.test"): (None, 6.0)}
+    matrix = MetricMatrix.from_pairs(distances, probes)
     assert matrix.column("r1", ["b.test", "a.test"], "distance") == [None, 3.0]
     assert matrix.column("r1", ["a.test"], "rtt") == [None]
+    assert matrix.column("r1", ["b.test", "a.test", "b.test"], "latency") == [None, 4.0, None]
+    assert matrix.column("r2", [], "latency") == []
     with pytest.raises(CoverageError, match="latency.*not probed"):
-        matrix.column("r1", ["a.test", "b.test"], "latency")
+        matrix.column("r2", ["a.test", "b.test"], "latency")
     with pytest.raises(CoverageError, match="r1.*ghost.test"):
         matrix.column("r1", ["ghost.test"], "distance")
     with pytest.raises(ValueError, match="bogus"):
@@ -521,19 +544,22 @@ def test_matrix_column_reads_one_channel_and_names_what_is_missing():
 
 @pytest.mark.parametrize("channel", CHANNELS)
 def test_matrix_column_missing_pair_names_it(channel):
-    matrix = MetricMatrix(distances={}, probes={})
+    matrix = MetricMatrix.from_pairs({}, {})
     with pytest.raises(CoverageError, match="no entry for region 'r9' and host 'ghost.test'"):
         matrix.column("r9", ["ghost.test"], channel)
 
 
 def test_matrix_column_names_the_first_missing_host():
-    distances = {("r1", "failed.test"): None, ("r1", "unprobed.test"): 2.0}
-    matrix = MetricMatrix(distances=distances, probes={("r1", "failed.test"): (None, None)})
-    hosts = ["failed.test", "unprobed.test", "ghost.test"]
+    distances = {("r1", "unlocated.test"): None, ("r1", "b.test"): 2.0,
+                 ("r2", "unlocated.test"): None, ("r2", "b.test"): 3.0}
+    matrix = MetricMatrix.from_pairs(distances, {("r2", "unlocated.test"): (None, None), ("r2", "b.test"): (1.0, 1.0)})
+    hosts = ["unlocated.test", "b.test", "ghost.test"]
     for channel in ("latency", "rtt"):
         with pytest.raises(CoverageError,
-                           match=f"the {channel} channel of region 'r1' and host 'unprobed.test' was not probed"):
+                           match=f"the {channel} channel of region 'r1' and host 'unlocated.test' was not probed"):
             matrix.column("r1", hosts, channel)
+        with pytest.raises(CoverageError, match="no entry for region 'r2' and host 'ghost.test'"):
+            matrix.column("r2", hosts, channel)
     with pytest.raises(CoverageError, match="no entry for region 'r1' and host 'ghost.test'"):
         matrix.column("r1", hosts, "distance")
     with pytest.raises(CoverageError, match="no entry for region 'r1' and host 'ghost.test'"):
@@ -569,8 +595,8 @@ def _attempted(distance, measured):
 
 
 def _bits(distances):
-    """(key, hex of km or None) of each pair, in order: equal only if every float is bit-identical."""
-    return [(key, None if km is None else km.hex()) for key, km in distances.items()]
+    """(region id, hex of km or None per host) of each row, in order: equal only if every float is bit-identical."""
+    return [(region_id, [None if km is None else km.hex() for km in row]) for region_id, row in distances.items()]
 
 
 _POINTS = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
@@ -617,8 +643,10 @@ def test_gathered_matrix_matches_haversine_and_edge_semantics(data):
             rtt = None if key + ("rtt",) in failing else probe.measure_http_rtt(region, f"http://{host}/")
             probes[key] = (latency, rtt)
 
-    assert _bits(matrix.distances) == _bits(distances)
-    assert matrix.probes == probes
+    expected = MetricMatrix.from_pairs(distances, probes)
+    assert matrix.hosts == tuple(hosts)
+    assert _bits(matrix.distances) == _bits(expected.distances)
+    assert matrix.probes == expected.probes
     attempted = {key: _attempted(distance, probes.get(key)) for key, distance in distances.items()}
     assert matrix.failed_channels() == sorted(
         key + (channel,) for key, channels in attempted.items() for channel, value in channels if value is None

@@ -3,13 +3,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gather_sim, make_consistent_case
+from conftest import dag_specs, gather_sim, make_consistent_case
+from regionrank.candidate import build_candidate_graph, total_weight
 from regionrank.geo import GeoPoint
-from regionrank.metrics import MetricMatrix
+from regionrank.metrics import FAILURE_SENTINEL_MS, CoverageError, MetricMatrix
 from regionrank.ranking import RankingError, RankingReport, geo_prefilter, rank, render_report
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import best_region_oracle
-from regionrank.workflow import parse_workflow
+from regionrank.workflow import distinct_nodes, parse_workflow
 
 SPEC1 = parse_workflow("http://s.test/\nhttp://p.test/\n", format="lines")
 
@@ -43,7 +44,7 @@ def matrix_for(catalog, values):
         for host in ("s.test", "p.test"):
             distances[(region.id, host)] = d
             probes[(region.id, host)] = (l, r)
-    return MetricMatrix(distances=distances, probes=probes)
+    return MetricMatrix.from_pairs(distances, probes)
 
 
 def test_worked_example_recommends_us_east_1(worked_spec, catalog8, worked_env):
@@ -161,9 +162,77 @@ def test_failed_channel_region_never_wins_against_healthy_one():
         ("region-1", "s.test"): (400.0, 900.0),
         ("region-1", "p.test"): (400.0, 900.0),
     }
-    matrix = MetricMatrix(distances=distances, probes=probes)
+    matrix = MetricMatrix.from_pairs(distances, probes)
     report = rank(SPEC1, catalog, matrix, n=2)
     assert report.recommended == "region-1"
+
+
+def _pair_by_pair(spec, region_ids, values):
+    """sum of w * m over the (region, host) pairs, host by host in host_weights order, as float.hex."""
+    totals = {}
+    for region_id in region_ids:
+        total = 0.0
+        for host, weight in spec.host_weights.items():
+            value = values[region_id, host]
+            total += weight * (FAILURE_SENTINEL_MS if value is None else value)
+        totals[region_id] = total.hex()
+    return totals
+
+
+# a third of a float uses every mantissa bit, so the order of the sum shows
+_METRIC = st.floats(min_value=0.0, max_value=3e7).map(lambda value: value / 3)
+# what the kernel is given: every pair, one region without rows, one host
+# without a column, or one region without probes
+_GAPS = ("none", "region", "host", "probes")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_totals_equal_a_pair_by_pair_sum_bit_for_bit(data):
+    spec = data.draw(dag_specs())
+    # the gather's columns follow distinct_nodes, which need not be the
+    # host_weights (first edge) order the kernel sums in
+    hosts = [node.host for node in distinct_nodes(spec)]
+    region_ids = [f"region-{j}" for j in range(data.draw(st.integers(1, 4)))]
+    unlocated = data.draw(st.sets(st.sampled_from(hosts)))
+    maybe_failed = st.one_of(st.none(), _METRIC)
+    distances = {(r, h): None if h in unlocated else data.draw(_METRIC) for r in region_ids for h in hosts}
+    probes = {(r, h): (data.draw(maybe_failed), data.draw(maybe_failed)) for r in region_ids for h in hosts}
+    catalog = RegionCatalog(tuple(Region(r, f"probe-{r}.test", GeoPoint(0.0, 0.0)) for r in region_ids))
+    first_host = next(iter(spec.host_weights))
+    gap = data.draw(st.sampled_from(_GAPS))
+    if gap == "region":
+        gone = data.draw(st.sampled_from(region_ids))
+        expected = f"matrix has no entry for region {gone!r} and host {first_host!r}"
+    elif gap == "host":
+        gone = data.draw(st.sampled_from(hosts))
+        expected = f"matrix has no entry for region {region_ids[0]!r} and host {gone!r}"
+    elif gap == "probes":
+        gone = data.draw(st.sampled_from(region_ids))
+        expected = f"the latency channel of region {gone!r} and host {first_host!r} was not probed"
+    if gap != "none":
+        probes = {key: value for key, value in probes.items() if gone not in key}
+        if gap != "probes":
+            distances = {key: value for key, value in distances.items() if gone not in key}
+        matrix = MetricMatrix.from_pairs(distances, probes)
+        with pytest.raises(CoverageError) as info:
+            rank(spec, catalog, matrix, n=len(region_ids))
+        assert str(info.value) == expected
+        return
+
+    matrix = MetricMatrix.from_pairs(distances, probes)
+    report = rank(spec, catalog, matrix, n=len(region_ids))
+    for table, channel, values in (
+        (report.distance_table, "distance", distances),
+        (report.latency_table, "latency", {key: value[0] for key, value in probes.items()}),
+        (report.rtt_table, "rtt", {key: value[1] for key, value in probes.items()}),
+    ):
+        reference = _pair_by_pair(spec, region_ids, values)
+        assert {region_id: score.hex() for region_id, score in table} == reference
+        assert {
+            region.id: total_weight(build_candidate_graph(spec, region), channel, matrix).hex()
+            for region in catalog
+        } == reference
 
 
 def test_tables_sorted_by_score_then_id():
