@@ -1,22 +1,23 @@
 """Verification harness: sequential orchestrator and toy services over real HTTP.
 
 execute_workflow drives a workflow over real HTTP from the local process:
-fetch each source payload with GET, then push payloads hop by hop with POST,
-timing whole runs into run statistics (``stats.ExecutionStats``). The bundled
-transform service stands in for the remote processing services a deployment
-would talk to; byte reversal replaces image rotation so no imaging stack is
-needed.
+fetch each source payload with GET, then push payloads hop by hop with POST
+over one kept-alive connection per service host, timing whole runs into run
+statistics (``stats.ExecutionStats``). The bundled transform service stands
+in for the remote processing services a deployment would talk to; byte
+reversal replaces image rotation so no imaging stack is needed.
 """
 
 from __future__ import annotations
 
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from .errors import RegionRankError, http_body, load_http_client
+from .errors import ConnectionPool, RegionRankError, http_body, load_http_client
 # ComparisonStats and compare_stats are re-exported: the run statistics live in
 # .stats so that verify --mode sim can summarise without loading http.server
 from .stats import DEFAULT_RUNS, ComparisonStats, ExecutionStats, HarnessError, compare_stats  # noqa: F401
@@ -35,19 +36,24 @@ class WorkflowRunError(RegionRankError):
 def run_workflow_once(
     spec: WorkflowSpec, timeout: float = DEFAULT_RUN_TIMEOUT_S
 ) -> tuple[float, dict[str, bytes]]:
-    """Execute one run; returns (elapsed seconds, last output bytes per node)."""
+    """Execute one run; returns (elapsed seconds, last output bytes per node).
+
+    The run keeps one connection per service scheme and host:port, and closes
+    them all when it ends, so every run pays for its own connection set-up.
+    """
     load_http_client()  # before the clock, so a first run does not time the import
-    start = time.perf_counter()
-    endpoints = {node.id: node.endpoint for node in spec.nodes}
-    outputs: dict[str, bytes] = {}
-    for node in spec.nodes:
-        if node.role == ROLE_SOURCE:
-            outputs[node.id] = http_body(node.endpoint, timeout, WorkflowRunError)
-    for u, v in spec.hop_order:
-        if u not in outputs:
-            raise WorkflowRunError(f"hop source {u!r} produced no payload")
-        outputs[v] = http_body(endpoints[v], timeout, WorkflowRunError, outputs[u])
-    return time.perf_counter() - start, outputs
+    with ConnectionPool() as pool:
+        start = time.perf_counter()
+        endpoints = {node.id: node.endpoint for node in spec.nodes}
+        outputs: dict[str, bytes] = {}
+        for node in spec.nodes:
+            if node.role == ROLE_SOURCE:
+                outputs[node.id] = http_body(node.endpoint, timeout, WorkflowRunError, pool=pool)
+        for u, v in spec.hop_order:
+            if u not in outputs:
+                raise WorkflowRunError(f"hop source {u!r} produced no payload")
+            outputs[v] = http_body(endpoints[v], timeout, WorkflowRunError, outputs[u], pool=pool)
+        return time.perf_counter() - start, outputs
 
 
 def execute_workflow(
@@ -73,6 +79,9 @@ def execute_workflow(
 
 class _ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply's head and body go out in two writes, and on a
+    # kept-alive connection the second would wait for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -102,6 +111,13 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         return int(raw)
 
 
+# Request-body buffers shared by every transform service in the process. Each
+# kept-alive connection has a handler thread of its own, and glibc keeps what
+# a thread frees in that thread's malloc arena: a buffer per request would
+# leave a payload-sized block behind for every connection of a run.
+_BUFFERS: list[bytearray] = []
+
+
 class _TransformHandler(_ServiceHandler):
     def do_GET(self):
         time.sleep(self.server.delay_ms / 1000.0)
@@ -117,10 +133,20 @@ class _TransformHandler(_ServiceHandler):
         if length > self.server.body_cap:
             self._refuse(413)
             return
-        body = self.rfile.read(length)
-        time.sleep(self.server.delay_ms / 1000.0)
-        out = body[::-1] if self.server.mode == "rotate" else body
-        self._reply(200, out)
+        try:
+            body = _BUFFERS.pop()
+        except IndexError:  # every buffer is in use
+            body = bytearray()
+        try:
+            del body[length:]
+            body.extend(bytes(length - len(body)))  # grows only past the largest body yet
+            del body[self.rfile.readinto(body):]  # a short read leaves no stale tail
+            time.sleep(self.server.delay_ms / 1000.0)
+            if self.server.mode == "rotate":
+                body.reverse()
+            self._reply(200, body)
+        finally:
+            _BUFFERS.append(body)
 
 
 class _PayloadHandler(_ServiceHandler):
@@ -161,10 +187,16 @@ class _LocalService:
         return False
 
 
-def _loopback_server(port: int, handler) -> ThreadingHTTPServer:
+class _Server(ThreadingHTTPServer):
+    # a TCP-connect latency probe opens its k connections back to back; past
+    # socketserver's default backlog of 5 they would wait on 1 s SYN retries
+    request_queue_size = socket.SOMAXCONN
+
+
+def _loopback_server(port: int, handler) -> _Server:
     if not 0 <= port <= 65535:
         raise HarnessError(f"port {port} is outside 0-65535")
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+    return _Server(("127.0.0.1", port), handler)
 
 
 def transform_service(

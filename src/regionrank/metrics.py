@@ -27,7 +27,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
-from .errors import RegionRankError, decode_json, http_body, load_http_client
+from .errors import ErrorStatus, RegionRankError, decode_json, http_body, load_http_client
 from .geo import GeoResolutionError, GeoResolver, haversine_row
 from .regions import Region
 from .workflow import ServiceNode
@@ -267,8 +267,9 @@ class LiveProbe:
 
     Latency uses unprivileged ICMP echo (datagram socket) to IPv4 addresses;
     IPv6 addresses, hosts with an explicit port, and platforms refusing ICMP
-    fall back to a timed TCP connect. HTTP round-trip is a timed GET; any
-    HTTP status counts as a completed round-trip, only transport failures
+    fall back to a timed TCP connect. HTTP round-trip is a timed GET on a
+    new connection; any HTTP status (a redirect, which is not followed,
+    included) counts as a completed round-trip, only transport failures
     and unparsable replies count as probe failures.
     """
 
@@ -323,13 +324,12 @@ class LiveProbe:
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
         load_http_client()  # before the clock, so a first probe does not time the import
-        from urllib.error import HTTPError  # deferred, as in errors.http_body
-
         start = time.perf_counter()
         try:
+            # no pool: each probe times a new connection's connect and GET
             http_body(url, self.deadline_s, ProbeError)
         except ProbeError as exc:
-            if not isinstance(exc.__cause__, HTTPError):  # an error status completes the round trip
+            if not isinstance(exc.__cause__, ErrorStatus):  # an error status completes the round trip
                 raise
         return (time.perf_counter() - start) * 1000.0
 

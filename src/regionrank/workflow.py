@@ -11,6 +11,7 @@ them. Two on-disk formats are supported:
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections import Counter
@@ -39,15 +40,29 @@ def endpoint_host(url: str, where: str = "endpoint") -> str:
     `where` names the URL's place in the input for the error message.
     """
     try:
-        parts = urlsplit(url)
-        host = parts.hostname
-        port = parts.port
+        host = _host_key(url)
     except ValueError as exc:
         raise WorkflowError(f"malformed URL at {where}: {url!r} ({exc})") from exc
-    if parts.scheme not in _DEFAULT_PORTS or not host:
+    if host is None:
         raise WorkflowError(
             f"malformed URL at {where}: {url!r} (expected an absolute http(s) URL with a host)"
         )
+    return host
+
+
+# a workflow names each service in many hops, and a simulated probe looks the
+# host up again, so each distinct URL is parsed once
+@functools.lru_cache(maxsize=4096)
+def _host_key(url: str) -> str | None:
+    """endpoint_host's key for url, or None if it is not an absolute http(s) URL with a host.
+
+    Raises ValueError for a URL urlsplit cannot split, or with a bad port.
+    """
+    parts = urlsplit(url)
+    host = parts.hostname
+    port = parts.port
+    if parts.scheme not in _DEFAULT_PORTS or not host:
+        return None
     if ":" in host:
         host = f"[{host}]"
     if port is None or port == _DEFAULT_PORTS[parts.scheme]:

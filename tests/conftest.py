@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import random
+import re
 import socket
 import threading
 from urllib.parse import urlsplit
@@ -33,8 +34,12 @@ HOSTILE_REPLIES = {
 
 
 @contextlib.contextmanager
-def raw_peer(reply: bytes):
-    """A loopback peer that reads each request's head, sends `reply` and hangs up; yields its URL."""
+def raw_peer(reply: bytes, requests: list | None = None):
+    """A loopback peer that reads each request, sends `reply` and hangs up; yields its URL.
+
+    The request line of each request read is appended to `requests`, when given.
+    The reply does not announce the hang-up (no "Connection: close").
+    """
     stop = threading.Event()
 
     def serve(server):
@@ -46,10 +51,22 @@ def raw_peer(reply: bytes):
             with conn:
                 try:
                     conn.settimeout(5)
-                    head = b""
+                    data = b""
                     # a TCP-connect latency probe hangs up without a request
-                    while b"\r\n\r\n" not in head and (chunk := conn.recv(4096)):
-                        head += chunk
+                    while b"\r\n\r\n" not in data and (chunk := conn.recv(4096)):
+                        data += chunk
+                    head, _, body = data.partition(b"\r\n\r\n")
+                    # read the body too: hanging up on unread bytes would reset the connection
+                    length = re.search(rb"(?im)^content-length:[ \t]*(\d+)", head)
+                    while length and len(body) < int(length[1]) and (chunk := conn.recv(4096)):
+                        body += chunk
+                    if requests is not None and head:
+                        requests.append(head.partition(b"\r\n")[0])
+                    # corked, the reply's tail goes out with the FIN when the
+                    # connection closes, so the client sees the hang-up as soon
+                    # as it has read the reply (Linux only)
+                    if hasattr(socket, "TCP_CORK"):
+                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
                     conn.sendall(reply)
                 except OSError:
                     pass
@@ -63,6 +80,21 @@ def raw_peer(reply: bytes):
         finally:
             stop.set()
             thread.join(timeout=5)
+
+
+def count_accepts(service) -> list:
+    """A list that gets one entry for each connection `service` accepts from now on."""
+    accepted = []
+    server = service._server
+    accept = server.get_request
+
+    def counted():
+        request = accept()
+        accepted.append(request[1])
+        return request
+
+    server.get_request = counted
+    return accepted
 
 
 def make_consistent_case(seed: int):
@@ -160,8 +192,12 @@ def hostile_peer(request):
 
 @pytest.fixture
 def urlsplit_calls(monkeypatch):
-    """URLs passed to the workflow module's urlsplit from now on, in call order."""
+    """URLs passed to the workflow module's urlsplit from now on, in call order.
+
+    The memo of parsed URLs starts empty, so each URL's first parse is counted.
+    """
     calls = []
+    regionrank.workflow._host_key.cache_clear()
 
     def counting(url, *args, **kwargs):
         calls.append(url)

@@ -107,7 +107,7 @@ def test_rank_live_in_a_fresh_process(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1].startswith("RECOMMENDED: ")
     # the probes ran through each deferred import
-    assert {"socket", "concurrent.futures", "urllib.request"} <= imported
+    assert {"socket", "concurrent.futures", "http.client"} <= imported
 
 
 # Runs `call` in a new interpreter with time.perf_counter wrapped to note the

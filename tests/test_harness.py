@@ -3,13 +3,18 @@ import math
 import re
 import socket
 import statistics
+import sys
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import regionrank.harness
+from conftest import count_accepts, raw_peer
+from regionrank.errors import ConnectionPool
 from regionrank.harness import (
     ComparisonStats,
     ExecutionStats,
@@ -21,6 +26,7 @@ from regionrank.harness import (
     run_workflow_once,
     transform_service,
 )
+from regionrank.metrics import LiveProbe
 from regionrank.workflow import parse_workflow
 
 
@@ -121,6 +127,33 @@ def post(url, body):
 def test_rotate_reverses_bytes():
     with transform_service() as svc:
         assert post(svc.url, bytes([1, 2, 3])) == (200, bytes([3, 2, 1]))
+
+
+def test_rotate_a_short_body_after_a_long_one():
+    # the services reuse their body buffers
+    with transform_service() as svc:
+        assert post(svc.url, bytes(range(200)) * 5)[1] == (bytes(range(200)) * 5)[::-1]
+        assert post(svc.url, b"abc") == (200, b"cba")
+
+
+def test_concurrent_posts_each_get_their_own_body_reversed():
+    # the body buffers are shared by every service in the process; a buffer
+    # handed to two requests at once would mix their bytes
+    payloads = [bytes([i]) * (1000 + 97 * i) + bytes(range(i)) for i in range(12)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with transform_service() as one, transform_service() as two:
+            def send(i):
+                url = (one, two)[i % 2].url
+                return [post(url, payloads[i])[1] for _ in range(10)]
+
+            with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
+                futures = [pool.submit(send, i) for i in range(len(payloads))]
+                replies = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert replies == [[payload[::-1]] * 10 for payload in payloads]
 
 
 def test_rotate_empty_body():
@@ -317,6 +350,66 @@ def test_run_workflow_once_names_a_request_whose_reply_no_client_parses(hostile_
     with payload_source(b"x") as src:
         with pytest.raises(WorkflowRunError, match=f"^POST {re.escape(hostile_peer)} failed: "):
             run_workflow_once(parse_workflow(f"{src.url}\n{hostile_peer}\n", format="lines"), timeout=2)
+
+
+def test_a_run_keeps_one_connection_per_service_host():
+    payload = bytes(range(256)) * 64
+    with payload_source(payload) as src:
+        services = [transform_service() for _ in range(8)]
+        try:
+            accepted = [count_accepts(svc) for svc in [src, *services]]
+            # a source, then 16 hops visiting each of the 8 services twice
+            spec = loopback_chain(src, *services, *services)
+            for runs in (1, 2):
+                _, outputs = run_workflow_once(spec)
+                # sixteen reversals cancel out
+                assert outputs[spec.nodes[-1].id] == payload
+                # each run opens its own connections, one per host
+                assert [len(each) for each in accepted] == [runs] * 9
+        finally:
+            for svc in services:
+                svc.close()
+
+
+def test_a_run_replaces_a_connection_its_peer_hung_up():
+    requests = []
+    with raw_peer(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", requests) as url:
+        _, outputs = run_workflow_once(parse_workflow(f"{url}\n{url}\n", format="lines"), timeout=2)
+    assert list(outputs.values()) == [b"ok", b"ok"]
+    # each request sent once, the second on a new connection
+    assert requests == [b"GET / HTTP/1.1", b"POST / HTTP/1.1"]
+
+
+def test_a_redirect_fails_a_run():
+    with raw_peer(b"HTTP/1.1 302 Found\r\nLocation: http://127.0.0.1:9/\r\nContent-Length: 0\r\n\r\n") as url:
+        with pytest.raises(WorkflowRunError, match=f"^GET {re.escape(url)} failed: HTTP Error 302: Found$"):
+            run_workflow_once(parse_workflow(url, format="lines"), timeout=2)
+
+
+def test_a_failed_run_closes_its_pooled_connections(hostile_peer, monkeypatch):
+    pooled = []
+
+    class RecordingPool(ConnectionPool):
+        def put(self, key, connection):
+            pooled.append(connection)
+            super().put(key, connection)
+
+    monkeypatch.setattr(regionrank.harness, "ConnectionPool", RecordingPool)
+    with payload_source(b"x") as src, transform_service() as svc:
+        spec = parse_workflow(f"{src.url}\n{svc.url}\n{hostile_peer}\n", format="lines")
+        with pytest.raises(WorkflowRunError, match=f"^POST {re.escape(hostile_peer)} failed: "):
+            run_workflow_once(spec, timeout=2)
+    assert len(pooled) == 2
+    assert all(connection.sock is None for connection in pooled)
+
+
+def test_a_burst_of_tcp_connect_probes_fits_the_service_backlog():
+    # 32 back-to-back connects overflowed a backlog of 5, and each connect
+    # past it waited on a 1 s SYN retransmit
+    with transform_service() as svc:
+        began = time.perf_counter()
+        LiveProbe(deadline_s=5.0).measure_latency(None, f"127.0.0.1:{svc.port}", 32)
+        assert time.perf_counter() - began < 1.0
 
 
 def test_execute_workflow_rejects_zero_runs():

@@ -9,7 +9,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import raw_peer
+from conftest import count_accepts, raw_peer
 from regionrank.geo import FixtureResolver, GeoPoint, haversine_km
 from regionrank.harness import transform_service
 from regionrank.metrics import (
@@ -96,6 +96,23 @@ def test_live_http_rtt_times_error_responses_too():
         probe = LiveProbe()
         rtt = probe.measure_http_rtt(REGION, svc.url + "missing")
         assert rtt > 0.0
+
+
+def test_live_http_rtt_times_a_redirect_without_following_it():
+    reply = b"HTTP/1.1 302 Found\r\nLocation: http://127.0.0.1:9/\r\nContent-Length: 0\r\n\r\n"
+    requests = []
+    with raw_peer(reply, requests) as url:
+        assert LiveProbe(deadline_s=2.0).measure_http_rtt(REGION, url) > 0.0
+    assert requests == [b"GET / HTTP/1.1"]
+
+
+def test_live_http_rtt_opens_a_new_connection_for_each_probe():
+    with transform_service() as svc:
+        accepted = count_accepts(svc)
+        probe = LiveProbe()
+        for _ in range(3):
+            probe.measure_http_rtt(REGION, svc.url)
+    assert len(accepted) == 3
 
 
 def test_live_http_rtt_connection_refused_is_probe_error():

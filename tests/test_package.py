@@ -29,19 +29,31 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
-def _urlopen_calls(path):
-    """Line of every urlopen call in one source file, whether by module path or by imported name."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+# urlopen, and the http.client classes that open an HTTP connection
+HTTP_OPENERS = {"urlopen", "HTTPConnection", "HTTPSConnection"}
+
+
+def _http_openers(path):
+    """(function, name) of every call in one source file to a name in HTTP_OPENERS,
+    whether by module path or by imported name; function is the innermost def around it."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "urlopen":
-                yield node.lineno
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in HTTP_OPENERS:
+                yield function, name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), None)
 
 
 def test_the_package_makes_its_http_requests_at_one_site():
     # errors.http_body is the one exception boundary for every HTTP client
-    sites = [path.name for path in SOURCES for _ in _urlopen_calls(path)]
-    assert sites == ["errors.py"]
+    sites = sorted((path.name, function, name) for path in SOURCES for function, name in _http_openers(path))
+    assert sites == [("errors.py", "http_body", "HTTPConnection"), ("errors.py", "http_body", "HTTPSConnection")]
 
 
 def test_every_public_name_resolves_on_the_package():

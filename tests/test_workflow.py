@@ -84,13 +84,15 @@ def test_endpoint_host_canonical_key(case):
     assert _split_host(key) == (name.lower(), expected_port)
 
 
-def test_lines_chain_parses_each_url_at_most_twice(urlsplit_calls):
+def test_lines_chain_parses_each_distinct_url_once(urlsplit_calls):
     urls = [f"http://h{i % 7}.test:{8000 + i % 3}/" for i in range(101)]
     spec = parse_workflow("\n".join(urls) + "\n", format="lines")
     assert len(spec.nodes) == len(urls)
-    assert len(urlsplit_calls) <= 2 * len(urls)
+    assert sorted(urlsplit_calls) == sorted(set(urls))
     urlsplit_calls.clear()
     assert len({node.host for node in spec.nodes}) == 21
+    # a later lookup, such as a simulated probe's, parses nothing again
+    assert {endpoint_host(url) for url in urls} == {node.host for node in spec.nodes}
     assert urlsplit_calls == []
 
 
