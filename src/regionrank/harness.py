@@ -5,12 +5,16 @@ fetch each source payload with GET, then push payloads hop by hop with POST
 over one kept-alive connection per service host, timing whole runs into run
 statistics (``stats.ExecutionStats``). The bundled transform service stands
 in for the remote processing services a deployment would talk to; byte
-reversal replaces image rotation so no imaging stack is needed.
+reversal replaces image rotation so no imaging stack is needed. The bundled
+services hand each accepted connection to an idle handler thread, parked
+after its last connection, and start a daemon thread only when none is
+idle; closing a service retires the parked threads.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import socket
 import threading
 import time
@@ -111,10 +115,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         return int(raw)
 
 
-# Request-body buffers shared by every transform service in the process. Each
-# kept-alive connection has a handler thread of its own, and glibc keeps what
-# a thread frees in that thread's malloc arena: a buffer per request would
-# leave a payload-sized block behind for every connection of a run.
+# Request-body buffers shared by every transform service in the process. A
+# kept-alive connection holds a handler thread while it is open, so a run
+# keeps a thread per service busy at once, and each thread serves many
+# connections over its life; glibc keeps what a thread frees in that thread's
+# malloc arena, so a buffer per request would leave a payload-sized block
+# behind in each of those threads.
 _BUFFERS: list[bytearray] = []
 
 
@@ -187,10 +193,56 @@ class _LocalService:
         return False
 
 
+# Inboxes of the handler threads parked between connections, shared by every
+# service in the process (a stack per service keeps more threads, each with
+# its malloc arena, alive); the most recently parked thread is reused first.
+_PARKED: list[queue.SimpleQueue] = []
+_PARKED_LOCK = threading.Lock()
+
+
+def _handle_connections(inbox: queue.SimpleQueue, job) -> None:
+    """A handler thread's life: serve a connection, park, serve the next one handed over."""
+    while job is not None:
+        server, request, address = job
+        server.process_request_thread(request, address)
+        with _PARKED_LOCK:
+            # checked under the lock that server_close takes, so no thread
+            # parks once its server has woken the parked ones
+            if server.closed:
+                return
+            _PARKED.append(inbox)
+        job = inbox.get()
+
+
 class _Server(ThreadingHTTPServer):
     # a TCP-connect latency probe opens its k connections back to back; past
     # socketserver's default backlog of 5 they would wait on 1 s SYN retries
     request_queue_size = socket.SOMAXCONN
+    closed = False
+
+    def process_request(self, request, client_address):
+        """Hand the connection to a parked handler thread, or start one if none is idle."""
+        job = (self, request, client_address)
+        with _PARKED_LOCK:
+            inbox = _PARKED.pop() if _PARKED else None
+        if inbox is None:
+            threading.Thread(target=_handle_connections, args=(queue.SimpleQueue(), job), daemon=True).start()
+        else:
+            inbox.put(job)
+
+    def server_close(self):
+        """Close the listening socket and retire every parked handler thread.
+
+        Like ThreadingHTTPServer's daemon threads, a handler still serving a
+        connection is not waited for; it exits when that connection ends.
+        """
+        super().server_close()
+        with _PARKED_LOCK:
+            self.closed = True
+            parked = _PARKED[:]
+            _PARKED.clear()
+        for inbox in parked:
+            inbox.put(None)
 
 
 def _loopback_server(port: int, handler) -> _Server:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import random
 import re
@@ -95,6 +96,22 @@ def count_accepts(service) -> list:
 
     server.get_request = counted
     return accepted
+
+
+def kept_alive(port: int) -> http.client.HTTPConnection:
+    """A connection to 127.0.0.1:`port` that has had one GET answered and stays open.
+
+    The service's handler for it is left waiting for the next request.
+    """
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        connection.request("GET", "/")
+        with connection.getresponse() as response:
+            response.read()
+    except BaseException:
+        connection.close()
+        raise
+    return connection
 
 
 def make_consistent_case(seed: int):

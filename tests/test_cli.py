@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import signal
 import socket
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import regionrank.cli
 import regionrank.metrics
-from conftest import DEEP_JSON, HOSTILE_REPLIES, gather_sim, make_consistent_case, raw_peer
+from conftest import DEEP_JSON, HOSTILE_REPLIES, gather_sim, kept_alive, make_consistent_case, raw_peer
 from regionrank.bundled import fixture_path
 from regionrank.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROBE_FAILURE, main
 from regionrank.geo import haversine_row
@@ -671,3 +672,23 @@ def test_serve_subprocess_round_trip():
     finally:
         proc.terminate()
         proc.communicate(timeout=10)  # waits, then closes both pipes
+
+
+def test_serve_exits_on_interrupt_while_a_client_holds_an_idle_connection():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "regionrank", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        # "serving transform (rotate) on http://127.0.0.1:PORT/"
+        url = proc.stdout.readline().split()[-1]
+        connection = kept_alive(int(url.rstrip("/").rpartition(":")[2]))
+        try:
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=5) == EXIT_OK
+        finally:
+            connection.close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate(timeout=10)

@@ -4,6 +4,7 @@ import re
 import socket
 import statistics
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import regionrank.harness
-from conftest import count_accepts, raw_peer
+from conftest import count_accepts, kept_alive, raw_peer
 from regionrank.errors import ConnectionPool
 from regionrank.harness import (
     ComparisonStats,
@@ -238,6 +239,72 @@ def test_close_returns_well_within_the_default_shutdown_poll(start):
     svc.close()
     # socketserver's default poll interval is 0.5 s
     assert time.perf_counter() - began < 0.25
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """A list that gets one entry for each thread started from now on."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def test_a_service_hands_new_connections_to_idle_handler_threads(thread_starts):
+    probe = LiveProbe(deadline_s=5.0)
+    with transform_service() as svc:
+        probe.measure_http_rtt(None, svc.url)  # starts the first handler thread
+        thread_starts.clear()
+        probe.measure_latency(None, f"127.0.0.1:{svc.port}", 32)
+        for _ in range(20):
+            probe.measure_http_rtt(None, svc.url)
+    # 52 connections, each closed before the next opens, would start 52
+    # threads at one per connection; the connects can still outrun the
+    # handlers' parking, so a few threads start
+    assert len(thread_starts) <= 16
+
+
+def test_a_new_connection_is_served_while_64_idle_ones_hold_handler_threads():
+    svc = transform_service()
+    held = []
+    try:
+        for _ in range(64):
+            held.append(kept_alive(svc.port))
+        began = time.perf_counter()
+        held.append(kept_alive(svc.port))
+        assert time.perf_counter() - began < 2.0
+    finally:
+        began = time.perf_counter()
+        svc.close()  # does not wait for the handlers still holding a connection
+        closing = time.perf_counter() - began
+        for connection in held:
+            connection.close()
+    assert closing < 0.25
+
+
+def test_a_handler_exits_once_the_connection_of_a_closed_service_ends():
+    # closing a service retires every parked handler thread, so the
+    # connection below gets a thread of its own, not one in `before`
+    transform_service().close()
+    before = set(threading.enumerate())
+    svc = transform_service()
+    connection = kept_alive(svc.port)
+    try:
+        began = time.perf_counter()
+        svc.close()
+        assert time.perf_counter() - began < 0.25
+    finally:
+        connection.close()
+    # the handler exits rather than parking for a service that is closed
+    deadline = time.monotonic() + 5.0
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
 
 
 def test_unknown_mode_rejected():
