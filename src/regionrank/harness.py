@@ -125,8 +125,13 @@ _BUFFERS: list[bytearray] = []
 
 
 class _TransformHandler(_ServiceHandler):
+    def _simulated_compute(self):
+        # time.sleep(0) still costs tens of microseconds a call
+        if self.server.delay_ms > 0:
+            time.sleep(self.server.delay_ms / 1000.0)
+
     def do_GET(self):
-        time.sleep(self.server.delay_ms / 1000.0)
+        self._simulated_compute()
         if self.path == "/":
             self._reply(200)
         else:
@@ -147,7 +152,7 @@ class _TransformHandler(_ServiceHandler):
             del body[length:]
             body.extend(bytes(length - len(body)))  # grows only past the largest body yet
             del body[self.rfile.readinto(body):]  # a short read leaves no stale tail
-            time.sleep(self.server.delay_ms / 1000.0)
+            self._simulated_compute()
             if self.server.mode == "rotate":
                 body.reverse()
             self._reply(200, body)

@@ -8,7 +8,6 @@ draw is reproducible regardless of call order.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, field, fields
@@ -39,6 +38,15 @@ class SimEnvironment:
     strings and are normalised to sorted tuples. `pinned` is derived from
     them: each host's pinned peers, pinned[a][b] == pinned[b][a], so a row
     of pairs from one host looks up its overrides without building keys.
+
+    `base_rows` is a memo that simulated runs fill: for each (orchestrator
+    host, workflow hosts in the order of spec.host_weights) it holds the
+    _base_row from that host to those hosts. A row depends only on the
+    environment, so it is computed once, on the first run from that host,
+    and every later run from it reads it back. It keeps one row per pair
+    run, for as long as the environment lives. It is not part of the
+    environment's value: == and repr leave it out, and dataclasses.replace
+    starts an empty one.
     """
 
     node_locations: dict[str, GeoPoint] = field(default_factory=dict)
@@ -50,6 +58,8 @@ class SimEnvironment:
     noise_sigma_ms: float = 0.0
     seed: int = 0
     pinned: dict[str, dict[str, float]] = field(init=False, repr=False, compare=False)
+    base_rows: dict[tuple[str, tuple[str, ...]], dict[str, float]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "node_locations", dict(self.node_locations))
@@ -76,6 +86,7 @@ class SimEnvironment:
             pinned.setdefault(a, {})[b] = value
             pinned.setdefault(b, {})[a] = value
         object.__setattr__(self, "pinned", pinned)
+        object.__setattr__(self, "base_rows", {})
         for name in ("base_latency_per_km", "bandwidth_mbps", "service_overhead_ms",
                      "processing_s", "noise_sigma_ms", "seed"):
             value = getattr(self, name)
@@ -99,6 +110,10 @@ class SimEnvironment:
 
 
 def _noise_ms(env: SimEnvironment, pair: tuple[str, str], sample: Union[int, str]) -> float:
+    # deferred: only noise draws hash, and loading hashlib costs a noise-free
+    # command about 3 ms of start-up
+    import hashlib
+
     key = f"{env.seed}|{pair[0]}|{pair[1]}|{sample}"
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
@@ -151,19 +166,15 @@ def _execution_time(
     env: SimEnvironment,
     spec: WorkflowSpec,
     orchestrator_host: str,
-    origin: GeoPoint,
-    peers: dict[str, GeoPoint],
+    bases: dict[str, float],
     transfer_s: float,
     run: Union[int, str],
 ) -> float:
-    """sim_execution_time, given every host's point and the per-edge transfer seconds.
+    """sim_execution_time, given the base-latency row and the per-edge transfer seconds.
 
-    `origin` is the orchestrator host's point and `peers` maps each host of
-    spec.host_weights to its point: the caller locates each host once.
-    Each distinct peer's base latency is computed once, in one _base_row;
-    edges are still summed one by one in edge order.
+    `bases` is the _base_row from the orchestrator host to each host of
+    spec.host_weights; edges are still summed one by one in edge order.
     """
-    bases = _base_row(env, orchestrator_host, origin, peers)
     total = 0.0
     if env.noise_sigma_ms > 0:
         for i, peer in enumerate(spec.edge_peers):
@@ -196,10 +207,21 @@ def sim_execution_time(
     processor adds processing_s of service time. Edge i of run r draws its
     noise under the sample key "run{r}/edge{i}". The candidate edges are the
     spec's, listed once when it was validated, not once per run.
+
+    Once per (orchestrator host, workflow hosts) the hosts are located and
+    their base-latency row is computed, then kept in env.base_rows. Each run
+    then draws only its noise and sums its edges. A host the environment
+    cannot locate raises SimulationError on every call, since no row is kept
+    before it is complete.
     """
     transfer_s = _transfer_s(env, data_mb)
-    origin = env.locate(orchestrator_host)
-    return _execution_time(env, spec, orchestrator_host, origin, _locate_peers(env, spec), transfer_s, run)
+    # spec's hosts and not spec itself: hashing a spec hashes every node
+    key = (orchestrator_host, tuple(spec.host_weights))
+    bases = env.base_rows.get(key)
+    if bases is None:
+        origin = env.locate(orchestrator_host)
+        bases = env.base_rows[key] = _base_row(env, orchestrator_host, origin, _locate_peers(env, spec))
+    return _execution_time(env, spec, orchestrator_host, bases, transfer_s, run)
 
 
 def best_region_oracle(
@@ -217,6 +239,8 @@ def best_region_oracle(
     The spec's peers are located once per sweep, right after the first
     region's probe host, so a missing host fails as it would in a sweep that
     located every host per region: in catalog order, then in edge order.
+    Each region's row is used once, so the sweep leaves env.base_rows as it
+    is.
     """
     transfer_s = _transfer_s(env, data_mb)
     peers = None
@@ -225,7 +249,8 @@ def best_region_oracle(
         origin = env.locate(region.probe_host)
         if peers is None:
             peers = _locate_peers(env, spec)
-        times.append((_execution_time(env, spec, region.probe_host, origin, peers, transfer_s, 0), region.id))
+        bases = _base_row(env, region.probe_host, origin, peers)
+        times.append((_execution_time(env, spec, region.probe_host, bases, transfer_s, 0), region.id))
     times.sort()
     table = tuple((region_id, t) for t, region_id in times)
     return table[0][0], table

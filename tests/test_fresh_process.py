@@ -27,8 +27,10 @@ CATALOG = str(fixture_path("regions.json"))
 
 # the HTTP client and server with what they pull in, and sockets
 NETWORK_MODULES = ("http.client", "http.server", "socketserver", "urllib.request", "ssl", "email", "socket")
+# only noise draws hash
+HASH_MODULES = ("hashlib", "_hashlib")
 # everything the package imports only where it is used
-DEFERRED_MODULES = NETWORK_MODULES + ("concurrent.futures", "logging", "statistics")
+DEFERRED_MODULES = NETWORK_MODULES + HASH_MODULES + ("concurrent.futures", "logging", "statistics")
 
 
 def _run(*args):
@@ -72,8 +74,22 @@ def test_importing_the_package_loads_no_deferred_module(module):
 def test_simulated_commands_load_no_network_module(argv):
     done, imported = fresh("-m", "regionrank", *argv)
     assert done.returncode == 0, done.stderr
-    # nor the thread pool: a simulated rank gathers in the calling thread
-    assert sorted(imported.intersection(NETWORK_MODULES + ("concurrent.futures", "logging"))) == []
+    # nor the thread pool: a simulated rank gathers in the calling thread;
+    # nor hashlib: the bundled environments draw no noise
+    assert sorted(imported.intersection(NETWORK_MODULES + HASH_MODULES + ("concurrent.futures", "logging"))) == []
+
+
+def test_a_noisy_simulate_in_a_fresh_process(tmp_path):
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env["noise_sigma_ms"] = 20.0
+    noisy = tmp_path / "noisy_env.json"
+    noisy.write_text(json.dumps(env))
+    done, imported = fresh("-m", "regionrank", "simulate", "--workflow", WORKED_WORKFLOW,
+                           "--catalog", CATALOG, "--env", str(noisy))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("BEST: ")
+    # the noise draws ran through the deferred import
+    assert "hashlib" in imported
 
 
 def test_harness_names_resolve_on_the_package_in_a_fresh_interpreter():

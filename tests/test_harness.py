@@ -190,6 +190,17 @@ def test_get_root_is_probe_target_other_paths_404():
             assert err.value.code == 404
 
 
+def test_a_service_without_delay_never_sleeps(monkeypatch):
+    # time.sleep(0) still costs tens of microseconds, on every probe GET and hop POST
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    with transform_service(delay_ms=0) as svc:
+        with urllib.request.urlopen(svc.url, timeout=10) as resp:
+            assert resp.status == 200
+        assert post(svc.url, b"abc") == (200, b"cba")
+    assert sleeps == []
+
+
 def test_oversized_body_rejected_with_413():
     with transform_service(body_cap=16) as svc:
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -332,22 +332,80 @@ def test_pinned_is_derived_from_the_overrides():
         load_env('{"pinned": {}}')
 
 
-def test_oracle_sweep_computes_each_pair_once(monkeypatch, derivations):
-    spec, catalog, env = make_consistent_case(seed=11)
-    haversines = []
+@pytest.fixture
+def haversines(monkeypatch):
+    """(origin, point) of each distance the simulator computes from now on."""
+    pairs = []
 
     def counting_row(origin, points):
         points = list(points)
-        haversines.extend((origin, point) for point in points)
+        pairs.extend((origin, point) for point in points)
         return haversine_row(origin, points)
 
     monkeypatch.setattr(regionrank.simulator, "haversine_row", counting_row)
+    return pairs
+
+
+def test_oracle_sweep_computes_each_pair_once(haversines, derivations):
+    spec, catalog, env = make_consistent_case(seed=11)
     best_region_oracle(env, spec, catalog)
 
     hosts = len(set(spec.edge_peers))
     assert hosts < len(spec.edge_peers)  # hosts repeat, so per-edge work would cost more
     assert len(haversines) == len(catalog.regions) * hosts
     assert len(derivations) == 1 and derivations[0] is spec  # when the spec was made
+    # each region's row is used once, so the sweep keeps none
+    assert env.base_rows == {}
+
+
+def test_runs_from_one_vantage_compute_its_row_once(haversines):
+    spec, catalog, env = make_consistent_case(seed=13)
+    hosts = len(spec.host_weights)
+    vantage_a, vantage_b = (region.probe_host for region in catalog.regions[:2])
+    for run in range(5):
+        sim_execution_time(env, spec, vantage_a, run=run)
+    assert len(haversines) == hosts
+    for run in range(5):
+        sim_execution_time(env, spec, vantage_b, run=run)
+        sim_execution_time(env, spec, vantage_a, data_mb=2.0, run=run)
+    assert len(haversines) == 2 * hosts
+    assert set(env.base_rows) == {(vantage, tuple(spec.host_weights)) for vantage in (vantage_a, vantage_b)}
+
+
+@given(st.lists(st.one_of(chain_specs(), dag_specs()), min_size=2, max_size=2), sim_worlds(),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from(_SIM_HOSTS),
+                          st.sampled_from([0.0, 1.0, 3.7]), st.integers(0, 3)), min_size=1, max_size=12))
+def test_a_warm_environment_runs_as_a_cold_copy(specs, world, calls):
+    """Runs that read remembered rows equal runs on a copy that remembers nothing."""
+    env, _ = world
+    for which, vantage, data_mb, run in calls:
+        warm = sim_execution_time(env, specs[which], vantage, data_mb, run=run)
+        cold = sim_execution_time(dataclasses.replace(env), specs[which], vantage, data_mb, run=run)
+        assert warm.hex() == cold.hex()
+
+
+def test_the_row_memo_is_not_part_of_the_environment_value():
+    env = SimEnvironment(node_locations={"orch.test": ORIGIN, "s.test": ORIGIN, "p.test": KM1000})
+    before = repr(env)
+    sim_execution_time(env, CHAIN1, "orch.test")
+    assert env.base_rows == {("orch.test", ("s.test", "p.test")): {"s.test": 0.0, "p.test": pytest.approx(20.0)}}
+    cold = dataclasses.replace(env)
+    assert cold.base_rows == {}
+    assert cold == env and repr(env) == repr(cold) == before
+    with pytest.raises(SimulationError, match="unknown"):
+        load_env('{"base_rows": {}}')
+
+
+@pytest.mark.parametrize("orchestrator_host,located", [
+    ("ghost.test", {"s.test", "p.test"}),
+    ("orch.test", {"orch.test", "s.test"}),
+], ids=["orchestrator", "workflow-host"])
+def test_an_unknown_host_fails_every_run(orchestrator_host, located):
+    env = SimEnvironment(node_locations={host: ORIGIN for host in located})
+    for run in range(3):
+        with pytest.raises(SimulationError, match="no location"):
+            sim_execution_time(env, CHAIN1, orchestrator_host, run=run)
+    assert env.base_rows == {}
 
 
 def test_sweep_then_runs_derive_the_workflow_once(derivations):
