@@ -51,13 +51,15 @@ class ConnectionPool:
 
     def take(self, key: tuple[str, str]):
         """The pooled connection for key, removed from the pool; None if there
-        is none, or if its peer has hung up, in which case it is closed."""
+        is none, or if it is closed or its peer has hung up, in which case it
+        is closed."""
         import select  # deferred, as in http_body
 
         connection = self._open.pop(key, None)
         # an idle connection's socket reads as ready only once its peer has
-        # closed it (or sent bytes nobody asked for)
-        if connection is not None and connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+        # closed it (or sent bytes nobody asked for); one without a socket was
+        # closed after a reply that announced it, and would connect anew
+        if connection is not None and (connection.sock is None or select.select([connection.sock], [], [], 0)[0]):
             connection.close()
             return None
         return connection
@@ -100,6 +102,13 @@ def http_body(
     none; without one, over a new connection closed before returning.
     Redirects are not followed, and proxies from the environment are not used.
 
+    Pooled requests are the harness's workflow hops, which are treated as
+    idempotent transforms (RFC 9112 section 9.3.1): when a pooled connection
+    fails with a ConnectionError before the reply's head arrives (its peer
+    reset it, or hung up just as the request went out), it is closed and the
+    request is sent once more, on a new connection. A request on a new
+    connection, and one that timed out, is never sent again.
+
     Every failure raises `error`: transport, unparsable reply, unencodable
     host name, a status outside 2xx (3xx included). An error status's body
     is read first, so only a whole one leaves an ErrorStatus as the raised
@@ -115,22 +124,33 @@ def http_body(
     try:
         parts = urlsplit(url)
         key = (parts.scheme, parts.netloc)
+        selector = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         connection = pool.take(key) if pool is not None else None
-        if connection is None:
-            if parts.scheme == "http":
-                connection = http.client.HTTPConnection(parts.netloc, timeout=timeout)
-            elif parts.scheme == "https":
-                connection = http.client.HTTPSConnection(parts.netloc, timeout=timeout)
-            else:
-                raise http.client.InvalidURL(f"unknown url type: {parts.scheme!r}")
-        try:
-            selector = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-            connection.request(method, selector, payload, headers)
-            with connection.getresponse() as response:
-                body = response.read()
-        except BaseException:
-            connection.close()
-            raise
+        resend = connection is not None
+        while True:
+            if connection is None:
+                if parts.scheme == "http":
+                    connection = http.client.HTTPConnection(parts.netloc, timeout=timeout)
+                elif parts.scheme == "https":
+                    connection = http.client.HTTPSConnection(parts.netloc, timeout=timeout)
+                else:
+                    raise http.client.InvalidURL(f"unknown url type: {parts.scheme!r}")
+            try:
+                try:
+                    connection.request(method, selector, payload, headers)
+                    response = connection.getresponse()
+                except ConnectionError:  # RemoteDisconnected, ConnectionResetError, BrokenPipeError
+                    if not resend:
+                        raise
+                    connection.close()
+                    connection, resend = None, False
+                    continue
+                with response:
+                    body = response.read()
+            except BaseException:
+                connection.close()
+                raise
+            break
     # ValueError includes UnicodeError and a URL urlsplit rejects
     except (OSError, http.client.HTTPException, ValueError) as exc:
         raise error(f"{method} {url} failed: {exc}") from exc

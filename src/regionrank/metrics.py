@@ -7,13 +7,13 @@ workflow host:
 * ``latency``: network round-trip in ms (ICMP echo, TCP-connect fallback)
 * ``rtt``: full HTTP GET round-trip in ms
 
-A MetricMatrix keeps one row per region, one value per host, and scores
-every region with one weighted sum over its row. A failed channel is stored
-as None and later replaced by a large sentinel during scoring so broken
-regions sink to the bottom of rankings instead of aborting the run. A region
-can also be left unprobed: it then carries only its distances, and reading
-its latency or rtt raises CoverageError, since there is no measurement to
-score, not even a failed one.
+A MetricMatrix keeps one table per channel, each with one row per region
+and one value per host, and scores every region with one weighted sum over
+its row of a channel. A failed channel is stored as None and later replaced
+by a large sentinel during scoring so broken regions sink to the bottom of
+rankings instead of aborting the run. A region can also be left unprobed: it
+then has only a distance row, and reading its latency or rtt raises
+CoverageError, since there is no measurement to score, not even a failed one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import struct
 import sys
 import time
 import urllib.parse
-from collections.abc import Set
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
@@ -33,8 +32,6 @@ from .regions import Region
 from .workflow import ServiceNode
 
 CHANNELS = ("distance", "latency", "rtt")
-# where each probed channel sits in a MetricMatrix.probes row's pairs
-_PROBE_SLOTS = {"latency": 0, "rtt": 1}
 
 # Score assigned to a failed channel: large enough to dominate any plausible
 # real measurement, finite so argmin and sums stay well defined.
@@ -53,33 +50,37 @@ class CoverageError(RegionRankError):
 
 
 Row = Sequence[Optional[float]]
-ProbeRow = Sequence[tuple[Optional[float], Optional[float]]]
 
 
 @dataclass(frozen=True)
 class MetricMatrix:
-    """All gathered measurements, as one row per region over one tuple of hosts.
+    """All gathered measurements: for each channel, one row per region over one tuple of hosts.
 
     hosts are the distinct workflow hosts; column i of every row belongs to
-    hosts[i]. distances maps each gathered region id to its row of km, None
-    where the host could not be located. probes maps each probed region id to
-    its row of (latency_ms, rtt_ms), None marking a failed channel; a region
-    missing from it was not probed. Every probed region also has distances.
-    from_pairs builds a matrix from maps keyed by (region id, host).
+    hosts[i]. rows maps each of CHANNELS to its table, which maps a region id
+    to that region's row of the channel, None marking a failed channel (a
+    distance, a host that could not be located). Every gathered region has a
+    distance row. A probed region also has a latency row and an rtt row; a
+    region without them was not probed. from_pairs builds a matrix from maps
+    keyed by (region id, host).
     """
 
     hosts: tuple[str, ...]
-    distances: dict[str, Row]
-    probes: dict[str, ProbeRow]
+    rows: dict[str, dict[str, Row]]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.probes.keys() <= self.distances.keys():
+        if self.rows.keys() != set(CHANNELS):
+            raise ValueError(f"a matrix holds one table per channel {CHANNELS}, not {tuple(self.rows)}")
+        distance, latency, rtt = (self.rows[channel].keys() for channel in CHANNELS)
+        if latency != rtt:
+            raise ValueError("every probed region needs both a latency row and an rtt row")
+        if not latency <= distance:
             raise ValueError("every probed region must also have a row of distances")
         index = {host: column for column, host in enumerate(self.hosts)}
         if len(index) != len(self.hosts):
             raise ValueError("matrix hosts must be distinct")
-        if any(len(row) != len(index) for rows in (self.distances, self.probes) for row in rows.values()):
+        if any(len(row) != len(index) for table in self.rows.values() for row in table.values()):
             raise ValueError(f"every row must hold one value per host ({len(index)})")
         object.__setattr__(self, "_index", index)
 
@@ -89,7 +90,7 @@ class MetricMatrix:
         distances: Mapping[tuple[str, str], Optional[float]],
         probes: Mapping[tuple[str, str], tuple[Optional[float], Optional[float]]],
     ) -> "MetricMatrix":
-        """The matrix of maps keyed by (region id, host).
+        """The matrix of maps keyed by (region id, host); probes holds (latency, rtt) pairs.
 
         Regions and hosts take the order of their first pair in distances.
         Every region needs a distance to every host, a probed pair a distance,
@@ -98,39 +99,32 @@ class MetricMatrix:
         if not probes.keys() <= distances.keys():
             raise ValueError("every probed pair must also have a distance")
         hosts = tuple(dict.fromkeys(host for _, host in distances))
+        probed = dict.fromkeys(region_id for region_id, _ in probes)
         try:
-            return cls(
-                hosts,
-                {region_id: [distances[region_id, host] for host in hosts]
-                 for region_id in dict.fromkeys(region_id for region_id, _ in distances)},
-                {region_id: [probes[region_id, host] for host in hosts]
-                 for region_id in dict.fromkeys(region_id for region_id, _ in probes)},
-            )
+            rows = {"distance": {region_id: [distances[region_id, host] for host in hosts]
+                                 for region_id in dict.fromkeys(region_id for region_id, _ in distances)}}
+            for slot, channel in enumerate(("latency", "rtt")):
+                rows[channel] = {region_id: [probes[region_id, host][slot] for host in hosts]
+                                 for region_id in probed}
         except KeyError as exc:
             raise ValueError(
                 f"no value for the pair {exc.args[0]!r}: a matrix holds every host of each "
                 "region, and probes every host of a probed region"
             ) from None
+        return cls(hosts, rows)
 
     @property
     def entries(self) -> AbstractSet[tuple[str, str]]:
         """Read-only view of the gathered (region id, host) pairs, region by region in host order."""
-        return _Pairs(self)
-
-    def _row(self, region_id: str, channel: str) -> Row:
-        """region_id's row of one channel; empty if the region has none."""
-        if channel == "distance":
-            return self.distances.get(region_id, ())
-        slot = _PROBE_SLOTS[channel]
-        return [measured[slot] for measured in self.probes.get(region_id, ())]
+        return dict.fromkeys((region_id, host) for region_id in self.rows["distance"] for host in self.hosts).keys()
 
     def _check_coverage(self, region_id: str, hosts: Iterable[str], channel: str) -> None:
         """Raise CoverageError for the first of hosts whose pair has no value of channel."""
         for host in hosts:
             pair = f"region {region_id!r} and host {host!r}"
-            if host not in self._index or region_id not in self.distances:
+            if host not in self._index or region_id not in self.rows["distance"]:
                 raise CoverageError(f"matrix has no entry for {pair}")
-            if channel != "distance" and region_id not in self.probes:
+            if region_id not in self.rows[channel]:
                 raise CoverageError(f"the {channel} channel of {pair} was not probed")
 
     def column(self, region_id: str, hosts: Iterable[str], channel: str) -> list[Optional[float]]:
@@ -142,7 +136,7 @@ class MetricMatrix:
             raise ValueError(f"unknown channel {channel!r}")
         hosts = list(hosts)
         self._check_coverage(region_id, hosts, channel)
-        row = self._row(region_id, channel)
+        row = self.rows[channel].get(region_id, ())
         return [row[self._index[host]] for host in hosts]
 
     def weighted_sums(
@@ -162,12 +156,12 @@ class MetricMatrix:
             raise ValueError(f"unknown channel {channel!r}")
         index = self._index
         columns = [(index[host], count) for host, count in weights.items() if host in index]
-        rows = self.distances if channel == "distance" else self.probes
+        table = self.rows[channel]
         sums = []
         for region_id in region_ids:
-            if len(columns) < len(weights) or region_id not in rows:
+            if len(columns) < len(weights) or region_id not in table:
                 self._check_coverage(region_id, weights, channel)
-            row = self._row(region_id, channel)
+            row = table.get(region_id, ())
             total = 0.0
             for column, count in columns:
                 value = row[column]
@@ -176,45 +170,20 @@ class MetricMatrix:
         return sums
 
     def attempted_channels(self) -> int:
-        """How many channels were measured or tried: 1 per pair, 3 per probed pair."""
-        return len(self.hosts) * (len(self.distances) + 2 * len(self.probes))
+        """How many channels were measured or tried: one per host of each row."""
+        return len(self.hosts) * sum(len(table) for table in self.rows.values())
 
     def failed_channels(self) -> list[tuple[str, str, str]]:
         """(region, host, channel) triples whose measurement failed, sorted.
 
         Channels of unprobed regions were never tried, so they never fail.
         """
-        failed = [
-            (region_id, host, "distance")
-            for region_id, row in self.distances.items()
-            for host, km in zip(self.hosts, row) if km is None
-        ]
-        for region_id, row in self.probes.items():
-            for host, measured in zip(self.hosts, row):
-                failed += [
-                    (region_id, host, channel)
-                    for channel, value in zip(_PROBE_SLOTS, measured) if value is None
-                ]
-        return sorted(failed)
-
-
-class _Pairs(Set):
-    """The (region id, host) pairs of a matrix as a read-only set, in MetricMatrix.entries order."""
-
-    def __init__(self, matrix: MetricMatrix):
-        self._matrix = matrix
-
-    def __len__(self) -> int:
-        return len(self._matrix.distances) * len(self._matrix.hosts)
-
-    def __contains__(self, pair) -> bool:
-        return (isinstance(pair, tuple) and len(pair) == 2
-                and pair[0] in self._matrix.distances and pair[1] in self._matrix._index)
-
-    def __iter__(self):
-        for region_id in self._matrix.distances:
-            for host in self._matrix.hosts:
-                yield region_id, host
+        return sorted(
+            (region_id, host, channel)
+            for channel, table in self.rows.items()
+            for region_id, row in table.items()
+            for host, value in zip(self.hosts, row) if value is None
+        )
 
 
 class Probe(Protocol):
@@ -386,10 +355,10 @@ def gather_metric_matrix(
     """Measure every channel for every (region, distinct host) pair.
 
     Distances come from geolocation alone and are computed once for every
-    region, one row per region. probe_regions, when given, is called once
-    with the distance-only matrix and returns the regions whose latency and
-    rtt are probed (default: all of them); the other regions are left
-    unprobed.
+    region, one distance row per region. probe_regions, when given, is
+    called once with the distance-only matrix and returns the regions whose
+    latency and rtt are probed (default: all of them); each of those gets a
+    latency row and an rtt row, and the other regions are left unprobed.
 
     Channels fail independently: an unresolvable host only loses its distance
     channel, a dead HTTP endpoint only its rtt channel. Each distinct host is
@@ -425,7 +394,8 @@ def gather_metric_matrix(
         for column in unlocated:
             row.insert(column, None)
         distances[region.id] = row
-    to_probe = regions if probe_regions is None else list(probe_regions(MetricMatrix(hosts, distances, {})))
+    to_probe = regions if probe_regions is None else list(
+        probe_regions(MetricMatrix(hosts, {"distance": distances, "latency": {}, "rtt": {}})))
     unknown = {region.id for region in to_probe} - {region.id for region in regions}
     if unknown:
         raise ValueError(f"regions to probe are not among the gathered regions: {sorted(unknown)}")
@@ -452,7 +422,11 @@ def gather_metric_matrix(
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             measured = list(pool.map(probe_pair, pairs))
-    # the probes come back region by region, so each region's row is one slice
+    # the probes come back region by region, so each region's pairs are one slice
     width = len(hosts)
-    probes = {region.id: measured[i * width:(i + 1) * width] for i, region in enumerate(to_probe)}
-    return MetricMatrix(hosts, distances, probes)
+    probed = {region.id: measured[i * width:(i + 1) * width] for i, region in enumerate(to_probe)}
+    return MetricMatrix(hosts, {
+        "distance": distances,
+        "latency": {region_id: [latency for latency, _ in row] for region_id, row in probed.items()},
+        "rtt": {region_id: [rtt for _, rtt in row] for region_id, row in probed.items()},
+    })

@@ -34,12 +34,25 @@ HOSTILE_REPLIES = {
 }
 
 
-@contextlib.contextmanager
-def raw_peer(reply: bytes, requests: list | None = None):
-    """A loopback peer that reads each request, sends `reply` and hangs up; yields its URL.
+def read_request(conn: socket.socket) -> bytes:
+    """The head of the next request on conn, with its body read too; b"" if the client hung up first."""
+    data = b""
+    # a TCP-connect latency probe hangs up without a request
+    while b"\r\n\r\n" not in data and (chunk := conn.recv(4096)):
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    # read the body too: hanging up on unread bytes would reset the connection
+    length = re.search(rb"(?im)^content-length:[ \t]*(\d+)", head)
+    while length and len(body) < int(length[1]) and (chunk := conn.recv(4096)):
+        body += chunk
+    return head
 
-    The request line of each request read is appended to `requests`, when given.
-    The reply does not announce the hang-up (no "Connection: close").
+
+@contextlib.contextmanager
+def loopback_peer(handle):
+    """A loopback server that passes each connection it accepts to handle(conn), one at a time; yields its URL.
+
+    The connection is closed when handle returns, and an OSError ends only that connection.
     """
     stop = threading.Event()
 
@@ -52,23 +65,7 @@ def raw_peer(reply: bytes, requests: list | None = None):
             with conn:
                 try:
                     conn.settimeout(5)
-                    data = b""
-                    # a TCP-connect latency probe hangs up without a request
-                    while b"\r\n\r\n" not in data and (chunk := conn.recv(4096)):
-                        data += chunk
-                    head, _, body = data.partition(b"\r\n\r\n")
-                    # read the body too: hanging up on unread bytes would reset the connection
-                    length = re.search(rb"(?im)^content-length:[ \t]*(\d+)", head)
-                    while length and len(body) < int(length[1]) and (chunk := conn.recv(4096)):
-                        body += chunk
-                    if requests is not None and head:
-                        requests.append(head.partition(b"\r\n")[0])
-                    # corked, the reply's tail goes out with the FIN when the
-                    # connection closes, so the client sees the hang-up as soon
-                    # as it has read the reply (Linux only)
-                    if hasattr(socket, "TCP_CORK"):
-                        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
-                    conn.sendall(reply)
+                    handle(conn)
                 except OSError:
                     pass
 
@@ -81,6 +78,27 @@ def raw_peer(reply: bytes, requests: list | None = None):
         finally:
             stop.set()
             thread.join(timeout=5)
+
+
+def raw_peer(reply: bytes, requests: list | None = None):
+    """A loopback peer that reads each request, sends `reply` and hangs up; a context yielding its URL.
+
+    The request line of each request read is appended to `requests`, when given.
+    The reply does not announce the hang-up (no "Connection: close").
+    """
+
+    def handle(conn):
+        head = read_request(conn)
+        if requests is not None and head:
+            requests.append(head.partition(b"\r\n")[0])
+        # corked, the reply's tail goes out with the FIN when the
+        # connection closes, so the client sees the hang-up as soon
+        # as it has read the reply (Linux only)
+        if hasattr(socket, "TCP_CORK"):
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
+        conn.sendall(reply)
+
+    return loopback_peer(handle)
 
 
 def count_accepts(service) -> list:

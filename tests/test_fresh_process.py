@@ -19,6 +19,7 @@ import regionrank
 from regionrank.bundled import fixture_path
 from regionrank.harness import payload_source, transform_service
 from regionrank.workflow import endpoint_host
+from test_golden import WORLDS, write_world
 
 SRC = str(Path(regionrank.__file__).resolve().parent.parent)
 WORKED_WORKFLOW = str(fixture_path("worked_example.workflow"))
@@ -33,9 +34,9 @@ HASH_MODULES = ("hashlib", "_hashlib")
 DEFERRED_MODULES = NETWORK_MODULES + HASH_MODULES + ("concurrent.futures", "logging", "statistics")
 
 
-def _run(*args):
-    """`python -X importtime *args` with the package on the path; (process, modules it imported)."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+def _run(*args, **environ):
+    """`python -X importtime *args` with the package on the path and `environ` set; (process, modules it imported)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **environ)
     done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
                           text=True, timeout=60, env=env)
     return done, {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
@@ -47,13 +48,13 @@ def _startup_modules():
     return _run("-c", "pass")[1]
 
 
-def fresh(*args):
-    """Run `python *args` in a new interpreter with the package on the path.
+def fresh(*args, **environ):
+    """Run `python *args` in a new interpreter with the package on the path and `environ` set.
 
     Returns the finished process and the modules it imported beyond those a
     bare interpreter imports (so a site hook cannot fail the checks).
     """
-    done, imported = _run(*args)
+    done, imported = _run(*args, **environ)
     return done, imported - _startup_modules()
 
 
@@ -90,6 +91,41 @@ def test_a_noisy_simulate_in_a_fresh_process(tmp_path):
     assert done.stdout.splitlines()[-1].startswith("BEST: ")
     # the noise draws ran through the deferred import
     assert "hashlib" in imported
+
+
+# Prints the .hex() of simulated runs 0-9 from the first two regions' probe
+# hosts and of every oracle time, on the world whose files are argv[1:4]
+SIMULATED_TIMES = """
+import sys
+from pathlib import Path
+from regionrank.regions import load_catalog
+from regionrank.simulator import best_region_oracle, load_env, sim_execution_time
+from regionrank.workflow import parse_workflow
+workflow, catalog, env = (Path(path).read_text() for path in sys.argv[1:4])
+spec, catalog, env = parse_workflow(workflow, format="lines"), load_catalog(catalog), load_env(env)
+for region in catalog.regions[:2]:
+    for run in range(10):
+        print(region.probe_host, run, sim_execution_time(env, spec, region.probe_host, run=run).hex())
+for region_id, seconds in best_region_oracle(env, spec, catalog)[1]:
+    print(region_id, seconds.hex())
+"""
+
+
+def test_simulated_times_are_the_same_floats_in_every_process(tmp_path, monkeypatch, capsys):
+    # verify and simulate print 3 decimals of a second, so only the floats themselves
+    # show a last-bit difference between processes
+    paths = write_world(tmp_path, *WORLDS["noisy"])
+    files = [paths["--workflow"], paths["--catalog"], paths["--env"]]
+    outputs = []
+    for seed in ("0", "1"):
+        done, _ = fresh("-c", SIMULATED_TIMES, *files, PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    monkeypatch.setattr(sys, "argv", ["-c", *files])
+    exec(SIMULATED_TIMES, {})
+    in_process = capsys.readouterr().out
+    assert len(in_process.splitlines()) == 2 * 10 + 64
+    assert outputs == [in_process, in_process]
 
 
 def test_harness_names_resolve_on_the_package_in_a_fresh_interpreter():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import regionrank.harness
-from conftest import count_accepts, kept_alive, raw_peer
+from conftest import count_accepts, kept_alive, loopback_peer, raw_peer, read_request
 from regionrank.errors import ConnectionPool
 from regionrank.harness import (
     ComparisonStats,
@@ -456,6 +456,56 @@ def test_a_run_replaces_a_connection_its_peer_hung_up():
     assert list(outputs.values()) == [b"ok", b"ok"]
     # each request sent once, the second on a new connection
     assert requests == [b"GET / HTTP/1.1", b"POST / HTTP/1.1"]
+
+
+OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+
+
+def scripted_peer(replies, requests):
+    """A loopback peer that answers the requests it reads with `replies` in turn; a context yielding its URL.
+
+    A reply of None hangs up without replying, and b"" sends nothing and
+    waits for the client's next request. A connection stays open otherwise.
+    The request line of each request read is appended to `requests`.
+    """
+    replies = iter(replies)
+
+    def handle(conn):
+        while head := read_request(conn):
+            requests.append(head.partition(b"\r\n")[0])
+            reply = next(replies)
+            if reply is None:
+                return
+            conn.sendall(reply)
+
+    return loopback_peer(handle)
+
+
+def test_a_hop_whose_kept_alive_peer_hangs_up_is_sent_again_on_a_new_connection():
+    requests = []
+    # the GET's connection stays open, so the POST goes out on it, and its
+    # peer reads the POST and hangs up without a reply
+    with scripted_peer([OK, None, OK], requests) as url:
+        _, outputs = run_workflow_once(parse_workflow(f"{url}\n{url}\n", format="lines"), timeout=2)
+    assert list(outputs.values()) == [b"ok", b"ok"]
+    assert requests == [b"GET / HTTP/1.1", b"POST / HTTP/1.1", b"POST / HTTP/1.1"]
+
+
+@pytest.mark.parametrize("replies, chain, sent, match", [
+    # a new connection's peer hangs up without a reply
+    ([None], 1, [b"GET / HTTP/1.1"], "Remote end closed connection without response"),
+    # a kept-alive connection's peer never replies to the POST
+    ([OK, b""], 2, [b"GET / HTTP/1.1", b"POST / HTTP/1.1"], "timed out"),
+    # the GET's reply closes its connection, so the POST goes out on a new one
+    ([b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", None, None], 2,
+     [b"GET / HTTP/1.1", b"POST / HTTP/1.1"], "Remote end closed connection without response"),
+], ids=["new-connection", "timed-out", "announced-close"])
+def test_a_request_on_a_new_connection_or_timed_out_is_never_sent_again(replies, chain, sent, match):
+    requests = []
+    with scripted_peer(replies, requests) as url:
+        with pytest.raises(WorkflowRunError, match=match):
+            run_workflow_once(parse_workflow(f"{url}\n" * chain, format="lines"), timeout=0.5)
+    assert requests == sent
 
 
 def test_a_redirect_fails_a_run():

@@ -286,7 +286,8 @@ def test_remote_agent_probe_server_error(agent_url):
 def _assert_gather_fails_only_rtt(probe, host):
     nodes = distinct_nodes(parse_workflow(f"http://{host}/\n", format="lines"))
     matrix = gather_metric_matrix(probe, FixtureResolver({host: GeoPoint(1, 1)}), [REGION], nodes)
-    assert matrix.probes == {"r-test": [(42.0, None)]}
+    assert matrix.rows["latency"] == {"r-test": [42.0]}
+    assert matrix.rows["rtt"] == {"r-test": [None]}
     assert matrix.failed_channels() == [("r-test", host, "rtt")]
 
 
@@ -323,7 +324,7 @@ def test_remote_agent_probe_reply_no_client_parses_fails_both_channels(hostile_p
         probe.measure_http_rtt(REGION, "http://node.test/")
     nodes = distinct_nodes(parse_workflow("http://node.test/\n", format="lines"))
     matrix = gather_metric_matrix(probe, FixtureResolver({"node.test": GeoPoint(1, 1)}), [REGION], nodes)
-    assert matrix.probes == {"r-test": [(None, None)]}
+    assert matrix.rows["latency"] == matrix.rows["rtt"] == {"r-test": [None]}
 
 
 # --- matrix gathering ---
@@ -362,11 +363,9 @@ def test_gather_single_pair():
         SimulatedProbe(env), env.resolver(), regions, distinct_nodes(spec)
     )
     assert matrix.hosts == ("node00.test",)
-    [km] = matrix.distances["region-0"]
-    assert km is not None
-    [(latency, rtt)] = matrix.probes["region-0"]
-    assert latency is not None
-    assert rtt is not None
+    for channel in CHANNELS:
+        [value] = matrix.rows[channel]["region-0"]
+        assert value is not None
 
 
 class _StaticProbe:
@@ -383,8 +382,9 @@ def test_gather_missing_geolocation_fails_distance_only():
     resolver = FixtureResolver({"located.test": GeoPoint(1, 1)})
     matrix = gather_metric_matrix(_StaticProbe(), resolver, [region], distinct_nodes(spec))
     assert matrix.hosts == ("located.test", "unknown.test")
-    assert matrix.distances["r"][1] is None
-    assert matrix.probes["r"] == [(5.0, 11.0), (5.0, 11.0)]
+    assert matrix.rows["distance"]["r"][1] is None
+    assert matrix.rows["latency"]["r"] == [5.0, 5.0]
+    assert matrix.rows["rtt"]["r"] == [11.0, 11.0]
     assert matrix.failed_channels() == [("r", "unknown.test", "distance")]
 
 
@@ -425,8 +425,8 @@ def test_gather_parallelism_does_not_change_results():
                                   parallelism=1)
     parallel = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes,
                                     parallelism=8)
-    assert list(serial.distances.items()) == list(parallel.distances.items())
-    assert list(serial.probes.items()) == list(parallel.probes.items())
+    for channel in CHANNELS:
+        assert list(serial.rows[channel].items()) == list(parallel.rows[channel].items())
 
 
 def test_gather_of_one_thread_probes_in_the_calling_thread():
@@ -471,15 +471,15 @@ def test_gather_probes_only_the_named_regions():
                                   probe_regions=pick)
     # called once, with the distance-only matrix whose distances are returned
     [seen] = pick.seen
-    assert seen.probes == {}
-    assert seen.distances == matrix.distances
+    assert seen.rows["latency"] == seen.rows["rtt"] == {}
+    assert seen.rows["distance"] == matrix.rows["distance"]
     assert sorted({region for region, _ in probe.latency_calls}) == ["region-1", "region-2"]
     assert len(probe.rtt_calls) == 2 * 3
     assert len(matrix.entries) == 4 * 3
     full = gather_metric_matrix(SimulatedProbe(env), env.resolver(), regions, nodes)
-    assert matrix.distances == full.distances
+    assert matrix.rows["distance"] == full.rows["distance"]
     assert matrix.hosts == tuple(node.host for node in nodes)
-    assert list(matrix.probes) == ["region-1", "region-2"]
+    assert list(matrix.rows["latency"]) == list(matrix.rows["rtt"]) == ["region-1", "region-2"]
     assert matrix.failed_channels() == []
     assert matrix.attempted_channels() == 4 * 3 + 2 * 2 * 3
 
@@ -490,7 +490,7 @@ def test_gather_with_no_probe_regions_issues_no_probe():
     matrix = gather_metric_matrix(probe, env.resolver(), regions, distinct_nodes(WORKFLOW),
                                   probe_regions=lambda _: ())
     assert probe.latency_calls == probe.rtt_calls == []
-    assert matrix.probes == {}
+    assert matrix.rows["latency"] == matrix.rows["rtt"] == {}
     assert matrix.attempted_channels() == 2 * 3
 
 
@@ -525,11 +525,19 @@ def test_matrix_entries_is_a_read_only_view_of_the_gathered_pairs():
         assert absent not in matrix.entries
 
 
-def test_matrix_rejects_a_probed_pair_without_distance():
-    with pytest.raises(ValueError, match="distance"):
-        MetricMatrix.from_pairs({}, {("r1", "a.test"): (1.0, 2.0)})
-    with pytest.raises(ValueError, match="distances"):
-        MetricMatrix(("a.test",), {}, {"r1": [(1.0, 2.0)]})
+@pytest.mark.parametrize("build, match", [
+    (lambda: MetricMatrix.from_pairs({}, {("r1", "a.test"): (1.0, 2.0)}), "distance"),
+    (lambda: MetricMatrix(("a.test",), {"distance": {}, "latency": {"r1": [1.0]}, "rtt": {"r1": [2.0]}}),
+     "distances"),
+    (lambda: MetricMatrix(("a.test",), {"distance": {"r1": [3.0]}, "latency": {"r1": [1.0]}, "rtt": {}}),
+     "both a latency row and an rtt row"),
+    (lambda: MetricMatrix(("a.test",), {"distance": {"r1": [3.0]}, "latency": {}, "rtt": {"r1": [2.0]}}),
+     "both a latency row and an rtt row"),
+    (lambda: MetricMatrix(("a.test",), {"distance": {"r1": [3.0]}, "latency": {}}), "one table per channel"),
+], ids=["pairs", "rows", "latency-only", "rtt-only", "no-rtt-table"])
+def test_matrix_rejects_a_probed_pair_without_distance(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_matrix_rejects_rows_that_leave_out_a_host():
@@ -538,9 +546,9 @@ def test_matrix_rejects_rows_that_leave_out_a_host():
     with pytest.raises(ValueError, match=r"\('r1', 'b.test'\)"):
         MetricMatrix.from_pairs({("r1", "a.test"): 1.0, ("r1", "b.test"): 2.0}, {("r1", "a.test"): (1.0, 2.0)})
     with pytest.raises(ValueError, match="one value per host"):
-        MetricMatrix(("a.test", "b.test"), {"r1": [1.0]}, {})
+        MetricMatrix(("a.test", "b.test"), {"distance": {"r1": [1.0]}, "latency": {}, "rtt": {}})
     with pytest.raises(ValueError, match="distinct"):
-        MetricMatrix(("a.test", "a.test"), {"r1": [1.0, 1.0]}, {})
+        MetricMatrix(("a.test", "a.test"), {"distance": {"r1": [1.0, 1.0]}, "latency": {}, "rtt": {}})
 
 
 def test_matrix_column_reads_one_channel_and_names_what_is_missing():
@@ -611,9 +619,9 @@ def _attempted(distance, measured):
     return (("distance", distance), ("latency", measured[0]), ("rtt", measured[1]))
 
 
-def _bits(distances):
-    """(region id, hex of km or None per host) of each row, in order: equal only if every float is bit-identical."""
-    return [(region_id, [None if km is None else km.hex() for km in row]) for region_id, row in distances.items()]
+def _bits(table):
+    """(region id, hex of value or None per host) of each row, in order: equal only if every float is bit-identical."""
+    return [(region_id, [None if value is None else value.hex() for value in row]) for region_id, row in table.items()]
 
 
 _POINTS = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
@@ -642,28 +650,30 @@ def test_gathered_matrix_matches_haversine_and_edge_semantics(data):
     matrix = gather_metric_matrix(probe, FixtureResolver(locations), regions, nodes,
                                   parallelism=2, probe_regions=pick)
     [seen] = pick.seen
-    assert seen.probes == {}
-    assert _bits(seen.distances) == _bits(matrix.distances)
+    assert seen.rows["latency"] == seen.rows["rtt"] == {}
+    assert _bits(seen.rows["distance"]) == _bits(matrix.rows["distance"])
 
     probed_ids = {region.id for region in probe_regions}
     distances, probes = {}, {}
     for region in regions:
         for host in hosts:
-            key = (region.id, host)
-            distances[key] = haversine_km(region.location, locations[host]) if host in locations else None
+            distances[region.id, host] = haversine_km(region.location, locations[host]) if host in locations else None
             if region.id not in probed_ids:
                 for channel in ("latency", "rtt"):
                     with pytest.raises(CoverageError, match=f"{channel} channel .* not probed"):
                         matrix.column(region.id, [host], channel)
-                continue
+    # probed rows come in the order probe_regions returned them
+    for region in probe_regions:
+        for host in hosts:
+            key = (region.id, host)
             latency = None if key + ("latency",) in failing else probe.measure_latency(region, host, 1)
             rtt = None if key + ("rtt",) in failing else probe.measure_http_rtt(region, f"http://{host}/")
             probes[key] = (latency, rtt)
 
     expected = MetricMatrix.from_pairs(distances, probes)
     assert matrix.hosts == tuple(hosts)
-    assert _bits(matrix.distances) == _bits(expected.distances)
-    assert matrix.probes == expected.probes
+    for channel in CHANNELS:
+        assert _bits(matrix.rows[channel]) == _bits(expected.rows[channel])
     attempted = {key: _attempted(distance, probes.get(key)) for key, distance in distances.items()}
     assert matrix.failed_channels() == sorted(
         key + (channel,) for key, channels in attempted.items() for channel, value in channels if value is None
