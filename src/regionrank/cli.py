@@ -5,12 +5,14 @@ workflow from two vantages and compare statistics), simulate (brute-force
 region sweep in a simulated environment), serve (run the toy transform
 service), gen (generate a random chain workflow).
 
-Exit codes: 0 success, 2 input error, 3 probe failure beyond threshold.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 input error, 3 probe
+failure beyond threshold.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -214,8 +216,9 @@ def cmd_serve(args) -> int:
     from .harness import transform_service  # deferred, as in cmd_verify
 
     service = transform_service(port=args.port, delay_ms=args.delay_ms, mode=args.mode)
-    print(f"serving transform ({args.mode}) on {service.url}", flush=True)
     try:
+        # inside the try: an interrupt that lands just after the banner is flushed is still caught
+        print(f"serving transform ({args.mode}) on {service.url}", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -248,7 +251,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        status = _COMMANDS[args.subcommand](args)
+        sys.stdout.flush()  # so that a reader that has gone fails the flush here
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone: send what is left to devnull, so that the
+        # flush at exit does not fail again, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (RegionRankError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

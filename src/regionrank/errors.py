@@ -12,7 +12,7 @@ class RegionRankError(Exception):
     """Base class for every error raised by this package."""
 
 
-def decode_json(text: str | bytes, what: str, error: type[RegionRankError], kind: type | None = None):
+def decode_json(text: str, what: str, error: type[RegionRankError], kind: type | None = None):
     """Decode a JSON input document, raising `error` if it is malformed.
 
     `what` names the input in the message. Nesting too deep for the decoder

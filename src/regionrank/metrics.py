@@ -12,7 +12,7 @@ and one value per host, and scores every region with one weighted sum over
 its row of a channel. A failed channel is stored as None and later replaced
 by a large sentinel during scoring so broken regions sink to the bottom of
 rankings instead of aborting the run. A region can also be left unprobed: it
-then has only a distance row, and reading its latency or rtt raises
+then has only a distance row, and scoring its latency or rtt raises
 CoverageError, since there is no measurement to score, not even a failed one.
 """
 
@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import os
 import struct
-import sys
 import time
-import urllib.parse
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
-from .errors import ErrorStatus, RegionRankError, decode_json, http_body, load_http_client
+from .errors import ErrorStatus, RegionRankError, http_body, load_http_client
 from .geo import GeoResolutionError, GeoResolver, haversine_row
 from .regions import Region
 from .workflow import ServiceNode
@@ -61,8 +59,7 @@ class MetricMatrix:
     to that region's row of the channel, None marking a failed channel (a
     distance, a host that could not be located). Every gathered region has a
     distance row. A probed region also has a latency row and an rtt row; a
-    region without them was not probed. from_pairs builds a matrix from maps
-    keyed by (region id, host).
+    region without them was not probed.
     """
 
     hosts: tuple[str, ...]
@@ -84,60 +81,10 @@ class MetricMatrix:
             raise ValueError(f"every row must hold one value per host ({len(index)})")
         object.__setattr__(self, "_index", index)
 
-    @classmethod
-    def from_pairs(
-        cls,
-        distances: Mapping[tuple[str, str], Optional[float]],
-        probes: Mapping[tuple[str, str], tuple[Optional[float], Optional[float]]],
-    ) -> "MetricMatrix":
-        """The matrix of maps keyed by (region id, host); probes holds (latency, rtt) pairs.
-
-        Regions and hosts take the order of their first pair in distances.
-        Every region needs a distance to every host, a probed pair a distance,
-        and a probed region a probe of every host; ValueError otherwise.
-        """
-        if not probes.keys() <= distances.keys():
-            raise ValueError("every probed pair must also have a distance")
-        hosts = tuple(dict.fromkeys(host for _, host in distances))
-        probed = dict.fromkeys(region_id for region_id, _ in probes)
-        try:
-            rows = {"distance": {region_id: [distances[region_id, host] for host in hosts]
-                                 for region_id in dict.fromkeys(region_id for region_id, _ in distances)}}
-            for slot, channel in enumerate(("latency", "rtt")):
-                rows[channel] = {region_id: [probes[region_id, host][slot] for host in hosts]
-                                 for region_id in probed}
-        except KeyError as exc:
-            raise ValueError(
-                f"no value for the pair {exc.args[0]!r}: a matrix holds every host of each "
-                "region, and probes every host of a probed region"
-            ) from None
-        return cls(hosts, rows)
-
     @property
     def entries(self) -> AbstractSet[tuple[str, str]]:
         """Read-only view of the gathered (region id, host) pairs, region by region in host order."""
         return dict.fromkeys((region_id, host) for region_id in self.rows["distance"] for host in self.hosts).keys()
-
-    def _check_coverage(self, region_id: str, hosts: Iterable[str], channel: str) -> None:
-        """Raise CoverageError for the first of hosts whose pair has no value of channel."""
-        for host in hosts:
-            pair = f"region {region_id!r} and host {host!r}"
-            if host not in self._index or region_id not in self.rows["distance"]:
-                raise CoverageError(f"matrix has no entry for {pair}")
-            if region_id not in self.rows[channel]:
-                raise CoverageError(f"the {channel} channel of {pair} was not probed")
-
-    def column(self, region_id: str, hosts: Iterable[str], channel: str) -> list[Optional[float]]:
-        """One channel of (region_id, host) for each host, in order; None marks a failure.
-
-        Raises CoverageError for a pair not gathered or a channel not probed.
-        """
-        if channel not in CHANNELS:
-            raise ValueError(f"unknown channel {channel!r}")
-        hosts = list(hosts)
-        self._check_coverage(region_id, hosts, channel)
-        row = self.rows[channel].get(region_id, ())
-        return [row[self._index[host]] for host in hosts]
 
     def weighted_sums(
         self, weights: Mapping[str, int], region_ids: Iterable[str], channel: str
@@ -160,7 +107,12 @@ class MetricMatrix:
         sums = []
         for region_id in region_ids:
             if len(columns) < len(weights) or region_id not in table:
-                self._check_coverage(region_id, weights, channel)
+                for host in weights:
+                    pair = f"region {region_id!r} and host {host!r}"
+                    if host not in index or region_id not in self.rows["distance"]:
+                        raise CoverageError(f"matrix has no entry for {pair}")
+                    if region_id not in table:
+                        raise CoverageError(f"the {channel} channel of {pair} was not probed")
             row = table.get(region_id, ())
             total = 0.0
             for column, count in columns:
@@ -301,46 +253,6 @@ class LiveProbe:
             if not isinstance(exc.__cause__, ErrorStatus):  # an error status completes the round trip
                 raise
         return (time.perf_counter() - start) * 1000.0
-
-
-class RemoteAgentProbe:
-    """Delegates measurement to helper HTTP agents deployed inside regions.
-
-    agents maps region id to the agent's base URL. The agent answers
-    GET /probe?target=H&k=K with {"latency_ms": float} and
-    GET /probe_http?url=U with {"rtt_ms": float}.
-    """
-
-    def __init__(self, agents: dict[str, str], deadline_s: float = DEFAULT_DEADLINE_S):
-        self.agents = dict(agents)
-        self.deadline_s = deadline_s
-
-    def _agent_base(self, region: Region) -> str:
-        try:
-            return self.agents[region.id].rstrip("/")
-        except KeyError:
-            raise ProbeError(f"no probe agent registered for region {region.id!r}") from None
-
-    def _call(self, url: str, field: str) -> float:
-        body = http_body(url, self.deadline_s, ProbeError)
-        doc = decode_json(body, f"body from agent call {url!r}", ProbeError, dict)
-        try:
-            value = doc[field]
-            if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
-                raise ValueError(f"{field} {value!r} is not a finite, non-negative JSON number")
-        except (KeyError, ValueError) as exc:
-            raise ProbeError(f"agent call {url!r} returned a malformed body") from exc
-        return float(value)
-
-    def measure_latency(self, region: Region, host: str, k: int) -> float:
-        base = self._agent_base(region)
-        query = urllib.parse.urlencode({"target": host, "k": k})
-        return self._call(f"{base}/probe?{query}", "latency_ms")
-
-    def measure_http_rtt(self, region: Region, url: str) -> float:
-        base = self._agent_base(region)
-        query = urllib.parse.urlencode({"url": url})
-        return self._call(f"{base}/probe_http?{query}", "rtt_ms")
 
 
 def gather_metric_matrix(

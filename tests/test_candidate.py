@@ -18,9 +18,11 @@ CHAIN3 = parse_workflow(
 
 
 def latency_matrix(values, region_id="r-east"):
-    distances = {(region_id, host): 1.0 for host in values}
-    probes = {(region_id, host): (ms, 2 * ms) for host, ms in values.items()}
-    return MetricMatrix.from_pairs(distances, probes)
+    return MetricMatrix(tuple(values), {
+        "distance": {region_id: [1.0] * len(values)},
+        "latency": {region_id: list(values.values())},
+        "rtt": {region_id: [2 * ms for ms in values.values()]},
+    })
 
 
 def test_sequential_chain_star_shape():
@@ -85,12 +87,11 @@ def test_total_weight_all_zero():
 
 
 def test_total_weight_failed_channel_uses_sentinel():
-    probes = {
-        ("r-east", "s.test"): (None, 1.0),
-        ("r-east", "p1.test"): (5.0, 1.0),
-        ("r-east", "p2.test"): (5.0, 1.0),
-    }
-    matrix = MetricMatrix.from_pairs(dict.fromkeys(probes, 1.0), probes)
+    matrix = MetricMatrix(("s.test", "p1.test", "p2.test"), {
+        "distance": {"r-east": [1.0, 1.0, 1.0]},
+        "latency": {"r-east": [None, 5.0, 5.0]},
+        "rtt": {"r-east": [1.0, 1.0, 1.0]},
+    })
     graph = build_candidate_graph(CHAIN3, REGION)
     assert total_weight(graph, "latency", matrix) == pytest.approx(FAILURE_SENTINEL_MS + 5.0 * 4)
 
@@ -161,8 +162,8 @@ def test_host_weights_count_two_per_hop_plus_terminals(spec):
 )
 def test_total_weight_equals_per_edge_sum(spec, channel, values):
     # None is a failed channel: it costs the sentinel once per edge
-    distances = {("r-east", host): v for host, v in values.items()}
-    matrix = MetricMatrix.from_pairs(distances, {key: (v, v) for key, v in distances.items()})
+    row = list(values.values())
+    matrix = MetricMatrix(tuple(values), {channel: {"r-east": row} for channel in ("distance", "latency", "rtt")})
     per_edge = sum(
         FAILURE_SENTINEL_MS if values[peer] is None else values[peer] for peer in spec.edge_peers
     )

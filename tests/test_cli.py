@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import signal
 import socket
 import subprocess
@@ -685,10 +686,61 @@ def test_serve_exits_on_interrupt_while_a_client_holds_an_idle_connection():
         connection = kept_alive(int(url.rstrip("/").rpartition(":")[2]))
         try:
             proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=5) == EXIT_OK
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            pass  # killed below; the assertion then shows what it wrote
         finally:
             connection.close()
     finally:
         if proc.poll() is None:
             proc.kill()
-        proc.communicate(timeout=10)
+        _, stderr = proc.communicate(timeout=10)
+    # a traceback on stderr shows why serve did not exit cleanly
+    assert proc.returncode == EXIT_OK, stderr
+
+
+class _InterruptedFlush(io.StringIO):
+    """stdout whose first flush is interrupted, as by a SIGINT that lands just after serve's banner is written."""
+
+    interrupted = False
+
+    def flush(self):
+        if not self.interrupted:
+            self.interrupted = True
+            raise KeyboardInterrupt
+        super().flush()
+
+
+def test_serve_exits_on_an_interrupt_that_lands_as_its_banner_is_flushed(monkeypatch):
+    stdout = _InterruptedFlush()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["serve", "--port", "0"])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped serve")  # rather than end the test session
+    assert code == EXIT_OK
+    assert stdout.interrupted
+    assert stdout.getvalue().startswith("serving transform (rotate) on http://127.0.0.1:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--workflow", WORKED_WORKFLOW, "--catalog", CATALOG, "--env", WORKED_ENV],
+    rank_args(),
+    rank_args(**{"--format": "json"}),
+    ["verify", "--mode", "sim", "--workflow", WORKED_WORKFLOW, "--env", WORKED_ENV,
+     "--vantage-a", "ec2.us-east-1.amazonaws.com", "--vantage-b", "ec2.eu-west-1.amazonaws.com"],
+    ["gen", "--pool", WORKED_WORKFLOW, "--length", "3", "--seed", "1", "--source", "http://s.test/"],
+    ["serve", "--port", "0"],
+], ids=["simulate", "rank-sim", "rank-sim-json", "verify-sim", "gen", "serve"])
+def test_a_closed_stdout_exits_1_without_an_error_line(argv):
+    # the reader has gone before the command writes anything
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        done = subprocess.run([sys.executable, "-m", "regionrank", *argv], stdout=writer,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(writer)
+    assert done.returncode == 1, done.stderr
+    assert "error:" not in done.stderr
+    assert "Exception ignored" not in done.stderr

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from conftest import DEEP_JSON
-from regionrank.errors import RegionRankError, http_body
+from regionrank.errors import RegionRankError, decode_json, http_body
 from regionrank.geo import FixtureResolver, GeoFixtureError
 from regionrank.regions import CatalogError, load_catalog
 from regionrank.simulator import SimulationError, load_env
@@ -51,6 +51,22 @@ def test_loaders_report_undecodable_json_as_malformed(loader, error, what, text)
 
 class _CallerError(RegionRankError):
     pass
+
+
+@pytest.mark.parametrize("text, kind, cause", [
+    ("not json", None, ValueError),
+    (DEEP_JSON, None, RecursionError),
+    ("[" + "1" * 5000 + "]", list, ValueError),
+    ("[84.0]", dict, None),
+], ids=["garbage", "deep", "too-many-digits", "wrong-kind"])
+def test_decode_json_raises_the_callers_error_from_what_the_decoder_raised(text, kind, cause):
+    with pytest.raises(_CallerError, match="^malformed probe reply: ") as info:
+        decode_json(text, "probe reply", _CallerError, kind)
+    # a decoder failure is the cause; a top-level value of the wrong kind has none
+    if cause is None:
+        assert info.value.__cause__ is None
+    else:
+        assert isinstance(info.value.__cause__, cause)
 
 
 def test_http_body_raises_the_callers_error_for_a_host_name_idna_cannot_encode():

@@ -1,5 +1,6 @@
-"""Checks that need a new interpreter: what loading the package imports, and
-that every import the package defers until use still resolves there.
+"""Checks that need a new interpreter: what loading the package imports,
+that every import the package defers until use still resolves there, and
+that CLI output is the same under every string hash seed.
 
 In-process tests run after others have imported the harness and the HTTP
 client, which would hide both an import that crept back to load time and a
@@ -9,6 +10,7 @@ deferred one that no longer resolves.
 import functools
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,9 @@ from test_golden import WORLDS, write_world
 SRC = str(Path(regionrank.__file__).resolve().parent.parent)
 WORKED_WORKFLOW = str(fixture_path("worked_example.workflow"))
 WORKED_ENV = str(fixture_path("worked_example_env.json"))
+ADVERSARIAL_ENV = str(fixture_path("adversarial_env.json"))
 CATALOG = str(fixture_path("regions.json"))
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
 
 # the HTTP client and server with what they pull in, and sockets
 NETWORK_MODULES = ("http.client", "http.server", "socketserver", "urllib.request", "ssl", "email", "socket")
@@ -126,6 +130,84 @@ def test_simulated_times_are_the_same_floats_in_every_process(tmp_path, monkeypa
     in_process = capsys.readouterr().out
     assert len(in_process.splitlines()) == 2 * 10 + 64
     assert outputs == [in_process, in_process]
+
+
+# Runs each argv of the JSON list argv[1] through cli.main in this process
+# and prints one JSON line per command: [argv, exit status, stdout]
+CLI_COMMANDS = """
+import contextlib, io, json, sys
+from regionrank.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    print(json.dumps([argv, status, out.getvalue()]))
+"""
+
+VANTAGES = ["--vantage-a", "ec2.us-east-1.amazonaws.com", "--vantage-b", "ec2.eu-west-1.amazonaws.com"]
+
+
+def _determinism_commands(tmp_path):
+    """argv of every rank, simulate and verify command the cross-process check runs."""
+    env = json.loads(Path(WORKED_ENV).read_text())
+    env["noise_sigma_ms"] = 20  # a noisy copy of the worked environment: every simulated edge draws noise
+    noisy = tmp_path / "noisy_env.json"
+    noisy.write_text(json.dumps(env))
+    # the benchmark's sweep-wide seed 1 files (256 regions, 100 hosts, a 1000-hop
+    # chain); run_path compiles inputs.py without writing bytecode into bench/
+    wide = tmp_path / "sweep-wide"
+    wide.mkdir()
+    for name, text in runpy.run_path(str(BENCH_INPUTS))["sweep_wide"](1).items():
+        (wide / name).write_text(text)
+
+    commands = []
+    for env in (WORKED_ENV, ADVERSARIAL_ENV):
+        files = ["--workflow", WORKED_WORKFLOW, "--catalog", CATALOG, "--env", env]
+        commands += [
+            ["rank", "--mode", "sim", "--format", "json", *files],
+            # the default table format renders the same report on its own path
+            ["rank", "--mode", "sim", *files],
+            # --top-n 1 probes one region, --top-n 8 every region of the catalog
+            *(["rank", "--mode", "sim", "--format", "json", "--top-n", n, *files] for n in ("1", "8")),
+            ["simulate", *files],
+            ["verify", "--mode", "sim", "--workflow", WORKED_WORKFLOW, "--env", env, *VANTAGES],
+        ]
+    files = ["--workflow", WORKED_WORKFLOW, "--env", str(noisy)]
+    commands += [
+        ["simulate", "--catalog", CATALOG, *files],
+        ["verify", "--mode", "sim", *files, *VANTAGES],
+        # 50 runs per vantage: every run after the first reads the vantage's remembered base-latency row
+        ["verify", "--mode", "sim", "--runs", "50", *files, *VANTAGES],
+    ]
+    files = ["--workflow", str(wide / "workflow"), "--env", str(wide / "env.json")]
+    catalog = ["--catalog", str(wide / "catalog.json")]
+    vantages = ["--vantage-a", "probe-000.test", "--vantage-b", "probe-001.test"]
+    commands += [
+        ["simulate", *catalog, *files],
+        ["rank", "--mode", "sim", "--format", "json", "--top-n", "8", *catalog, *files],
+        # the benchmark's own sweep-wide rank: table, default --top-n, no failed channel allowed
+        ["rank", "--mode", "sim", "--fail-threshold", "0", *catalog, *files],
+        ["verify", "--mode", "sim", *files, *vantages],
+        ["verify", "--mode", "sim", "--runs", "50", *files, *vantages],
+    ]
+    return commands
+
+
+def test_cli_output_is_the_same_under_every_string_hash_seed(tmp_path):
+    # the acceptance determinism test ranks twice in one process, under one
+    # string hash seed; this compares two hash seeds, so no dict or set keyed
+    # by a host or region id leaks its hash order into rank, simulate or
+    # verify output
+    commands = _determinism_commands(tmp_path)
+    outputs = []
+    for seed in ("0", "1"):
+        done, _ = _run("-c", CLI_COMMANDS, json.dumps(commands), PYTHONHASHSEED=seed)
+        assert done.returncode == 0, done.stderr
+        outputs.append([json.loads(line) for line in done.stdout.splitlines()])
+    assert len(outputs[0]) == len(outputs[1]) == len(commands) == 20
+    for (argv, status, stdout), (_, other_status, other_stdout) in zip(*outputs):
+        assert status == other_status == 0, argv
+        assert stdout == other_stdout, argv
 
 
 def test_harness_names_resolve_on_the_package_in_a_fresh_interpreter():

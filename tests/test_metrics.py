@@ -1,10 +1,7 @@
-import json
 import re
 import socket
 import threading
 from collections.abc import MutableSet
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +11,11 @@ from regionrank.geo import FixtureResolver, GeoPoint, haversine_km
 from regionrank.harness import transform_service
 from regionrank.metrics import (
     CHANNELS,
+    FAILURE_SENTINEL_MS,
     CoverageError,
     LiveProbe,
     MetricMatrix,
     ProbeError,
-    RemoteAgentProbe,
     _split_host,
     gather_metric_matrix,
 )
@@ -136,6 +133,32 @@ def test_live_http_rtt_truncated_error_body_is_probe_error():
             LiveProbe(deadline_s=2.0).measure_http_rtt(REGION, url)
 
 
+def _live_gather(url):
+    """The matrix of a one-region, one-host live gather of the workflow that is url alone."""
+    host = endpoint_host(url)
+    nodes = distinct_nodes(parse_workflow(f"{url}\n", format="lines"))
+    probe = LiveProbe(deadline_s=2.0)
+    return host, gather_metric_matrix(probe, FixtureResolver({host: GeoPoint(1, 1)}), [REGION], nodes,
+                                      k=1, parallelism=1)
+
+
+def test_live_gather_fails_only_the_rtt_of_a_peer_whose_reply_no_client_parses(hostile_peer):
+    # the peer accepts the latency probe's connect, so only the GET fails; the gather goes on
+    host, matrix = _live_gather(hostile_peer)
+    [latency] = matrix.rows["latency"]["r-test"]
+    assert latency > 0.0
+    assert matrix.rows["rtt"] == {"r-test": [None]}
+    assert matrix.failed_channels() == [("r-test", host, "rtt")]
+
+
+def test_live_gather_counts_an_error_status_as_a_measured_rtt():
+    with raw_peer(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 5\r\n\r\nbroke") as url:
+        _, matrix = _live_gather(url)
+    [rtt] = matrix.rows["rtt"]["r-test"]
+    assert rtt > 0.0
+    assert matrix.failed_channels() == []
+
+
 def test_live_latency_host_name_idna_cannot_encode_is_probe_error():
     host = "a" * 64 + ".test"  # one label past the 63-character limit
     with pytest.raises(ProbeError, match="^cannot resolve"):
@@ -201,130 +224,6 @@ def test_live_latency_unresolvable_host_is_probe_error():
     probe = LiveProbe(deadline_s=1.0)
     with pytest.raises(ProbeError):
         probe.measure_latency(REGION, "definitely-not-a-real-host.invalid", k=1)
-
-
-# --- remote agent probe ---
-
-
-# rtt bodies the test agent returns for these probed hosts: valid JSON, but
-# no finite, non-negative number of ms
-_HOSTILE_RTT_BODIES = {
-    "nan.test": b'{"rtt_ms": NaN}',
-    "infinity.test": b'{"rtt_ms": Infinity}',
-    "negative.test": b'{"rtt_ms": -5}',
-    "boolean.test": b'{"rtt_ms": true}',
-    "string.test": b'{"rtt_ms": "84"}',
-}
-# valid JSON nested deeper than the decoder goes
-_NESTED_BODY = b"[" * 200_000 + b"]" * 200_000
-
-
-class _AgentHandler(BaseHTTPRequestHandler):
-    def log_message(self, format, *args):
-        pass
-
-    def do_GET(self):
-        parts = urlsplit(self.path)
-        query = parse_qs(parts.query)
-        if parts.path == "/probe":
-            target = query["target"][0]
-            if target == "broken.test":
-                self.send_error(500)
-                return
-            body = json.dumps({"latency_ms": 42.0, "k": int(query["k"][0])}).encode()
-        elif parts.path == "/probe_http":
-            host = urlsplit(query["url"][0]).hostname
-            if "garbage" in query["url"][0]:
-                body = b"not json"
-            elif host == "nested.test":
-                body = _NESTED_BODY
-            elif host == "array.test":
-                body = b"[84.0]"
-            elif host in _HOSTILE_RTT_BODIES:
-                body = _HOSTILE_RTT_BODIES[host]
-            elif host == "zero.test":
-                body = b'{"rtt_ms": 0}'
-            else:
-                body = json.dumps({"rtt_ms": 84.0}).encode()
-        else:
-            self.send_error(404)
-            return
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-
-@pytest.fixture()
-def agent_url():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _AgentHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-
-
-def test_remote_agent_probe_roundtrip(agent_url):
-    probe = RemoteAgentProbe({"r-test": agent_url})
-    assert probe.measure_latency(REGION, "node.test", k=4) == 42.0
-    assert probe.measure_http_rtt(REGION, "http://node.test/") == 84.0
-
-
-def test_remote_agent_probe_missing_agent(agent_url):
-    probe = RemoteAgentProbe({"other-region": agent_url})
-    with pytest.raises(ProbeError, match="r-test"):
-        probe.measure_latency(REGION, "node.test", k=1)
-
-
-def test_remote_agent_probe_server_error(agent_url):
-    probe = RemoteAgentProbe({"r-test": agent_url})
-    with pytest.raises(ProbeError):
-        probe.measure_latency(REGION, "broken.test", k=1)
-
-
-def _assert_gather_fails_only_rtt(probe, host):
-    nodes = distinct_nodes(parse_workflow(f"http://{host}/\n", format="lines"))
-    matrix = gather_metric_matrix(probe, FixtureResolver({host: GeoPoint(1, 1)}), [REGION], nodes)
-    assert matrix.rows["latency"] == {"r-test": [42.0]}
-    assert matrix.rows["rtt"] == {"r-test": [None]}
-    assert matrix.failed_channels() == [("r-test", host, "rtt")]
-
-
-@pytest.mark.parametrize("host", ["garbage.test", "nested.test", "array.test"])
-def test_remote_agent_probe_malformed_body(agent_url, host):
-    probe = RemoteAgentProbe({"r-test": agent_url})
-    with pytest.raises(ProbeError, match="malformed body from agent call"):
-        probe.measure_http_rtt(REGION, f"http://{host}/")
-    # only that channel fails; the gather goes on
-    _assert_gather_fails_only_rtt(probe, host)
-
-
-@pytest.mark.parametrize("host", _HOSTILE_RTT_BODIES)
-def test_remote_agent_probe_rejects_a_value_that_is_no_duration(agent_url, host):
-    probe = RemoteAgentProbe({"r-test": agent_url})
-    with pytest.raises(ProbeError, match="returned a malformed body") as info:
-        probe.measure_http_rtt(REGION, f"http://{host}/")
-    assert "not a finite, non-negative JSON number" in str(info.value.__cause__)
-    # only that channel fails; the gather goes on
-    _assert_gather_fails_only_rtt(probe, host)
-
-
-def test_remote_agent_probe_accepts_an_integer_zero(agent_url):
-    rtt = RemoteAgentProbe({"r-test": agent_url}).measure_http_rtt(REGION, "http://zero.test/")
-    assert rtt == 0.0
-    assert type(rtt) is float
-
-
-def test_remote_agent_probe_reply_no_client_parses_fails_both_channels(hostile_peer):
-    probe = RemoteAgentProbe({"r-test": hostile_peer})
-    with pytest.raises(ProbeError, match="^GET "):
-        probe.measure_latency(REGION, "node.test", k=1)
-    with pytest.raises(ProbeError, match="^GET "):
-        probe.measure_http_rtt(REGION, "http://node.test/")
-    nodes = distinct_nodes(parse_workflow("http://node.test/\n", format="lines"))
-    matrix = gather_metric_matrix(probe, FixtureResolver({"node.test": GeoPoint(1, 1)}), [REGION], nodes)
-    assert matrix.rows["latency"] == matrix.rows["rtt"] == {"r-test": [None]}
 
 
 # --- matrix gathering ---
@@ -501,10 +400,20 @@ def test_gather_rejects_probe_regions_outside_regions():
                              distinct_nodes(WORKFLOW), probe_regions=lambda _: regions[1:])
 
 
+def test_gather_rejects_a_parallelism_below_1():
+    regions, env = sim_setup(n_regions=1)
+    probe = _CountingProbe()
+    with pytest.raises(ValueError, match="parallelism must be at least 1"):
+        gather_metric_matrix(probe, env.resolver(), regions, distinct_nodes(WORKFLOW), parallelism=0)
+    assert probe.latency_calls == probe.rtt_calls == []
+
+
 def test_failed_channels_never_lists_unprobed_channels():
-    distances = {("r1", "a.test"): None, ("r1", "b.test"): 1.0, ("r2", "a.test"): 3.0, ("r2", "b.test"): None}
-    probes = {("r2", "a.test"): (None, 2.0), ("r2", "b.test"): (1.0, 1.0)}
-    matrix = MetricMatrix.from_pairs(distances, probes)
+    matrix = MetricMatrix(("a.test", "b.test"), {
+        "distance": {"r1": [None, 1.0], "r2": [3.0, None]},
+        "latency": {"r2": [None, 1.0]},
+        "rtt": {"r2": [2.0, 1.0]},
+    })
     assert matrix.failed_channels() == [
         ("r1", "a.test", "distance"), ("r2", "a.test", "latency"), ("r2", "b.test", "distance")
     ]
@@ -512,11 +421,15 @@ def test_failed_channels_never_lists_unprobed_channels():
 
 
 def test_matrix_entries_is_a_read_only_view_of_the_gathered_pairs():
-    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None, ("r2", "a.test"): 1.0, ("r2", "b.test"): 2.0}
-    matrix = MetricMatrix.from_pairs(distances, {("r1", "a.test"): (4.0, None), ("r1", "b.test"): (1.0, 1.0)})
-    assert list(matrix.entries) == list(distances)
+    matrix = MetricMatrix(("a.test", "b.test"), {
+        "distance": {"r1": [3.0, None], "r2": [1.0, 2.0]},
+        "latency": {"r1": [4.0, 1.0]},
+        "rtt": {"r1": [None, 1.0]},
+    })
+    pairs = [("r1", "a.test"), ("r1", "b.test"), ("r2", "a.test"), ("r2", "b.test")]
+    assert list(matrix.entries) == pairs
     assert len(matrix.entries) == 4
-    assert matrix.entries == distances.keys()
+    assert matrix.entries == set(pairs)
     assert not isinstance(matrix.entries, MutableSet)
     with pytest.raises(TypeError):
         matrix.entries[("r1", "c.test")] = 1.0
@@ -526,7 +439,6 @@ def test_matrix_entries_is_a_read_only_view_of_the_gathered_pairs():
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: MetricMatrix.from_pairs({}, {("r1", "a.test"): (1.0, 2.0)}), "distance"),
     (lambda: MetricMatrix(("a.test",), {"distance": {}, "latency": {"r1": [1.0]}, "rtt": {"r1": [2.0]}}),
      "distances"),
     (lambda: MetricMatrix(("a.test",), {"distance": {"r1": [3.0]}, "latency": {"r1": [1.0]}, "rtt": {}}),
@@ -534,61 +446,68 @@ def test_matrix_entries_is_a_read_only_view_of_the_gathered_pairs():
     (lambda: MetricMatrix(("a.test",), {"distance": {"r1": [3.0]}, "latency": {}, "rtt": {"r1": [2.0]}}),
      "both a latency row and an rtt row"),
     (lambda: MetricMatrix(("a.test",), {"distance": {"r1": [3.0]}, "latency": {}}), "one table per channel"),
-], ids=["pairs", "rows", "latency-only", "rtt-only", "no-rtt-table"])
+    (lambda: MetricMatrix(("a.test",), {"distance": {"r1": [3.0]}, "latency": {}, "rtt": {}, "jitter": {}}),
+     "one table per channel"),
+], ids=["rows", "latency-only", "rtt-only", "no-rtt-table", "extra-table"])
 def test_matrix_rejects_a_probed_pair_without_distance(build, match):
     with pytest.raises(ValueError, match=match):
         build()
 
 
 def test_matrix_rejects_rows_that_leave_out_a_host():
-    with pytest.raises(ValueError, match=r"\('r2', 'b.test'\)"):
-        MetricMatrix.from_pairs({("r1", "a.test"): 1.0, ("r1", "b.test"): 2.0, ("r2", "a.test"): 3.0}, {})
-    with pytest.raises(ValueError, match=r"\('r1', 'b.test'\)"):
-        MetricMatrix.from_pairs({("r1", "a.test"): 1.0, ("r1", "b.test"): 2.0}, {("r1", "a.test"): (1.0, 2.0)})
     with pytest.raises(ValueError, match="one value per host"):
         MetricMatrix(("a.test", "b.test"), {"distance": {"r1": [1.0]}, "latency": {}, "rtt": {}})
+    with pytest.raises(ValueError, match="one value per host"):
+        MetricMatrix(("a.test", "b.test"), {"distance": {"r1": [1.0, 2.0]}, "latency": {"r1": [1.0]},
+                                            "rtt": {"r1": [2.0, 3.0]}})
     with pytest.raises(ValueError, match="distinct"):
         MetricMatrix(("a.test", "a.test"), {"distance": {"r1": [1.0, 1.0]}, "latency": {}, "rtt": {}})
 
 
-def test_matrix_column_reads_one_channel_and_names_what_is_missing():
-    distances = {("r1", "a.test"): 3.0, ("r1", "b.test"): None, ("r2", "a.test"): 1.0, ("r2", "b.test"): 2.0}
-    probes = {("r1", "a.test"): (4.0, None), ("r1", "b.test"): (None, 6.0)}
-    matrix = MetricMatrix.from_pairs(distances, probes)
-    assert matrix.column("r1", ["b.test", "a.test"], "distance") == [None, 3.0]
-    assert matrix.column("r1", ["a.test"], "rtt") == [None]
-    assert matrix.column("r1", ["b.test", "a.test", "b.test"], "latency") == [None, 4.0, None]
-    assert matrix.column("r2", [], "latency") == []
+def test_weighted_sums_reads_one_channel_and_names_what_is_missing():
+    matrix = MetricMatrix(("a.test", "b.test"), {
+        "distance": {"r1": [3.0, None], "r2": [1.0, 2.0]},
+        "latency": {"r1": [4.0, None]},
+        "rtt": {"r1": [None, 6.0]},
+    })
+    assert matrix.weighted_sums({"a.test": 2}, ["r1", "r2"], "distance") == [6.0, 2.0]
+    assert matrix.weighted_sums({"a.test": 1}, ["r1"], "rtt") == [FAILURE_SENTINEL_MS]
+    assert matrix.weighted_sums({"b.test": 2, "a.test": 1}, ["r1"], "latency") == [2 * FAILURE_SENTINEL_MS + 4.0]
+    assert matrix.weighted_sums({}, ["r2"], "latency") == [0.0]
     with pytest.raises(CoverageError, match="latency.*not probed"):
-        matrix.column("r2", ["a.test", "b.test"], "latency")
+        matrix.weighted_sums({"a.test": 1, "b.test": 1}, ["r2"], "latency")
     with pytest.raises(CoverageError, match="r1.*ghost.test"):
-        matrix.column("r1", ["ghost.test"], "distance")
-    with pytest.raises(ValueError, match="bogus"):
-        matrix.column("r1", [], "bogus")
+        matrix.weighted_sums({"ghost.test": 1}, ["r1"], "distance")
+    with pytest.raises(ValueError, match="unknown channel 'bogus'"):
+        matrix.weighted_sums({}, ["r1"], "bogus")
 
 
 @pytest.mark.parametrize("channel", CHANNELS)
-def test_matrix_column_missing_pair_names_it(channel):
-    matrix = MetricMatrix.from_pairs({}, {})
+def test_weighted_sums_missing_pair_names_it(channel):
+    matrix = MetricMatrix((), {"distance": {}, "latency": {}, "rtt": {}})
     with pytest.raises(CoverageError, match="no entry for region 'r9' and host 'ghost.test'"):
-        matrix.column("r9", ["ghost.test"], channel)
+        matrix.weighted_sums({"ghost.test": 1}, ["r9"], channel)
 
 
-def test_matrix_column_names_the_first_missing_host():
-    distances = {("r1", "unlocated.test"): None, ("r1", "b.test"): 2.0,
-                 ("r2", "unlocated.test"): None, ("r2", "b.test"): 3.0}
-    matrix = MetricMatrix.from_pairs(distances, {("r2", "unlocated.test"): (None, None), ("r2", "b.test"): (1.0, 1.0)})
-    hosts = ["unlocated.test", "b.test", "ghost.test"]
+def test_weighted_sums_names_the_first_missing_host():
+    matrix = MetricMatrix(("unlocated.test", "b.test"), {
+        "distance": {"r1": [None, 2.0], "r2": [None, 3.0]},
+        "latency": {"r2": [None, 1.0]},
+        "rtt": {"r2": [None, 1.0]},
+    })
+    weights = dict.fromkeys(["unlocated.test", "b.test", "ghost.test"], 1)
     for channel in ("latency", "rtt"):
         with pytest.raises(CoverageError,
                            match=f"the {channel} channel of region 'r1' and host 'unlocated.test' was not probed"):
-            matrix.column("r1", hosts, channel)
+            matrix.weighted_sums(weights, ["r1"], channel)
         with pytest.raises(CoverageError, match="no entry for region 'r2' and host 'ghost.test'"):
-            matrix.column("r2", hosts, channel)
+            matrix.weighted_sums(weights, ["r2"], channel)
     with pytest.raises(CoverageError, match="no entry for region 'r1' and host 'ghost.test'"):
-        matrix.column("r1", hosts, "distance")
+        matrix.weighted_sums(weights, ["r1"], "distance")
     with pytest.raises(CoverageError, match="no entry for region 'r1' and host 'ghost.test'"):
-        matrix.column("r1", hosts[::-1], "latency")
+        matrix.weighted_sums(dict(reversed(weights.items())), ["r1"], "latency")
+    with pytest.raises(CoverageError, match="no entry for region 'r9' and host 'unlocated.test'"):
+        matrix.weighted_sums({"unlocated.test": 1, "b.test": 1}, ["r2", "r9"], "distance")
 
 
 class _ScriptedProbe:
@@ -607,16 +526,6 @@ class _ScriptedProbe:
         if (region.id, host, "rtt") in self.failing:
             raise ProbeError("scripted rtt failure")
         return float(len(region.id) * len(host))
-
-
-def _attempted(distance, measured):
-    """(channel, value) of each channel of a pair that was measured or tried.
-
-    measured is the pair's (latency, rtt), or None if it was not probed.
-    """
-    if measured is None:
-        return (("distance", distance),)
-    return (("distance", distance), ("latency", measured[0]), ("rtt", measured[1]))
 
 
 def _bits(table):
@@ -654,31 +563,38 @@ def test_gathered_matrix_matches_haversine_and_edge_semantics(data):
     assert _bits(seen.rows["distance"]) == _bits(matrix.rows["distance"])
 
     probed_ids = {region.id for region in probe_regions}
-    distances, probes = {}, {}
+    expected = {channel: {} for channel in CHANNELS}
     for region in regions:
-        for host in hosts:
-            distances[region.id, host] = haversine_km(region.location, locations[host]) if host in locations else None
-            if region.id not in probed_ids:
+        expected["distance"][region.id] = [
+            haversine_km(region.location, locations[host]) if host in locations else None for host in hosts
+        ]
+        if region.id not in probed_ids:
+            for host in hosts:
                 for channel in ("latency", "rtt"):
                     with pytest.raises(CoverageError, match=f"{channel} channel .* not probed"):
-                        matrix.column(region.id, [host], channel)
+                        matrix.weighted_sums({host: 1}, [region.id], channel)
     # probed rows come in the order probe_regions returned them
     for region in probe_regions:
-        for host in hosts:
-            key = (region.id, host)
-            latency = None if key + ("latency",) in failing else probe.measure_latency(region, host, 1)
-            rtt = None if key + ("rtt",) in failing else probe.measure_http_rtt(region, f"http://{host}/")
-            probes[key] = (latency, rtt)
+        expected["latency"][region.id] = [
+            None if (region.id, host, "latency") in failing else probe.measure_latency(region, host, 1)
+            for host in hosts
+        ]
+        expected["rtt"][region.id] = [
+            None if (region.id, host, "rtt") in failing else probe.measure_http_rtt(region, f"http://{host}/")
+            for host in hosts
+        ]
 
-    expected = MetricMatrix.from_pairs(distances, probes)
     assert matrix.hosts == tuple(hosts)
     for channel in CHANNELS:
-        assert _bits(matrix.rows[channel]) == _bits(expected.rows[channel])
-    attempted = {key: _attempted(distance, probes.get(key)) for key, distance in distances.items()}
+        assert _bits(matrix.rows[channel]) == _bits(expected[channel])
+    attempted = [
+        (region_id, host, channel, value)
+        for channel, table in expected.items() for region_id, row in table.items() for host, value in zip(hosts, row)
+    ]
     assert matrix.failed_channels() == sorted(
-        key + (channel,) for key, channels in attempted.items() for channel, value in channels if value is None
+        (region_id, host, channel) for region_id, host, channel, value in attempted if value is None
     )
-    assert matrix.attempted_channels() == sum(len(channels) for channels in attempted.values())
+    assert matrix.attempted_channels() == len(attempted)
 
 
 def test_gather_survives_probe_failures():
@@ -686,4 +602,5 @@ def test_gather_survives_probe_failures():
     spec = parse_workflow("http://ok.test/\nhttp://down.test/\n", format="lines")
     resolver = FixtureResolver({"ok.test": GeoPoint(1, 1), "down.test": GeoPoint(2, 2)})
     matrix = gather_metric_matrix(_FailingProbe(), resolver, [region], distinct_nodes(spec))
-    assert matrix.column("r", ["down.test", "ok.test"], "latency") == [None, 5.0]
+    assert matrix.hosts == ("ok.test", "down.test")
+    assert matrix.rows["latency"]["r"] == [5.0, None]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import dag_specs, gather_sim, make_consistent_case
 from regionrank.candidate import build_candidate_graph, total_weight
 from regionrank.geo import GeoPoint
-from regionrank.metrics import FAILURE_SENTINEL_MS, CoverageError, MetricMatrix
+from regionrank.metrics import CHANNELS, FAILURE_SENTINEL_MS, CoverageError, MetricMatrix
 from regionrank.ranking import RankingError, RankingReport, geo_prefilter, rank, render_report
 from regionrank.regions import Region, RegionCatalog
 from regionrank.simulator import best_region_oracle
@@ -38,13 +38,10 @@ def catalog_of(n, at=None):
 
 def matrix_for(catalog, values):
     """values: region-id -> (distance, latency, rtt) applied to every host."""
-    distances, probes = {}, {}
-    for region in catalog:
-        d, l, r = values[region.id]
-        for host in ("s.test", "p.test"):
-            distances[(region.id, host)] = d
-            probes[(region.id, host)] = (l, r)
-    return MetricMatrix.from_pairs(distances, probes)
+    return MetricMatrix(("s.test", "p.test"), {
+        channel: {region.id: [values[region.id][slot]] * 2 for region in catalog}
+        for slot, channel in enumerate(CHANNELS)
+    })
 
 
 def test_worked_example_recommends_us_east_1(worked_spec, catalog8, worked_env):
@@ -150,30 +147,23 @@ def test_argmin_invariant_under_scaling(c):
 
 def test_failed_channel_region_never_wins_against_healthy_one():
     catalog = catalog_of(2)
-    distances = {
-        ("region-0", "s.test"): 1.0,
-        ("region-0", "p.test"): 1.0,
-        ("region-1", "s.test"): 2.0,
-        ("region-1", "p.test"): 2.0,
-    }
-    probes = {
-        ("region-0", "s.test"): (None, 5.0),  # failed latency
-        ("region-0", "p.test"): (1.0, 5.0),
-        ("region-1", "s.test"): (400.0, 900.0),
-        ("region-1", "p.test"): (400.0, 900.0),
-    }
-    matrix = MetricMatrix.from_pairs(distances, probes)
+    matrix = MetricMatrix(("s.test", "p.test"), {
+        "distance": {"region-0": [1.0, 1.0], "region-1": [2.0, 2.0]},
+        "latency": {"region-0": [None, 1.0], "region-1": [400.0, 400.0]},  # a failed latency
+        "rtt": {"region-0": [5.0, 5.0], "region-1": [900.0, 900.0]},
+    })
     report = rank(SPEC1, catalog, matrix, n=2)
     assert report.recommended == "region-1"
 
 
-def _pair_by_pair(spec, region_ids, values):
-    """sum of w * m over the (region, host) pairs, host by host in host_weights order, as float.hex."""
+def _pair_by_pair(spec, hosts, table):
+    """sum of w * m over each region's (host, value) pairs, host by host in host_weights order, as float.hex."""
     totals = {}
-    for region_id in region_ids:
+    for region_id, row in table.items():
+        values = dict(zip(hosts, row))
         total = 0.0
         for host, weight in spec.host_weights.items():
-            value = values[region_id, host]
+            value = values[host]
             total += weight * (FAILURE_SENTINEL_MS if value is None else value)
         totals[region_id] = total.hex()
     return totals
@@ -196,38 +186,43 @@ def test_kernel_totals_equal_a_pair_by_pair_sum_bit_for_bit(data):
     region_ids = [f"region-{j}" for j in range(data.draw(st.integers(1, 4)))]
     unlocated = data.draw(st.sets(st.sampled_from(hosts)))
     maybe_failed = st.one_of(st.none(), _METRIC)
-    distances = {(r, h): None if h in unlocated else data.draw(_METRIC) for r in region_ids for h in hosts}
-    probes = {(r, h): (data.draw(maybe_failed), data.draw(maybe_failed)) for r in region_ids for h in hosts}
+    rows = {
+        "distance": {r: [None if h in unlocated else data.draw(_METRIC) for h in hosts] for r in region_ids},
+        "latency": {r: [data.draw(maybe_failed) for _ in hosts] for r in region_ids},
+        "rtt": {r: [data.draw(maybe_failed) for _ in hosts] for r in region_ids},
+    }
     catalog = RegionCatalog(tuple(Region(r, f"probe-{r}.test", GeoPoint(0.0, 0.0)) for r in region_ids))
     first_host = next(iter(spec.host_weights))
     gap = data.draw(st.sampled_from(_GAPS))
-    if gap == "region":
-        gone = data.draw(st.sampled_from(region_ids))
-        expected = f"matrix has no entry for region {gone!r} and host {first_host!r}"
-    elif gap == "host":
-        gone = data.draw(st.sampled_from(hosts))
-        expected = f"matrix has no entry for region {region_ids[0]!r} and host {gone!r}"
-    elif gap == "probes":
-        gone = data.draw(st.sampled_from(region_ids))
-        expected = f"the latency channel of region {gone!r} and host {first_host!r} was not probed"
     if gap != "none":
-        probes = {key: value for key, value in probes.items() if gone not in key}
-        if gap != "probes":
-            distances = {key: value for key, value in distances.items() if gone not in key}
-        matrix = MetricMatrix.from_pairs(distances, probes)
+        gone = data.draw(st.sampled_from(hosts if gap == "host" else region_ids))
+        if gap == "region":
+            rows = {channel: {r: row for r, row in table.items() if r != gone} for channel, table in rows.items()}
+            expected = f"matrix has no entry for region {gone!r} and host {first_host!r}"
+        elif gap == "host":
+            kept = [column for column, h in enumerate(hosts) if h != gone]
+            hosts = [hosts[column] for column in kept]
+            rows = {channel: {r: [row[column] for column in kept] for r, row in table.items()}
+                    for channel, table in rows.items()}
+            expected = f"matrix has no entry for region {region_ids[0]!r} and host {gone!r}"
+        else:
+            rows["latency"].pop(gone)
+            rows["rtt"].pop(gone)
+            expected = f"the latency channel of region {gone!r} and host {first_host!r} was not probed"
+        matrix = MetricMatrix(tuple(hosts), rows)
         with pytest.raises(CoverageError) as info:
             rank(spec, catalog, matrix, n=len(region_ids))
         assert str(info.value) == expected
         return
 
-    matrix = MetricMatrix.from_pairs(distances, probes)
+    matrix = MetricMatrix(tuple(hosts), rows)
     report = rank(spec, catalog, matrix, n=len(region_ids))
-    for table, channel, values in (
-        (report.distance_table, "distance", distances),
-        (report.latency_table, "latency", {key: value[0] for key, value in probes.items()}),
-        (report.rtt_table, "rtt", {key: value[1] for key, value in probes.items()}),
+    for table, channel in (
+        (report.distance_table, "distance"),
+        (report.latency_table, "latency"),
+        (report.rtt_table, "rtt"),
     ):
-        reference = _pair_by_pair(spec, region_ids, values)
+        reference = _pair_by_pair(spec, hosts, rows[channel])
         assert {region_id: score.hex() for region_id, score in table} == reference
         assert {
             region.id: total_weight(build_candidate_graph(spec, region), channel, matrix).hex()
