@@ -28,7 +28,8 @@ from .stats import DEFAULT_RUNS, ComparisonStats, ExecutionStats, HarnessError, 
 from .workflow import ROLE_SOURCE, WorkflowSpec
 
 DEFAULT_RUN_TIMEOUT_S = 30.0
-DEFAULT_BODY_CAP = 64 * 1024 * 1024
+# the largest request body the transform service reads
+BODY_CAP = 64 * 1024 * 1024
 # how often serve_forever checks for shutdown; close() waits up to one interval
 _SHUTDOWN_POLL_S = 0.05
 
@@ -107,21 +108,15 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
 
     def _body_length(self) -> Optional[int]:
-        """The request's Content-Length, or None after refusing a malformed one with 400."""
+        """The request's Content-Length, or None after refusing it: 411 for a Transfer-Encoding, 400 if malformed."""
+        if "Transfer-Encoding" in self.headers:
+            self._refuse(411)
+            return None
         raw = self.headers.get("Content-Length", "0").strip()
         if not (raw.isascii() and raw.isdigit()):
             self._refuse(400)
             return None
         return int(raw)
-
-
-# Request-body buffers shared by every transform service in the process. A
-# kept-alive connection holds a handler thread while it is open, so a run
-# keeps a thread per service busy at once, and each thread serves many
-# connections over its life; glibc keeps what a thread frees in that thread's
-# malloc arena, so a buffer per request would leave a payload-sized block
-# behind in each of those threads.
-_BUFFERS: list[bytearray] = []
 
 
 class _TransformHandler(_ServiceHandler):
@@ -141,23 +136,15 @@ class _TransformHandler(_ServiceHandler):
         length = self._body_length()
         if length is None:
             return
-        if length > self.server.body_cap:
+        if length > BODY_CAP:
             self._refuse(413)
             return
-        try:
-            body = _BUFFERS.pop()
-        except IndexError:  # every buffer is in use
-            body = bytearray()
-        try:
-            del body[length:]
-            body.extend(bytes(length - len(body)))  # grows only past the largest body yet
-            del body[self.rfile.readinto(body):]  # a short read leaves no stale tail
-            self._simulated_compute()
-            if self.server.mode == "rotate":
-                body.reverse()
-            self._reply(200, body)
-        finally:
-            _BUFFERS.append(body)
+        body = bytearray(length)
+        del body[self.rfile.readinto(body):]  # a short read leaves no zero padding
+        self._simulated_compute()
+        if self.server.mode == "rotate":
+            body.reverse()
+        self._reply(200, body)
 
 
 class _PayloadHandler(_ServiceHandler):
@@ -167,35 +154,6 @@ class _PayloadHandler(_ServiceHandler):
     def do_POST(self):
         if self._body_length() is not None:
             self._refuse(405)
-
-
-class _LocalService:
-    """A loopback HTTP service running on a daemon thread."""
-
-    def __init__(self, server: ThreadingHTTPServer):
-        self._server = server
-        self._thread = threading.Thread(target=server.serve_forever, args=(_SHUTDOWN_POLL_S,), daemon=True)
-        self._thread.start()
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.port}/"
-
-    def close(self):
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
 
 
 # Inboxes of the handler threads parked between connections, shared by every
@@ -220,10 +178,43 @@ def _handle_connections(inbox: queue.SimpleQueue, job) -> None:
 
 
 class _Server(ThreadingHTTPServer):
+    """A bundled service on 127.0.0.1, served on a daemon thread from creation until close().
+
+    The handler reads its settings (delay_ms, mode, payload) from the server.
+    """
+
     # a TCP-connect latency probe opens its k connections back to back; past
     # socketserver's default backlog of 5 they would wait on 1 s SYN retries
     request_queue_size = socket.SOMAXCONN
     closed = False
+
+    def __init__(self, port: int, handler, delay_ms: float = 0.0, mode: str = "echo", payload: bytes = b""):
+        if not 0 <= port <= 65535:
+            raise HarnessError(f"port {port} is outside 0-65535")
+        super().__init__(("127.0.0.1", port), handler)
+        self.delay_ms = delay_ms
+        self.mode = mode
+        self.payload = payload
+        self._serve_thread = threading.Thread(target=self.serve_forever, args=(_SHUTDOWN_POLL_S,), daemon=True)
+        self._serve_thread.start()
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.port}/"
+
+    def close(self):
+        """Stop serving, close the listening socket and wait for the serve thread."""
+        self.shutdown()
+        self.server_close()
+        self._serve_thread.join(timeout=5)
+
+    def __exit__(self, *exc_info):
+        # socketserver's __exit__ only calls server_close, which leaves serve_forever running
+        self.close()
 
     def process_request(self, request, client_address):
         """Hand the connection to a parked handler thread, or start one if none is idle."""
@@ -250,37 +241,21 @@ class _Server(ThreadingHTTPServer):
             inbox.put(None)
 
 
-def _loopback_server(port: int, handler) -> _Server:
-    if not 0 <= port <= 65535:
-        raise HarnessError(f"port {port} is outside 0-65535")
-    return _Server(("127.0.0.1", port), handler)
-
-
-def transform_service(
-    port: int = 0,
-    delay_ms: float = 0.0,
-    mode: str = "rotate",
-    body_cap: int = DEFAULT_BODY_CAP,
-) -> _LocalService:
+def transform_service(port: int = 0, delay_ms: float = 0.0, mode: str = "rotate") -> _Server:
     """Start the toy processing service; port 0 lets the OS pick one.
 
     POST / applies the transform (rotate = byte reversal, echo = identity)
     after delay_ms of simulated compute; GET / answers 200 as a probe target.
+    A body over BODY_CAP bytes gets 413.
     """
     if mode not in ("rotate", "echo"):
         raise HarnessError(f"unknown transform mode {mode!r}")
     delay_ms = float(delay_ms)
     if not math.isfinite(delay_ms) or delay_ms < 0:
         raise HarnessError(f"delay must be a finite non-negative number of ms, not {delay_ms}")
-    server = _loopback_server(port, _TransformHandler)
-    server.delay_ms = delay_ms
-    server.mode = mode
-    server.body_cap = int(body_cap)
-    return _LocalService(server)
+    return _Server(port, _TransformHandler, delay_ms=delay_ms, mode=mode)
 
 
-def payload_source(payload: bytes = b"sample payload", port: int = 0) -> _LocalService:
+def payload_source(payload: bytes = b"sample payload", port: int = 0) -> _Server:
     """Start a loopback data source serving `payload` to any GET."""
-    server = _loopback_server(port, _PayloadHandler)
-    server.payload = bytes(payload)
-    return _LocalService(server)
+    return _Server(port, _PayloadHandler, payload=bytes(payload))

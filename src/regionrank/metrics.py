@@ -23,11 +23,12 @@ import struct
 import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from .errors import ErrorStatus, RegionRankError, http_body, load_http_client
 from .geo import GeoResolutionError, GeoResolver, haversine_row
 from .regions import Region
-from .workflow import ServiceNode
+from .workflow import _DEFAULT_PORTS, ServiceNode
 
 CHANNELS = ("distance", "latency", "rtt")
 
@@ -141,8 +142,8 @@ class MetricMatrix:
 class Probe(Protocol):
     """Measurement backend used when gathering a matrix."""
 
-    def measure_latency(self, region: Region, host: str, k: int) -> float:
-        """Mean network round-trip region->host over k samples, in ms."""
+    def measure_latency(self, region: Region, url: str, k: int) -> float:
+        """Mean network round-trip region->the host of url over k samples, in ms."""
         ...
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
@@ -162,17 +163,6 @@ def _mean(samples: list[float]) -> float:
     return total / len(samples)
 
 
-def _split_host(host: str) -> tuple[str, Optional[int]]:
-    """(name, port or None) of a host key; IPv6 literals are bracketed: [::1], [::1]:8080."""
-    if host.startswith("["):
-        name, _, rest = host[1:].partition("]")
-        return name, int(rest[1:]) if rest else None
-    if ":" in host:
-        name, _, port = host.rpartition(":")
-        return name, int(port)
-    return host, None
-
-
 def _icmp_checksum(data: bytes) -> int:
     if len(data) % 2:
         data += b"\x00"
@@ -187,11 +177,12 @@ class LiveProbe:
     """Measures real networks from the local vantage point.
 
     Latency uses unprivileged ICMP echo (datagram socket) to IPv4 addresses;
-    IPv6 addresses, hosts with an explicit port, and platforms refusing ICMP
-    fall back to a timed TCP connect. HTTP round-trip is a timed GET on a
-    new connection; any HTTP status (a redirect, which is not followed,
-    included) counts as a completed round-trip, only transport failures
-    and unparsable replies count as probe failures.
+    IPv6 addresses, URLs with an explicit port, and platforms refusing ICMP
+    fall back to a timed TCP connect to the URL's port, or its scheme's
+    default port. HTTP round-trip is a timed GET on a new connection; any
+    HTTP status (a redirect, which is not followed, included) counts as a
+    completed round-trip, only transport failures and unparsable replies
+    count as probe failures.
     """
 
     def __init__(self, deadline_s: float = DEFAULT_DEADLINE_S):
@@ -219,17 +210,23 @@ class LiveProbe:
         with socket.create_connection((address, port), timeout=self.deadline_s):
             return (time.perf_counter() - start) * 1000.0
 
-    def measure_latency(self, region: Region, host: str, k: int) -> float:
+    def measure_latency(self, region: Region, url: str, k: int) -> float:
         import socket  # deferred: only live probing opens sockets
 
-        name, port = _split_host(host)
+        try:
+            parts = urlsplit(url)
+            explicit_port = parts.port
+            port = _DEFAULT_PORTS[parts.scheme] if explicit_port is None else explicit_port
+        except (ValueError, KeyError) as exc:  # KeyError: a scheme other than http(s)
+            raise ProbeError(f"not an http(s) URL: {url!r}") from exc
+        name = parts.hostname
         try:
             family, _, _, _, sockaddr = socket.getaddrinfo(name, None, type=socket.SOCK_STREAM)[0]
         except (OSError, UnicodeError) as exc:  # UnicodeError: a name idna cannot encode
             raise ProbeError(f"cannot resolve {name!r}: {exc}") from exc
         address = sockaddr[0]
         samples = []
-        use_icmp = port is None and family == socket.AF_INET
+        use_icmp = explicit_port is None and family == socket.AF_INET
         for seq in range(k):
             try:
                 if use_icmp:
@@ -238,9 +235,9 @@ class LiveProbe:
                         continue
                     except OSError:
                         use_icmp = False  # unsupported or filtered; switch transports
-                samples.append(self._tcp_once(address, port or 80))
+                samples.append(self._tcp_once(address, port))
             except OSError as exc:
-                raise ProbeError(f"latency probe to {host!r} failed: {exc}") from exc
+                raise ProbeError(f"latency probe to {url!r} failed: {exc}") from exc
         return _mean(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
@@ -274,9 +271,10 @@ def gather_metric_matrix(
 
     Channels fail independently: an unresolvable host only loses its distance
     channel, a dead HTTP endpoint only its rtt channel. Each distinct host is
-    probed once per region even when several workflow nodes share it. The
-    probes run on a pool of `parallelism` threads, or one after another in
-    the calling thread when parallelism is 1.
+    probed once per region, through the first endpoint URL seen for it, even
+    when several workflow nodes share it. The probes run on a pool of
+    `parallelism` threads, or one after another in the calling thread when
+    parallelism is 1.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")
@@ -314,12 +312,13 @@ def gather_metric_matrix(
 
     def probe_pair(pair: tuple[Region, str]) -> tuple[Optional[float], Optional[float]]:
         region, host = pair
+        url = targets[host]
         try:
-            latency = probe.measure_latency(region, host, k)
+            latency = probe.measure_latency(region, url, k)
         except ProbeError:
             latency = None
         try:
-            rtt = probe.measure_http_rtt(region, targets[host])
+            rtt = probe.measure_http_rtt(region, url)
         except ProbeError:
             rtt = None
         return latency, rtt

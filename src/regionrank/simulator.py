@@ -262,8 +262,8 @@ class SimulatedProbe:
     def __init__(self, env: SimEnvironment):
         self.env = env
 
-    def measure_latency(self, region: Region, host: str, k: int) -> float:
-        env, source = self.env, region.probe_host
+    def measure_latency(self, region: Region, url: str, k: int) -> float:
+        env, source, host = self.env, region.probe_host, endpoint_host(url)
         try:
             base = _base_latency(env, source, env.locate(source), host, env.locate(host))
         except SimulationError as exc:

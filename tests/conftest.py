@@ -104,15 +104,14 @@ def raw_peer(reply: bytes, requests: list | None = None):
 def count_accepts(service) -> list:
     """A list that gets one entry for each connection `service` accepts from now on."""
     accepted = []
-    server = service._server
-    accept = server.get_request
+    accept = service.get_request
 
     def counted():
         request = accept()
         accepted.append(request[1])
         return request
 
-    server.get_request = counted
+    service.get_request = counted
     return accepted
 
 

@@ -129,9 +129,9 @@ def test_rank_probes_only_prefilter_survivors(monkeypatch, capsys, top_n, probes
     issued = []  # region id per latency sample and per GET
     latency, rtt = SimulatedProbe.measure_latency, SimulatedProbe.measure_http_rtt
 
-    def counted_latency(self, region, host, k):
+    def counted_latency(self, region, url, k):
         issued.extend([region.id] * k)
-        return latency(self, region, host, k)
+        return latency(self, region, url, k)
 
     def counted_rtt(self, region, url):
         issued.append(region.id)

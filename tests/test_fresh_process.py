@@ -263,7 +263,7 @@ print(sorted(set().union(*readings) - readings[0]))
 
 
 @pytest.mark.parametrize("setup,call", [
-    ("from regionrank.metrics import LiveProbe", "LiveProbe().measure_latency(None, {host!r}, 1)"),
+    ("from regionrank.metrics import LiveProbe", "LiveProbe().measure_latency(None, {url!r}, 1)"),
     ("from regionrank.metrics import LiveProbe", "LiveProbe().measure_http_rtt(None, {url!r})"),
     ("from regionrank.harness import run_workflow_once\nfrom regionrank.workflow import parse_workflow",
      "run_workflow_once(parse_workflow({url!r}))"),
@@ -272,7 +272,7 @@ def test_first_timed_request_imports_nothing_inside_its_clock(setup, call):
     # sockets and the HTTP client load on first use; a first measurement that
     # timed the import would read tens of ms too slow
     with payload_source(b"timed") as src:
-        call = call.format(url=src.url, host=endpoint_host(src.url))
+        call = call.format(url=src.url)
         done, _ = fresh("-c", TIMED_WINDOW.format(setup=setup, call=call))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

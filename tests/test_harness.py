@@ -131,15 +131,17 @@ def test_rotate_reverses_bytes():
 
 
 def test_rotate_a_short_body_after_a_long_one():
-    # the services reuse their body buffers
+    # the parked handler thread that served the first request likely serves
+    # the second too; nothing of the first body may reach the second reply
     with transform_service() as svc:
         assert post(svc.url, bytes(range(200)) * 5)[1] == (bytes(range(200)) * 5)[::-1]
         assert post(svc.url, b"abc") == (200, b"cba")
 
 
 def test_concurrent_posts_each_get_their_own_body_reversed():
-    # the body buffers are shared by every service in the process; a buffer
-    # handed to two requests at once would mix their bytes
+    # the handler threads are shared by every service in the process, and
+    # each request reads into a buffer of its own: at a 10 us switch interval,
+    # no reply may carry bytes of another request
     payloads = [bytes([i]) * (1000 + 97 * i) + bytes(range(i)) for i in range(12)]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -201,8 +203,9 @@ def test_a_service_without_delay_never_sleeps(monkeypatch):
     assert sleeps == []
 
 
-def test_oversized_body_rejected_with_413():
-    with transform_service(body_cap=16) as svc:
+def test_oversized_body_rejected_with_413(monkeypatch):
+    monkeypatch.setattr(regionrank.harness, "BODY_CAP", 16)
+    with transform_service() as svc:
         with pytest.raises(urllib.error.HTTPError) as err:
             post(svc.url, b"x" * 17)
         with err.value:
@@ -211,17 +214,53 @@ def test_oversized_body_rejected_with_413():
         assert post(svc.url, b"ok")[0] == 200
 
 
+def raw_exchange(port: int, request: bytes, half_close: bool = False) -> bytes:
+    """Everything a service sends back for `request` until it hangs up."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        # a service that waits for more of the request ends this loop with a
+        # timeout instead
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
+def test_a_body_shorter_than_its_content_length_is_reversed_as_sent():
+    # the client declares 10 bytes, sends 4 and half-closes: the reply holds
+    # those 4 bytes, not the zero padding of a buffer sized for 10
+    request = b"POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 10\r\n\r\nabcd"
+    with transform_service() as svc:
+        reply = raw_exchange(svc.port, request, half_close=True)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200")
+    assert b"Content-Length: 4" in head.split(b"\r\n")
+    assert body == b"dcba"
+
+
+@pytest.mark.parametrize("start", [transform_service, payload_source], ids=["transform", "payload"])
+def test_a_chunked_post_gets_411_and_close(start):
+    request = (b"POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+               b"4\r\nabcd\r\n0\r\n\r\n")
+    with start() as svc:
+        reply = raw_exchange(svc.port, request)
+    status, _, rest = reply.partition(b"\r\n")
+    headers, _, body = rest.partition(b"\r\n\r\n")
+    assert status.startswith(b"HTTP/1.1 411")
+    assert b"Connection: close" in headers
+    # one reply, and the chunks are not read as a second request
+    assert body == b""
+
+
 @pytest.mark.parametrize("length", ["-1", "abc"])
 @pytest.mark.parametrize("start", [transform_service, payload_source], ids=["transform", "payload"])
 def test_malformed_content_length_gets_400_and_close(start, length):
     request = f"POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {length}\r\n\r\n"
-    with start() as svc, socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
-        sock.sendall(request.encode())
-        reply = b""
-        # the service must answer and hang up without waiting for a body;
-        # a blocked read would end this loop with a timeout instead
-        while chunk := sock.recv(4096):
-            reply += chunk
+    # the service must answer and hang up without waiting for a body
+    with start() as svc:
+        reply = raw_exchange(svc.port, request.encode())
     status, _, headers = reply.partition(b"\r\n")
     assert status.startswith(b"HTTP/1.1 400")
     assert b"Connection: close" in headers
@@ -229,12 +268,9 @@ def test_malformed_content_length_gets_400_and_close(start, length):
 
 def test_payload_source_refuses_a_post_without_reading_the_body():
     # a valid length but no body: the source must not wait for the bytes
-    request = "POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 1048576\r\n\r\n"
-    with payload_source() as svc, socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
-        sock.sendall(request.encode())
-        reply = b""
-        while chunk := sock.recv(4096):
-            reply += chunk
+    request = b"POST / HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 1048576\r\n\r\n"
+    with payload_source() as svc:
+        reply = raw_exchange(svc.port, request)
     status, _, headers = reply.partition(b"\r\n")
     assert status.startswith(b"HTTP/1.1 405")
     assert b"Connection: close" in headers
@@ -271,7 +307,7 @@ def test_a_service_hands_new_connections_to_idle_handler_threads(thread_starts):
     with transform_service() as svc:
         probe.measure_http_rtt(None, svc.url)  # starts the first handler thread
         thread_starts.clear()
-        probe.measure_latency(None, f"127.0.0.1:{svc.port}", 32)
+        probe.measure_latency(None, svc.url, 32)
         for _ in range(20):
             probe.measure_http_rtt(None, svc.url)
     # 52 connections, each closed before the next opens, would start 52
@@ -536,7 +572,7 @@ def test_a_burst_of_tcp_connect_probes_fits_the_service_backlog():
     # past it waited on a 1 s SYN retransmit
     with transform_service() as svc:
         began = time.perf_counter()
-        LiveProbe(deadline_s=5.0).measure_latency(None, f"127.0.0.1:{svc.port}", 32)
+        LiveProbe(deadline_s=5.0).measure_latency(None, svc.url, 32)
         assert time.perf_counter() - began < 1.0
 
 

@@ -16,7 +16,6 @@ from regionrank.metrics import (
     LiveProbe,
     MetricMatrix,
     ProbeError,
-    _split_host,
     gather_metric_matrix,
 )
 from regionrank.regions import Region
@@ -36,7 +35,7 @@ def env_with_override(latency_ms, **kwargs):
 
 def test_simulated_latency_mean_of_constant_samples():
     probe = SimulatedProbe(env_with_override(12.5))
-    assert probe.measure_latency(REGION, "node.test", 4) == pytest.approx(12.5)
+    assert probe.measure_latency(REGION, "http://node.test/", 4) == pytest.approx(12.5)
 
 
 def test_simulated_rtt_is_twice_latency_plus_overhead():
@@ -48,16 +47,16 @@ def test_simulated_noise_is_reproducible_per_seed():
     a = SimulatedProbe(env_with_override(12.5, noise_sigma_ms=1.0, seed=5))
     b = SimulatedProbe(env_with_override(12.5, noise_sigma_ms=1.0, seed=5))
     c = SimulatedProbe(env_with_override(12.5, noise_sigma_ms=1.0, seed=6))
-    va = a.measure_latency(REGION, "node.test", 4)
-    assert va == b.measure_latency(REGION, "node.test", 4)
-    assert va != c.measure_latency(REGION, "node.test", 4)
+    va = a.measure_latency(REGION, "http://node.test/", 4)
+    assert va == b.measure_latency(REGION, "http://node.test/", 4)
+    assert va != c.measure_latency(REGION, "http://node.test/", 4)
     assert va != 12.5
 
 
 def test_simulated_probe_unknown_host_is_probe_error():
     probe = SimulatedProbe(env_with_override(1.0))
     with pytest.raises(ProbeError):
-        probe.measure_latency(REGION, "ghost.test", 1)
+        probe.measure_latency(REGION, "http://ghost.test/", 1)
 
 
 def test_probe_latency_rejects_zero_samples():
@@ -65,16 +64,6 @@ def test_probe_latency_rejects_zero_samples():
     nodes = distinct_nodes(parse_workflow("http://node.test/\n", format="lines"))
     with pytest.raises(ValueError, match="sample count"):
         gather_metric_matrix(probe, FixtureResolver({}), [REGION], nodes, k=0)
-
-
-@pytest.mark.parametrize("host, split", [
-    ("example.com", ("example.com", None)),
-    ("example.com:8080", ("example.com", 8080)),
-    ("[::1]", ("::1", None)),
-    ("[::1]:8080", ("::1", 8080)),
-])
-def test_split_host_parses_bracketed_ipv6(host, split):
-    assert _split_host(host) == split
 
 
 # --- live probe on loopback ---
@@ -162,19 +151,22 @@ def test_live_gather_counts_an_error_status_as_a_measured_rtt():
 def test_live_latency_host_name_idna_cannot_encode_is_probe_error():
     host = "a" * 64 + ".test"  # one label past the 63-character limit
     with pytest.raises(ProbeError, match="^cannot resolve"):
-        LiveProbe(deadline_s=1.0).measure_latency(REGION, host, k=1)
+        LiveProbe(deadline_s=1.0).measure_latency(REGION, f"http://{host}/", k=1)
 
 
 def test_live_latency_tcp_fallback_on_explicit_port():
     with transform_service() as svc:
         probe = LiveProbe()
-        ms = probe.measure_latency(REGION, f"127.0.0.1:{svc.port}", k=3)
+        ms = probe.measure_latency(REGION, svc.url, k=3)
         assert 0.0 < ms < 1000.0
 
 
-def test_live_latency_falls_back_to_tcp_port_80_when_icmp_is_refused(monkeypatch):
-    # Linux refuses an unprivileged ICMP socket with EACCES when
-    # net.ipv4.ping_group_range excludes the caller
+def icmp_refused(monkeypatch, probe):
+    """The (address, seq) pings and (address, port) connects of `probe`, whose ICMP is refused.
+
+    Linux refuses an unprivileged ICMP socket with EACCES when
+    net.ipv4.ping_group_range excludes the caller. The n-th connect takes n ms.
+    """
     pings, connects = [], []
 
     def refused_ping(address, seq):
@@ -185,19 +177,43 @@ def test_live_latency_falls_back_to_tcp_port_80_when_icmp_is_refused(monkeypatch
         connects.append((address, port))
         return float(len(connects))
 
-    probe = LiveProbe()
     monkeypatch.setattr(probe, "_ping_once", refused_ping)
     monkeypatch.setattr(probe, "_tcp_once", timed_connect)
-    assert probe.measure_latency(REGION, "127.0.0.1", k=3) == pytest.approx(2.0)  # mean of 1, 2, 3
+    return pings, connects
+
+
+def test_live_latency_falls_back_to_tcp_port_80_when_icmp_is_refused(monkeypatch):
+    probe = LiveProbe()
+    pings, connects = icmp_refused(monkeypatch, probe)
+    assert probe.measure_latency(REGION, "http://127.0.0.1/", k=3) == pytest.approx(2.0)  # mean of 1, 2, 3
     assert pings == [("127.0.0.1", 0)]
     assert connects == [("127.0.0.1", 80)] * 3
+
+
+@pytest.mark.parametrize("url, port", [
+    ("https://127.0.0.1/", 443),
+    ("https://[::1]/", 443),
+    ("http://127.0.0.1/", 80),
+    ("https://127.0.0.1:8443/", 8443),
+])
+def test_live_latency_tcp_fallback_connects_to_the_endpoint_port(monkeypatch, url, port):
+    probe = LiveProbe()
+    _, connects = icmp_refused(monkeypatch, probe)
+    probe.measure_latency(REGION, url, k=3)
+    assert [connected for _, connected in connects] == [port] * 3
+
+
+@pytest.mark.parametrize("url", ["http://[::1/", "http://127.0.0.1:port/", "ftp://127.0.0.1/"])
+def test_live_latency_of_a_url_that_is_no_http_endpoint_is_probe_error(url):
+    with pytest.raises(ProbeError, match="^not an http"):
+        LiveProbe(deadline_s=1.0).measure_latency(REGION, url, k=1)
 
 
 def test_live_latency_uses_icmp_alone_when_it_answers(monkeypatch):
     probe = LiveProbe()
     monkeypatch.setattr(probe, "_ping_once", lambda address, seq: 10.0 * (seq + 1))
     monkeypatch.setattr(probe, "_tcp_once", lambda address, port: pytest.fail("TCP connect after ICMP answered"))
-    assert probe.measure_latency(REGION, "127.0.0.1", k=3) == pytest.approx(20.0)
+    assert probe.measure_latency(REGION, "http://127.0.0.1/", k=3) == pytest.approx(20.0)
 
 
 def test_live_latency_over_ipv6_uses_tcp():
@@ -206,8 +222,8 @@ def test_live_latency_over_ipv6_uses_tcp():
     except OSError:
         pytest.skip("no IPv6 loopback")
     with server:
-        host = endpoint_host(f"http://[::1]:{server.getsockname()[1]}/")
-        ms = LiveProbe(deadline_s=1.0).measure_latency(REGION, host, k=2)
+        url = f"http://[::1]:{server.getsockname()[1]}/"
+        ms = LiveProbe(deadline_s=1.0).measure_latency(REGION, url, k=2)
     assert 0.0 < ms < 1000.0
 
 
@@ -217,13 +233,13 @@ def test_live_latency_unreachable_port_is_probe_error():
         port = s.getsockname()[1]
     probe = LiveProbe(deadline_s=1.0)
     with pytest.raises(ProbeError):
-        probe.measure_latency(REGION, f"127.0.0.1:{port}", k=1)
+        probe.measure_latency(REGION, f"http://127.0.0.1:{port}/", k=1)
 
 
 def test_live_latency_unresolvable_host_is_probe_error():
     probe = LiveProbe(deadline_s=1.0)
     with pytest.raises(ProbeError):
-        probe.measure_latency(REGION, "definitely-not-a-real-host.invalid", k=1)
+        probe.measure_latency(REGION, "http://definitely-not-a-real-host.invalid/", k=1)
 
 
 # --- matrix gathering ---
@@ -268,7 +284,7 @@ def test_gather_single_pair():
 
 
 class _StaticProbe:
-    def measure_latency(self, region, host, k):
+    def measure_latency(self, region, url, k):
         return 5.0
 
     def measure_http_rtt(self, region, url):
@@ -293,9 +309,9 @@ class _CountingProbe:
         self.rtt_calls = []
         self.lock = threading.Lock()
 
-    def measure_latency(self, region, host, k):
+    def measure_latency(self, region, url, k):
         with self.lock:
-            self.latency_calls.append((region.id, host))
+            self.latency_calls.append((region.id, url))
         return 1.0
 
     def measure_http_rtt(self, region, url):
@@ -312,8 +328,8 @@ def test_gather_probes_each_host_once_despite_repeats():
     probe = _CountingProbe()
     resolver = FixtureResolver({"a.test": GeoPoint(1, 1), "b.test": GeoPoint(2, 2)})
     gather_metric_matrix(probe, resolver, [region], distinct_nodes(spec))
-    assert sorted(probe.latency_calls) == [("r", "a.test"), ("r", "b.test")]
-    # rtt is probed against the first URL seen for the host
+    # each host is probed through the first URL seen for it
+    assert sorted(probe.latency_calls) == [("r", "http://a.test/"), ("r", "http://b.test/")]
     assert sorted(probe.rtt_calls) == [("r", "http://a.test/"), ("r", "http://b.test/")]
 
 
@@ -333,9 +349,9 @@ def test_gather_of_one_thread_probes_in_the_calling_thread():
     threads = set()
 
     class _ThreadNotingProbe(SimulatedProbe):
-        def measure_latency(self, region, host, k):
+        def measure_latency(self, region, url, k):
             threads.add(threading.get_ident())
-            return super().measure_latency(region, host, k)
+            return super().measure_latency(region, url, k)
 
     gather_metric_matrix(_ThreadNotingProbe(env), env.resolver(), regions, distinct_nodes(WORKFLOW),
                          parallelism=1)
@@ -343,8 +359,8 @@ def test_gather_of_one_thread_probes_in_the_calling_thread():
 
 
 class _FailingProbe(_StaticProbe):
-    def measure_latency(self, region, host, k):
-        if host == "down.test":
+    def measure_latency(self, region, url, k):
+        if endpoint_host(url) == "down.test":
             raise ProbeError("down")
         return 5.0
 
@@ -516,7 +532,8 @@ class _ScriptedProbe:
     def __init__(self, failing):
         self.failing = failing
 
-    def measure_latency(self, region, host, k):
+    def measure_latency(self, region, url, k):
+        host = endpoint_host(url)
         if (region.id, host, "latency") in self.failing:
             raise ProbeError("scripted latency failure")
         return float(len(region.id) + len(host))
@@ -576,7 +593,7 @@ def test_gathered_matrix_matches_haversine_and_edge_semantics(data):
     # probed rows come in the order probe_regions returned them
     for region in probe_regions:
         expected["latency"][region.id] = [
-            None if (region.id, host, "latency") in failing else probe.measure_latency(region, host, 1)
+            None if (region.id, host, "latency") in failing else probe.measure_latency(region, f"http://{host}/", 1)
             for host in hosts
         ]
         expected["rtt"][region.id] = [

@@ -304,7 +304,7 @@ def test_probe_latency_is_the_mean_of_per_sample_latencies(world, host, k):
     env, catalog = world
     for region in catalog:
         samples = [sim_latency(env, region.probe_host, host, sample=f"lat{i}") for i in range(k)]
-        assert SimulatedProbe(env).measure_latency(region, host, k).hex() == (sum(samples) / len(samples)).hex()
+        assert SimulatedProbe(env).measure_latency(region, f"http://{host}/", k).hex() == (sum(samples) / len(samples)).hex()
 
 
 @given(sim_worlds())

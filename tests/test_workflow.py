@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import regionrank
-from regionrank.metrics import _split_host
 from regionrank.workflow import (
     ROLE_PROCESSOR,
     ROLE_SOURCE,
@@ -77,11 +76,9 @@ def url_cases(draw):
 @given(url_cases())
 def test_endpoint_host_canonical_key(case):
     url, name, port, scheme = case
-    key = endpoint_host(url)
-    assert key == key.lower()
-    assert key.startswith("[") == (":" in name)
-    expected_port = None if port == _DEFAULT_PORTS[scheme] else port
-    assert _split_host(key) == (name.lower(), expected_port)
+    # lowercase, IPv6 literals bracketed, no default port
+    host = (f"[{name}]" if ":" in name else name).lower()
+    assert endpoint_host(url) == (host if port in (None, _DEFAULT_PORTS[scheme]) else f"{host}:{port}")
 
 
 def test_lines_chain_parses_each_distinct_url_once(urlsplit_calls):
