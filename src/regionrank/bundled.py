@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
+
+_DATA = Path(__file__).with_name("data")
 
 
-def fixture_path(name: str):
-    return resources.files("regionrank").joinpath("data", name)
+def fixture_path(name: str) -> Path:
+    return _DATA / name
 
 
 def fixture_text(name: str) -> str:

@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -119,7 +118,7 @@ def _load_sim_env(args) -> SimEnvironment:
         raise UsageError("--mode sim requires --env")
     env = load_env(_read_text(args.env, "environment"))
     if getattr(args, "seed", None) is not None:
-        env = replace(env, seed=args.seed)
+        env = env.replace(seed=args.seed)
     return env
 
 

@@ -1,4 +1,4 @@
-"""Shared exception base, and the one HTTP call and one JSON decoder, each raising the caller's error class."""
+"""Shared exception and value bases, and the one HTTP call and one JSON decoder, each raising the caller's error class."""
 
 from __future__ import annotations
 
@@ -26,6 +26,47 @@ def decode_json(text: str, what: str, error: type[RegionRankError], kind: type |
     if kind is not None and not isinstance(doc, kind):
         raise error(f"malformed {what}: top-level value must be {_KIND_NAMES[kind]}")
     return doc
+
+
+class Record:
+    """Base of the package's immutable values.
+
+    A subclass's fields are the parameters of its __init__, in order, and
+    make up its _fields. Its __init__ validates them and stores them, with
+    any values it derives from them, through self.__dict__.update. ==, hash
+    and repr cover the fields alone, in order; values of two classes are
+    never equal. Assigning or deleting an attribute raises AttributeError.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with `changes` to its fields, made and validated by __init__."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__qualname__} is immutable")
 
 
 class ErrorStatus(Exception):
@@ -56,13 +97,19 @@ class ConnectionPool:
         import select  # deferred, as in http_body
 
         connection = self._open.pop(key, None)
-        # an idle connection's socket reads as ready only once its peer has
-        # closed it (or sent bytes nobody asked for); one without a socket was
-        # closed after a reply that announced it, and would connect anew
-        if connection is not None and (connection.sock is None or select.select([connection.sock], [], [], 0)[0]):
-            connection.close()
+        if connection is None:
             return None
-        return connection
+        # an idle connection's socket polls with an event only once its peer
+        # has closed it (or sent bytes nobody asked for); one without a socket
+        # was closed after a reply that announced it, and would connect anew.
+        # poll, not select: select cannot take a descriptor past 1023
+        if connection.sock is not None:
+            idle = select.poll()
+            idle.register(connection.sock, select.POLLIN)
+            if not idle.poll(0):
+                return connection
+        connection.close()
+        return None
 
     def put(self, key: tuple[str, str], connection) -> None:
         self._open[key] = connection
@@ -84,7 +131,7 @@ def load_http_client() -> None:
     requests can load it before its clock starts."""
     import encodings.idna  # noqa: F401 - socket.getaddrinfo encodes host names with it
     import http.client  # noqa: F401 - with socket, ssl and email
-    import select  # noqa: F401 - ConnectionPool.take checks idle sockets with it
+    import select  # noqa: F401 - ConnectionPool.take polls idle sockets with it
 
 
 def http_body(

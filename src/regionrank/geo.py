@@ -9,10 +9,9 @@ to many points, and haversine_km, a single pair, is a row of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
-from .errors import RegionRankError, decode_json
+from .errors import Record, RegionRankError, decode_json
 
 # Mean Earth radius in kilometers.
 EARTH_RADIUS_KM = 6371.0
@@ -32,18 +31,15 @@ class GeoFixtureError(RegionRankError):
     """A geolocation fixture file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class GeoPoint:
+class GeoPoint(Record):
     """A point on Earth in decimal degrees."""
 
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} out of range [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} out of range [-180, 180]")
+    def __init__(self, lat: float, lon: float):
+        if not -90.0 <= lat <= 90.0:
+            raise ValueError(f"latitude {lat} out of range [-90, 90]")
+        if not -180.0 <= lon <= 180.0:
+            raise ValueError(f"longitude {lon} out of range [-180, 180]")
+        self.__dict__.update(lat=lat, lon=lon)
 
 
 def parse_point(entry) -> GeoPoint:

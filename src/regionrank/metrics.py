@@ -21,11 +21,10 @@ from __future__ import annotations
 import os
 import struct
 import time
-from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ErrorStatus, RegionRankError, http_body, load_http_client
+from .errors import ErrorStatus, Record, RegionRankError, http_body, load_http_client
 from .geo import GeoResolutionError, GeoResolver, haversine_row
 from .regions import Region
 from .workflow import _DEFAULT_PORTS, ServiceNode
@@ -51,8 +50,7 @@ class CoverageError(RegionRankError):
 Row = Sequence[Optional[float]]
 
 
-@dataclass(frozen=True)
-class MetricMatrix:
+class MetricMatrix(Record):
     """All gathered measurements: for each channel, one row per region over one tuple of hosts.
 
     hosts are the distinct workflow hosts; column i of every row belongs to
@@ -63,24 +61,20 @@ class MetricMatrix:
     region without them was not probed.
     """
 
-    hosts: tuple[str, ...]
-    rows: dict[str, dict[str, Row]]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.rows.keys() != set(CHANNELS):
-            raise ValueError(f"a matrix holds one table per channel {CHANNELS}, not {tuple(self.rows)}")
-        distance, latency, rtt = (self.rows[channel].keys() for channel in CHANNELS)
+    def __init__(self, hosts: tuple[str, ...], rows: dict[str, dict[str, Row]]):
+        if rows.keys() != set(CHANNELS):
+            raise ValueError(f"a matrix holds one table per channel {CHANNELS}, not {tuple(rows)}")
+        distance, latency, rtt = (rows[channel].keys() for channel in CHANNELS)
         if latency != rtt:
             raise ValueError("every probed region needs both a latency row and an rtt row")
         if not latency <= distance:
             raise ValueError("every probed region must also have a row of distances")
-        index = {host: column for column, host in enumerate(self.hosts)}
-        if len(index) != len(self.hosts):
+        index = {host: column for column, host in enumerate(hosts)}
+        if len(index) != len(hosts):
             raise ValueError("matrix hosts must be distinct")
-        if any(len(row) != len(index) for table in self.rows.values() for row in table.values()):
+        if any(len(row) != len(index) for table in rows.values() for row in table.values()):
             raise ValueError(f"every row must hold one value per host ({len(index)})")
-        object.__setattr__(self, "_index", index)
+        self.__dict__.update(hosts=hosts, rows=rows, _index=index)
 
     @property
     def entries(self) -> AbstractSet[tuple[str, str]]:
@@ -203,11 +197,14 @@ class LiveProbe:
             sock.recv(1024)
             return (time.perf_counter() - start) * 1000.0
 
-    def _tcp_once(self, address: str, port: int) -> float:
+    def _tcp_once(self, family: int, sockaddr: tuple) -> float:
         import socket  # deferred: only live probing opens sockets
 
-        start = time.perf_counter()
-        with socket.create_connection((address, port), timeout=self.deadline_s):
+        # to the resolved sockaddr: create_connection would resolve it again
+        with socket.socket(family, socket.SOCK_STREAM) as sock:
+            sock.settimeout(self.deadline_s)
+            start = time.perf_counter()
+            sock.connect(sockaddr)
             return (time.perf_counter() - start) * 1000.0
 
     def measure_latency(self, region: Region, url: str, k: int) -> float:
@@ -225,6 +222,7 @@ class LiveProbe:
         except (OSError, UnicodeError) as exc:  # UnicodeError: a name idna cannot encode
             raise ProbeError(f"cannot resolve {name!r}: {exc}") from exc
         address = sockaddr[0]
+        target = (address, port, *sockaddr[2:])  # an IPv6 sockaddr keeps its flowinfo and scope id
         samples = []
         use_icmp = explicit_port is None and family == socket.AF_INET
         for seq in range(k):
@@ -235,7 +233,7 @@ class LiveProbe:
                         continue
                     except OSError:
                         use_icmp = False  # unsupported or filtered; switch transports
-                samples.append(self._tcp_once(address, port))
+                samples.append(self._tcp_once(family, target))
             except OSError as exc:
                 raise ProbeError(f"latency probe to {url!r} failed: {exc}") from exc
         return _mean(samples)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .errors import RegionRankError
+from .errors import Record, RegionRankError
 from .metrics import MetricMatrix
 from .regions import Region, RegionCatalog
 from .workflow import WorkflowSpec
@@ -35,8 +34,7 @@ class RankingError(RegionRankError):
     """The metrics give a region a score that no table can order."""
 
 
-@dataclass(frozen=True)
-class RankingReport:
+class RankingReport(Record):
     """Outcome of one ranking run.
 
     prefiltered_regions are the survivors, at most n, in prefilter order;
@@ -45,12 +43,11 @@ class RankingReport:
     (score, region-id).
     """
 
-    recommended: str
-    prefiltered_regions: tuple[str, ...]
-    distance_table: Table
-    latency_table: Table
-    rtt_table: Table
-    final_table: Table
+    def __init__(self, recommended: str, prefiltered_regions: tuple[str, ...], distance_table: Table,
+                 latency_table: Table, rtt_table: Table, final_table: Table):
+        self.__dict__.update(recommended=recommended, prefiltered_regions=prefiltered_regions,
+                             distance_table=distance_table, latency_table=latency_table,
+                             rtt_table=rtt_table, final_table=final_table)
 
 
 def _sorted_table(scores: dict[str, float]) -> Table:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundled import fixture_text
-from .errors import RegionRankError, decode_json
+from .errors import Record, RegionRankError, decode_json
 from .geo import GeoPoint, parse_point
 
 
@@ -13,38 +11,32 @@ class CatalogError(RegionRankError):
     """A region catalog file is malformed."""
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """One candidate deployment region.
 
     probe_host is the in-region endpoint used for latency and HTTP probing;
     location anchors the geographic prefilter.
     """
 
-    id: str
-    probe_host: str
-    location: GeoPoint
-
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, probe_host: str, location: GeoPoint):
+        if not id:
             raise CatalogError("region id must be non-empty")
-        if not self.probe_host:
-            raise CatalogError(f"region {self.id!r} has an empty probe_host")
+        if not probe_host:
+            raise CatalogError(f"region {id!r} has an empty probe_host")
+        self.__dict__.update(id=id, probe_host=probe_host, location=location)
 
 
-@dataclass(frozen=True)
-class RegionCatalog:
-    regions: tuple[Region, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if not self.regions:
+class RegionCatalog(Record):
+    def __init__(self, regions: tuple[Region, ...]):
+        regions = tuple(regions)
+        if not regions:
             raise CatalogError("region catalog is empty")
         seen = set()
-        for region in self.regions:
+        for region in regions:
             if region.id in seen:
                 raise CatalogError(f"duplicate region id {region.id!r}")
             seen.add(region.id)
+        self.__dict__.update(regions=regions)
 
     def __iter__(self):
         return iter(self.regions)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
-from typing import Union
+from typing import Mapping, Union
 
-from .errors import RegionRankError, decode_json
+from .errors import Record, RegionRankError, decode_json
 from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_row, parse_locations
 from .metrics import ProbeError, _mean
 from .regions import Region, RegionCatalog
@@ -28,8 +27,7 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class SimEnvironment:
+class SimEnvironment(Record):
     """A synthetic world: host positions plus link and service parameters.
 
     latency_overrides pins specific host pairs to a fixed one-way latency in
@@ -45,26 +43,23 @@ class SimEnvironment:
     environment, so it is computed once, on the first run from that host,
     and every later run from it reads it back. It keeps one row per pair
     run, for as long as the environment lives. It is not part of the
-    environment's value: == and repr leave it out, and dataclasses.replace
-    starts an empty one.
+    environment's value: == and repr leave it out, and replace starts an
+    empty one.
     """
 
-    node_locations: dict[str, GeoPoint] = field(default_factory=dict)
-    latency_overrides: dict[tuple[str, str], float] = field(default_factory=dict)
-    base_latency_per_km: float = 0.02
-    bandwidth_mbps: float = 100.0
-    service_overhead_ms: float = 3.0
-    processing_s: float = 0.0
-    noise_sigma_ms: float = 0.0
-    seed: int = 0
-    pinned: dict[str, dict[str, float]] = field(init=False, repr=False, compare=False)
-    base_rows: dict[tuple[str, tuple[str, ...]], dict[str, float]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_locations", dict(self.node_locations))
+    def __init__(
+        self,
+        node_locations: Mapping[str, GeoPoint] = {},  # both mappings are copied, never kept
+        latency_overrides: Mapping[Union[tuple[str, str], str], float] = {},
+        base_latency_per_km: float = 0.02,
+        bandwidth_mbps: float = 100.0,
+        service_overhead_ms: float = 3.0,
+        processing_s: float = 0.0,
+        noise_sigma_ms: float = 0.0,
+        seed: int = 0,
+    ):
         normalized: dict[tuple[str, str], float] = {}
-        for key, value in dict(self.latency_overrides).items():
+        for key, value in dict(latency_overrides).items():
             if isinstance(key, str):
                 a, sep, b = key.partition("|")
                 if not sep or not a or not b:
@@ -80,13 +75,16 @@ class SimEnvironment:
             if value < 0:
                 raise SimulationError(f"override for {pair!r} must be non-negative")
             normalized[pair] = value
-        object.__setattr__(self, "latency_overrides", normalized)
         pinned: dict[str, dict[str, float]] = {}
         for (a, b), value in normalized.items():
             pinned.setdefault(a, {})[b] = value
             pinned.setdefault(b, {})[a] = value
-        object.__setattr__(self, "pinned", pinned)
-        object.__setattr__(self, "base_rows", {})
+        self.__dict__.update(
+            node_locations=dict(node_locations), latency_overrides=normalized,
+            base_latency_per_km=base_latency_per_km, bandwidth_mbps=bandwidth_mbps,
+            service_overhead_ms=service_overhead_ms, processing_s=processing_s,
+            noise_sigma_ms=noise_sigma_ms, seed=seed, pinned=pinned, base_rows={},
+        )
         for name in ("base_latency_per_km", "bandwidth_mbps", "service_overhead_ms",
                      "processing_s", "noise_sigma_ms", "seed"):
             value = getattr(self, name)
@@ -309,7 +307,7 @@ def load_env(text: str) -> SimEnvironment:
     A field left out takes the SimEnvironment default.
     """
     doc = decode_json(text, "environment file", SimulationError, dict)
-    unknown = set(doc) - {f.name for f in fields(SimEnvironment) if f.init}
+    unknown = set(doc) - set(SimEnvironment._fields)
     if unknown:
         raise SimulationError(f"unknown environment fields: {sorted(unknown)}")
     values = {}

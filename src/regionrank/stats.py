@@ -7,10 +7,9 @@ CLI load the HTTP stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import RegionRankError
+from .errors import Record, RegionRankError
 
 DEFAULT_RUNS = 5
 
@@ -19,20 +18,16 @@ class HarnessError(RegionRankError):
     """The whole verification batch failed."""
 
 
-@dataclass(frozen=True)
-class ExecutionStats:
+class ExecutionStats(Record):
     """Wall-clock seconds of successful runs, plus the failed-run count."""
 
-    workflow: str
-    runs: tuple[float, ...]
-    failures: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(float(r) for r in self.runs))
-        if not self.runs:
+    def __init__(self, workflow: str, runs: tuple[float, ...], failures: int = 0):
+        runs = tuple(float(r) for r in runs)
+        if not runs:
             raise HarnessError("stats need at least one successful run")
-        if self.failures < 0:
+        if failures < 0:
             raise HarnessError("failure count cannot be negative")
+        self.__dict__.update(workflow=workflow, runs=runs, failures=failures)
 
     @property
     def mean(self) -> float:
@@ -52,12 +47,11 @@ class ExecutionStats:
         return statistics.stdev(self.runs)
 
 
-@dataclass(frozen=True)
-class ComparisonStats:
+class ComparisonStats(Record):
     """Relative change of candidate vs baseline; negative delta = less spread."""
 
-    speedup_pct: float
-    delta_sigma_pct: Optional[float]
+    def __init__(self, speedup_pct: float, delta_sigma_pct: Optional[float]):
+        self.__dict__.update(speedup_pct=speedup_pct, delta_sigma_pct=delta_sigma_pct)
 
 
 def compare_stats(baseline: ExecutionStats, candidate: ExecutionStats) -> ComparisonStats:

@@ -15,10 +15,9 @@ import functools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
-from .errors import RegionRankError, decode_json
+from .errors import Record, RegionRankError, decode_json
 
 ROLE_SOURCE = "source"
 ROLE_PROCESSOR = "processor"
@@ -70,20 +69,15 @@ def _host_key(url: str) -> str | None:
     return f"{host}:{port}"
 
 
-@dataclass(frozen=True)
-class ServiceNode:
+class ServiceNode(Record):
     """One HTTP service taking part in a workflow."""
 
-    id: str
-    endpoint: str
-    role: str  # ROLE_SOURCE or ROLE_PROCESSOR
-
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, endpoint: str, role: str):  # role: ROLE_SOURCE or ROLE_PROCESSOR
+        if not id:
             raise WorkflowError("node id must be non-empty")
-        if self.role not in (ROLE_SOURCE, ROLE_PROCESSOR):
-            raise WorkflowError(f"unknown node role {self.role!r}")
-        object.__setattr__(self, "_host", endpoint_host(self.endpoint, f"node {self.id!r}"))
+        if role not in (ROLE_SOURCE, ROLE_PROCESSOR):
+            raise WorkflowError(f"unknown node role {role!r}")
+        self.__dict__.update(id=id, endpoint=endpoint, role=role, _host=endpoint_host(endpoint, f"node {id!r}"))
 
     @property
     def host(self) -> str:
@@ -91,8 +85,7 @@ class ServiceNode:
         return self._host
 
 
-@dataclass(frozen=True)
-class WorkflowSpec:
+class WorkflowSpec(Record):
     """A validated DAG workflow.
 
     Hops are directed (from-id, to-id) dataflow transfers. The final delivery
@@ -113,17 +106,8 @@ class WorkflowSpec:
     * invocations, how many hops deliver to a processor.
     """
 
-    name: str
-    nodes: tuple[ServiceNode, ...]
-    hops: tuple[tuple[str, str], ...]
-    hop_order: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
-    edge_peers: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    host_weights: Counter[str] = field(init=False, repr=False, compare=False)
-    invocations: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "hops", tuple((str(a), str(b)) for a, b in self.hops))
+    def __init__(self, name: str, nodes: tuple[ServiceNode, ...], hops: tuple[tuple[str, str], ...]):
+        self.__dict__.update(name=name, nodes=tuple(nodes), hops=tuple((str(a), str(b)) for a, b in hops))
         self._validate()
 
     def _validate(self):
@@ -162,7 +146,7 @@ class WorkflowSpec:
         for node in self.nodes:
             if node.role == ROLE_PROCESSOR and node.id not in reached:
                 raise WorkflowError(f"processor {node.id!r} is unreachable from any source")
-        object.__setattr__(self, "hop_order", tuple(sorted(self.hops, key=lambda hop: depth[hop[0]])))
+        self.__dict__["hop_order"] = tuple(sorted(self.hops, key=lambda hop: depth[hop[0]]))
         self._derive(successors)
 
     def _derive(self, successors: dict[str, list[str]]):
@@ -171,10 +155,10 @@ class WorkflowSpec:
         hosts = {node_id: node.host for node_id, node in nodes.items()}
         peers = [hosts[end] for hop in self.hops for end in hop]
         peers += [hosts[node_id] for node_id, after in successors.items() if not after]
-        object.__setattr__(self, "edge_peers", tuple(peers))
-        object.__setattr__(self, "host_weights", Counter(peers))
-        object.__setattr__(
-            self, "invocations", sum(1 for _, v in self.hops if nodes[v].role == ROLE_PROCESSOR)
+        self.__dict__.update(
+            edge_peers=tuple(peers),
+            host_weights=Counter(peers),
+            invocations=sum(1 for _, v in self.hops if nodes[v].role == ROLE_PROCESSOR),
         )
 
     @property

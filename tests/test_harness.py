@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import socket
 import statistics
@@ -492,6 +493,33 @@ def test_a_run_replaces_a_connection_its_peer_hung_up():
     assert list(outputs.values()) == [b"ok", b"ok"]
     # each request sent once, the second on a new connection
     assert requests == [b"GET / HTTP/1.1", b"POST / HTTP/1.1"]
+
+
+def test_a_run_reuses_a_connection_whose_descriptor_is_past_1023():
+    # select() cannot take a descriptor past 1023, so a pool that checked
+    # idle sockets with it failed every hop that reused a connection
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    held, wanted = 1100, 1400  # headroom for the run's and the services' sockets
+    if hard != resource.RLIM_INFINITY and hard < wanted:
+        pytest.skip(f"the hard descriptor limit {hard} is below {wanted}")
+    fds = []
+    try:
+        if soft != resource.RLIM_INFINITY and soft < wanted:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (wanted, hard))
+        fds.append(os.open(os.devnull, os.O_RDONLY))
+        while len(fds) < held:
+            fds.append(os.dup(fds[0]))
+        assert fds[-1] > 1023
+        with payload_source(b"past 1023") as src, transform_service() as svc:
+            spec = loopback_chain(src, svc, svc)
+            _, outputs = run_workflow_once(spec, timeout=5)
+        # two reversals cancel out
+        assert outputs[spec.nodes[-1].id] == b"past 1023"
+    finally:
+        for fd in fds:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
 OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"

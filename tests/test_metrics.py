@@ -173,8 +173,8 @@ def icmp_refused(monkeypatch, probe):
         pings.append((address, seq))
         raise PermissionError(13, "Permission denied")
 
-    def timed_connect(address, port):
-        connects.append((address, port))
+    def timed_connect(family, sockaddr):
+        connects.append(sockaddr[:2])
         return float(len(connects))
 
     monkeypatch.setattr(probe, "_ping_once", refused_ping)
@@ -203,6 +203,38 @@ def test_live_latency_tcp_fallback_connects_to_the_endpoint_port(monkeypatch, ur
     assert [connected for _, connected in connects] == [port] * 3
 
 
+def test_live_latency_tcp_fallback_keeps_the_ipv6_flowinfo_and_scope_id(monkeypatch):
+    probe = LiveProbe()
+    connects = []
+    monkeypatch.setattr(probe, "_tcp_once", lambda family, sockaddr: connects.append((family, sockaddr)) or 1.0)
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kwargs: [
+        (socket.AF_INET6, socket.SOCK_STREAM, 6, "", ("fe80::1%eth0", 0, 5, 2))])
+    probe.measure_latency(REGION, "http://link-local.test:8080/", k=2)
+    assert connects == [(socket.AF_INET6, ("fe80::1%eth0", 8080, 5, 2))] * 2
+
+
+@pytest.mark.parametrize("family, host", [(socket.AF_INET, "127.0.0.1"), (socket.AF_INET6, "::1")],
+                         ids=["ipv4", "ipv6"])
+def test_live_latency_tcp_fallback_resolves_the_host_once(monkeypatch, family, host):
+    try:
+        server = socket.create_server((host, 0), family=family)
+    except OSError:
+        pytest.skip(f"no loopback address {host}")
+    lookups, resolve = [], socket.getaddrinfo
+
+    def counted(*args, **kwargs):
+        lookups.append(args[0])
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", counted)
+    with server:
+        netloc = f"[{host}]" if family == socket.AF_INET6 else host
+        ms = LiveProbe(deadline_s=1.0).measure_latency(REGION, f"http://{netloc}:{server.getsockname()[1]}/", k=4)
+    assert 0.0 < ms < 1000.0
+    # the name is resolved for the probe, not again for each of its 4 connects
+    assert lookups == [host]
+
+
 @pytest.mark.parametrize("url", ["http://[::1/", "http://127.0.0.1:port/", "ftp://127.0.0.1/"])
 def test_live_latency_of_a_url_that_is_no_http_endpoint_is_probe_error(url):
     with pytest.raises(ProbeError, match="^not an http"):
@@ -212,7 +244,7 @@ def test_live_latency_of_a_url_that_is_no_http_endpoint_is_probe_error(url):
 def test_live_latency_uses_icmp_alone_when_it_answers(monkeypatch):
     probe = LiveProbe()
     monkeypatch.setattr(probe, "_ping_once", lambda address, seq: 10.0 * (seq + 1))
-    monkeypatch.setattr(probe, "_tcp_once", lambda address, port: pytest.fail("TCP connect after ICMP answered"))
+    monkeypatch.setattr(probe, "_tcp_once", lambda family, sockaddr: pytest.fail("TCP connect after ICMP answered"))
     assert probe.measure_latency(REGION, "http://127.0.0.1/", k=3) == pytest.approx(20.0)
 
 

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -416,8 +415,8 @@ def test_specs_parsed_from_the_same_text_compare_and_hash_equal():
 
 def test_replace_derives_the_values_again(derivations):
     spec = parse_workflow(THREE_LINES)
-    renamed = replace(spec, name="renamed")
-    shorter = replace(spec, nodes=spec.nodes[:2], hops=spec.hops[:1])
+    renamed = spec.replace(name="renamed")
+    shorter = spec.replace(nodes=spec.nodes[:2], hops=spec.hops[:1])
     assert [id(s) for s in derivations] == [id(spec), id(renamed), id(shorter)]
     assert (renamed.edge_peers, renamed.host_weights, renamed.invocations) == (
         spec.edge_peers, spec.host_weights, spec.invocations
