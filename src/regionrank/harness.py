@@ -1,5 +1,7 @@
-"""Verification harness: sequential orchestrator and toy services over real HTTP.
+"""Verification harness: the package's HTTP client, and a sequential orchestrator and toy services over real HTTP.
 
+http_body is the package's one HTTP client: the live rtt probe and every
+workflow hop go through it, and it reads no reply body past BODY_CAP bytes.
 execute_workflow drives a workflow over real HTTP from the local process:
 fetch each source payload with GET, then push payloads hop by hop with POST
 over one kept-alive connection per service host, timing whole runs into run
@@ -13,25 +15,161 @@ idle; closing a service retires the parked threads.
 
 from __future__ import annotations
 
+import encodings.idna  # noqa: F401 - socket.getaddrinfo encodes host names with it
+import http.client
 import math
 import queue
+import select
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
+from urllib.parse import urlsplit
 
-from .errors import ConnectionPool, RegionRankError, http_body, load_http_client
+from .errors import RegionRankError
 # ComparisonStats and compare_stats are re-exported: the run statistics live in
 # .stats so that verify --mode sim can summarise without loading http.server
 from .stats import DEFAULT_RUNS, ComparisonStats, ExecutionStats, HarnessError, compare_stats  # noqa: F401
 from .workflow import ROLE_SOURCE, WorkflowSpec
 
 DEFAULT_RUN_TIMEOUT_S = 30.0
-# the largest request body the transform service reads
+# the largest body the transform service reads from a request, and http_body from a reply
 BODY_CAP = 64 * 1024 * 1024
 # how often serve_forever checks for shutdown; close() waits up to one interval
 _SHUTDOWN_POLL_S = 0.05
+
+
+class ErrorStatus(Exception):
+    """A reply with a status outside 2xx, its body read whole.
+
+    http_body raises the caller's error from it, so it is that error's
+    __cause__.
+    """
+
+
+class ConnectionPool:
+    """Open HTTP/1.1 connections by (scheme, host:port), which http_body reuses.
+
+    close() closes every one, and so does leaving a `with` block.
+    """
+
+    def __init__(self):
+        self._open = {}
+
+    def take(self, key: tuple[str, str]):
+        """The pooled connection for key, removed from the pool; None if there
+        is none, or if it is closed or its peer has hung up, in which case it
+        is closed."""
+        connection = self._open.pop(key, None)
+        if connection is None:
+            return None
+        # an idle connection's socket polls with an event only once its peer
+        # has closed it (or sent bytes nobody asked for); one without a socket
+        # was closed after a reply that announced it, and would connect anew.
+        # poll, not select: select cannot take a descriptor past 1023
+        if connection.sock is not None:
+            idle = select.poll()
+            idle.register(connection.sock, select.POLLIN)
+            if not idle.poll(0):
+                return connection
+        connection.close()
+        return None
+
+    def put(self, key: tuple[str, str], connection) -> None:
+        self._open[key] = connection
+
+    def close(self) -> None:
+        while self._open:
+            self._open.popitem()[1].close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+        return False
+
+
+def http_body(
+    url: str,
+    timeout: float,
+    error: type[RegionRankError],
+    payload: bytes | None = None,
+    *,
+    pool: ConnectionPool | None = None,
+) -> bytes:
+    """GET url, or POST payload to it when one is given; the reply body.
+
+    With a pool, the request goes over its connection to the URL's scheme and
+    host:port, and a new one is opened and left in the pool when there is
+    none; without one, over a new connection closed before returning.
+    Redirects are not followed, and proxies from the environment are not used.
+
+    Pooled requests are the harness's workflow hops, which are treated as
+    idempotent transforms (RFC 9112 section 9.3.1): when a pooled connection
+    fails with a ConnectionError before the reply's head arrives (its peer
+    reset it, or hung up just as the request went out), it is closed and the
+    request is sent once more, on a new connection. A request on a new
+    connection, and one that timed out, is never sent again.
+
+    Every failure raises `error`: transport, unparsable reply, a reply body
+    over BODY_CAP bytes, unencodable host name, a status outside 2xx (3xx
+    included). An error status's body
+    is read first, so only a whole one leaves an ErrorStatus as the raised
+    error's __cause__. A connection that fails is closed, not pooled.
+    """
+    method = "GET" if payload is None else "POST"
+    headers = {} if payload is None else {"Content-Type": "application/octet-stream"}
+    try:
+        parts = urlsplit(url)
+        key = (parts.scheme, parts.netloc)
+        selector = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        connection = pool.take(key) if pool is not None else None
+        resend = connection is not None
+        while True:
+            if connection is None:
+                if parts.scheme == "http":
+                    connection = http.client.HTTPConnection(parts.netloc, timeout=timeout)
+                elif parts.scheme == "https":
+                    connection = http.client.HTTPSConnection(parts.netloc, timeout=timeout)
+                else:
+                    raise http.client.InvalidURL(f"unknown url type: {parts.scheme!r}")
+            try:
+                try:
+                    connection.request(method, selector, payload, headers)
+                    response = connection.getresponse()
+                except ConnectionError:  # RemoteDisconnected, ConnectionResetError, BrokenPipeError
+                    if not resend:
+                        raise
+                    connection.close()
+                    connection, resend = None, False
+                    continue
+                with response:
+                    if response.length is None:  # chunked, or ended by the peer's close
+                        body = response.read(BODY_CAP + 1)
+                    elif response.length <= BODY_CAP:
+                        body = response.read()  # read(amt) would copy the body once more
+                    else:  # read() would allocate the whole announced length first
+                        body = None
+                    if body is None or len(body) > BODY_CAP:
+                        raise error(f"{method} {url} failed: reply body over {BODY_CAP} bytes")
+            except BaseException:
+                connection.close()
+                raise
+            break
+    # ValueError includes UnicodeError and a URL urlsplit rejects
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        raise error(f"{method} {url} failed: {exc}") from exc
+    if pool is None:
+        connection.close()
+    else:
+        pool.put(key, connection)
+    if not 200 <= response.status < 300:
+        status = ErrorStatus(f"HTTP Error {response.status}: {response.reason}")
+        raise error(f"{method} {url} failed: {status}") from status
+    return body
+
 
 
 class WorkflowRunError(RegionRankError):
@@ -46,7 +184,6 @@ def run_workflow_once(
     The run keeps one connection per service scheme and host:port, and closes
     them all when it ends, so every run pays for its own connection set-up.
     """
-    load_http_client()  # before the clock, so a first run does not time the import
     with ConnectionPool() as pool:
         start = time.perf_counter()
         endpoints = {node.id: node.endpoint for node in spec.nodes}

@@ -24,7 +24,7 @@ import time
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ErrorStatus, Record, RegionRankError, http_body, load_http_client
+from .errors import Record, RegionRankError
 from .geo import GeoResolutionError, GeoResolver, haversine_row
 from .regions import Region
 from .workflow import _DEFAULT_PORTS, ServiceNode
@@ -239,7 +239,7 @@ class LiveProbe:
         return _mean(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
-        load_http_client()  # before the clock, so a first probe does not time the import
+        from .harness import ErrorStatus, http_body  # deferred, as in cmd_verify, and before the clock starts
         start = time.perf_counter()
         try:
             # no pool: each probe times a new connection's connect and GET

@@ -36,6 +36,7 @@ def endpoint_host(url: str, where: str = "endpoint") -> str:
     the scheme's default. IPv6 literals keep their brackets ([::1],
     [::1]:8080), so the port stays separable. Metrics are gathered per host,
     so two URLs on the same host:port share one key regardless of path.
+    A URL with user info is refused, as no request could carry it.
     `where` names the URL's place in the input for the error message.
     """
     try:
@@ -55,13 +56,16 @@ def endpoint_host(url: str, where: str = "endpoint") -> str:
 def _host_key(url: str) -> str | None:
     """endpoint_host's key for url, or None if it is not an absolute http(s) URL with a host.
 
-    Raises ValueError for a URL urlsplit cannot split, or with a bad port.
+    Raises ValueError for a URL urlsplit cannot split, or with a bad port
+    or user info.
     """
     parts = urlsplit(url)
     host = parts.hostname
     port = parts.port
     if parts.scheme not in _DEFAULT_PORTS or not host:
         return None
+    if "@" in parts.netloc:
+        raise ValueError("user info is not allowed")
     if ":" in host:
         host = f"[{host}]"
     if port is None or port == _DEFAULT_PORTS[parts.scheme]:

@@ -26,11 +26,13 @@ from regionrank.workflow import distinct_nodes, generate_random_workflow, parse_
 # workflow file holding it is read as a dag file
 DEEP_JSON = '{"a": ' * 100_000 + "0" + "}" * 100_000
 
-# replies no HTTP client can parse, each failing in http.client, not in the socket layer
+# replies no HTTP client can parse or afford, each failing in the HTTP layer, not in the socket layer
 HOSTILE_REPLIES = {
     "hello": b"HELLO\r\n\r\n",  # BadStatusLine
     "short-body": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort",  # IncompleteRead
     "long-header": b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",  # LineTooLong
+    # over BODY_CAP: http.client's read() would allocate the 10**12 bytes before reading one
+    "huge-body": b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n",
 }
 
 

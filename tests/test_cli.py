@@ -345,6 +345,14 @@ def test_rank_live_reply_no_client_parses_fails_only_that_hosts_rtt(tmp_path, ca
     assert _failed_host_channels(err) == {(endpoint_host(hello), "rtt")}
 
 
+def test_rank_live_reply_over_the_body_cap_fails_only_that_hosts_rtt(tmp_path, capsys):
+    with transform_service() as svc, raw_peer(HOSTILE_REPLIES["huge-body"]) as huge:
+        assert _rank_live(tmp_path, [svc.url, huge]) == EXIT_PROBE_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert _failed_host_channels(err) == {(endpoint_host(huge), "rtt")}
+
+
 def test_rank_live_host_name_idna_cannot_encode_fails_only_that_hosts_probes(tmp_path, capsys):
     long_name = "a" * 64 + ".test"  # endpoint_host accepts it; the idna codec does not
     with transform_service() as svc:
@@ -469,6 +477,15 @@ def test_verify_live_counts_a_reply_no_client_parses_as_a_failed_run(tmp_path, c
         code = main(["verify", "--workflow", str(wf), "--vantage-a", "a", "--vantage-b", "b", "--runs", "2"])
     assert code == EXIT_INPUT_ERROR
     assert capsys.readouterr() == ("", "error: all 2 workflow runs failed\n")
+
+
+def test_verify_live_counts_a_reply_over_the_body_cap_as_a_failed_run(tmp_path, capsys):
+    wf = tmp_path / "huge.workflow"
+    with raw_peer(HOSTILE_REPLIES["huge-body"]) as huge:
+        wf.write_text(f"{huge}\n")
+        code = main(["verify", "--workflow", str(wf), "--vantage-a", "a", "--vantage-b", "b", "--runs", "1"])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: all 1 workflow runs failed\n")
 
 
 # --- simulate ---
@@ -614,6 +631,21 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert len(urls) == 6
     assert urls[0] == "http://s.test/"
     assert set(urls[1:]) <= {"http://a.test/", "http://b.test/"}
+
+
+USER_INFO_URL = "http://user:pw@s.test/"
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["gen", "--pool", "pool.txt", "--length", "1", "--seed", "1", "--source", USER_INFO_URL], "source"),
+    (["rank", "--mode", "sim", "--workflow", "user.workflow", "--catalog", CATALOG, "--env", WORKED_ENV], "line 1"),
+], ids=["gen", "rank"])
+def test_a_url_with_user_info_is_input_error(tmp_path, monkeypatch, capsys, argv, where):
+    (tmp_path / "pool.txt").write_text("http://a.test/\n")
+    (tmp_path / "user.workflow").write_text(f"{USER_INFO_URL}\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: malformed URL at {where}: {USER_INFO_URL!r} (user info is not allowed)\n")
 
 
 def test_gen_missing_pool_is_input_error(capsys):

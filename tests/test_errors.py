@@ -3,8 +3,9 @@ import re
 import pytest
 
 from conftest import DEEP_JSON
-from regionrank.errors import RegionRankError, decode_json, http_body
+from regionrank.errors import RegionRankError, decode_json
 from regionrank.geo import FixtureResolver, GeoFixtureError
+from regionrank.harness import http_body
 from regionrank.regions import CatalogError, load_catalog
 from regionrank.simulator import SimulationError, load_env
 from regionrank.workflow import WorkflowError, parse_workflow

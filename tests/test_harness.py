@@ -15,10 +15,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import regionrank.harness
-from conftest import count_accepts, kept_alive, loopback_peer, raw_peer, read_request
-from regionrank.errors import ConnectionPool
+from conftest import HOSTILE_REPLIES, count_accepts, kept_alive, loopback_peer, raw_peer, read_request
 from regionrank.harness import (
+    BODY_CAP,
     ComparisonStats,
+    ConnectionPool,
     ExecutionStats,
     HarnessError,
     WorkflowRunError,
@@ -563,13 +564,74 @@ def test_a_hop_whose_kept_alive_peer_hangs_up_is_sent_again_on_a_new_connection(
     # the GET's reply closes its connection, so the POST goes out on a new one
     ([b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", None, None], 2,
      [b"GET / HTTP/1.1", b"POST / HTTP/1.1"], "Remote end closed connection without response"),
-], ids=["new-connection", "timed-out", "announced-close"])
+    # a kept-alive connection's peer hangs up on the POST, and again on the POST
+    # sent anew; a third POST would get no reply and time out
+    ([OK, None, None, b""], 2, [b"GET / HTTP/1.1", b"POST / HTTP/1.1", b"POST / HTTP/1.1"],
+     "Remote end closed connection without response"),
+], ids=["new-connection", "timed-out", "announced-close", "sent-anew"])
 def test_a_request_on_a_new_connection_or_timed_out_is_never_sent_again(replies, chain, sent, match):
     requests = []
     with scripted_peer(replies, requests) as url:
         with pytest.raises(WorkflowRunError, match=match):
             run_workflow_once(parse_workflow(f"{url}\n" * chain, format="lines"), timeout=0.5)
     assert requests == sent
+
+
+def test_a_pooled_connection_whose_peer_sent_unasked_bytes_is_not_reused():
+    requests, connections = [], []
+    moved_on, stale_sent = threading.Event(), threading.Event()
+
+    def stale(conn):
+        # after its first reply, the peer sends a 408 nobody asked for and keeps the connection open
+        connections.append(conn)
+        while head := read_request(conn):
+            requests.append(head.partition(b"\r\n")[0])
+            conn.sendall(OK)
+            if not stale_sent.is_set():
+                moved_on.wait(5)  # until the client has read the reply and gone on to the next hop
+                conn.sendall(b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\n\r\n")
+                stale_sent.set()
+
+    def relay(conn):
+        while read_request(conn):
+            moved_on.set()
+            stale_sent.wait(5)
+            time.sleep(0.05)  # for the 408 to reach the client's socket
+            conn.sendall(OK)
+
+    with loopback_peer(stale) as url, loopback_peer(relay) as between:
+        _, outputs = run_workflow_once(parse_workflow(f"{url}\n{between}\n{url}\n", format="lines"), timeout=2)
+    assert list(outputs.values()) == [b"ok", b"ok", b"ok"]
+    assert requests == [b"GET / HTTP/1.1", b"POST / HTTP/1.1"]
+    # the POST went out on a new connection
+    assert len(connections) == 2
+
+
+def test_a_reply_over_the_body_cap_on_a_kept_alive_connection_is_not_sent_again():
+    requests = []
+    with scripted_peer([OK, HOSTILE_REPLIES["huge-body"]], requests) as url:
+        with pytest.raises(WorkflowRunError, match=f"^POST {re.escape(url)} failed: reply body over {BODY_CAP} bytes$"):
+            run_workflow_once(parse_workflow(f"{url}\n{url}\n", format="lines"), timeout=2)
+    assert requests == [b"GET / HTTP/1.1", b"POST / HTTP/1.1"]
+
+
+def _close_delimited(body):
+    return b"HTTP/1.1 200 OK\r\n\r\n" + body
+
+
+def _chunked(body):
+    return b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+
+
+@pytest.mark.parametrize("reply", [_close_delimited, _chunked], ids=["close-delimited", "chunked"])
+def test_a_reply_of_unknown_length_is_read_up_to_the_cap(monkeypatch, reply):
+    monkeypatch.setattr(regionrank.harness, "BODY_CAP", 16)
+    with raw_peer(reply(b"x" * 16)) as url:
+        _, outputs = run_workflow_once(parse_workflow(url, format="lines"), timeout=2)
+    assert list(outputs.values()) == [b"x" * 16]
+    with raw_peer(reply(b"x" * 17)) as url:
+        with pytest.raises(WorkflowRunError, match=f"^GET {re.escape(url)} failed: reply body over 16 bytes$"):
+            run_workflow_once(parse_workflow(url, format="lines"), timeout=2)
 
 
 def test_a_redirect_fails_a_run():

@@ -67,9 +67,9 @@ def _http_openers(path):
 
 
 def test_the_package_makes_its_http_requests_at_one_site():
-    # errors.http_body is the one exception boundary for every HTTP client
+    # harness.http_body is the one exception boundary for every HTTP client
     sites = sorted((path.name, function, name) for path in SOURCES for function, name in _http_openers(path))
-    assert sites == [("errors.py", "http_body", "HTTPConnection"), ("errors.py", "http_body", "HTTPSConnection")]
+    assert sites == [("harness.py", "http_body", "HTTPConnection"), ("harness.py", "http_body", "HTTPSConnection")]
 
 
 def test_every_public_name_resolves_on_the_package():

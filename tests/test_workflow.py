@@ -374,6 +374,32 @@ def test_validation_matches_reference(doc):
         assert parse_workflow(json.dumps(doc), format="dag").hop_order == expected
 
 
+@pytest.mark.parametrize("url", ["http://user@a.example/", "https://user:pw@127.0.0.1:8080/", "http://@a.example/"])
+def test_endpoint_host_refuses_user_info(url):
+    with pytest.raises(WorkflowError, match=r"\(user info is not allowed\)$"):
+        endpoint_host(url)
+
+
+USER_INFO_URL = "http://user:pw@u.example/"
+
+
+@pytest.mark.parametrize("build, where", [
+    (lambda url: parse_workflow(f"http://s.example/\n{url}\n", format="lines"), "line 2"),
+    (lambda url: parse_workflow(json.dumps({"sources": [url], "nodes": [{"id": "s", "url": url}]}), format="dag"),
+     "sources"),
+    (lambda url: parse_workflow(json.dumps({"sources": ["http://s.example/"], "hops": [["s", "p"]],
+                                            "nodes": [{"id": "s", "url": "http://s.example/"}, {"id": "p", "url": url}]}),
+                                format="dag"), "node 'p'"),
+    (lambda url: generate_random_workflow(["http://a.example/", url], length=1, seed=0, source="http://s.example/"),
+     "pool entry 1"),
+    (lambda url: generate_random_workflow(["http://a.example/"], length=1, seed=0, source=url), "source"),
+], ids=["lines", "dag-sources", "dag-node", "gen-pool", "gen-source"])
+def test_a_url_with_user_info_is_refused_naming_where_it_came_from(build, where):
+    with pytest.raises(WorkflowError) as info:
+        build(USER_INFO_URL)
+    assert str(info.value) == f"malformed URL at {where}: {USER_INFO_URL!r} (user info is not allowed)"
+
+
 def test_node_rejects_relative_and_schemeless_urls():
     for url in ["ftp://a.example/", "/relative/path", "a.example", "http:///nohost"]:
         with pytest.raises(WorkflowError):
