@@ -142,10 +142,11 @@ def cmd_rank(args) -> int:
         probe_regions=lambda distances: geo_prefilter(spec, catalog, distances, args.top_n),
     )
     failed = matrix.failed_channels()
+    # every failed channel is named, also below the threshold, where it only sinks its region
+    for region_id, host, channel in failed:
+        print(f"failed channel: {region_id} -> {host} [{channel}]", file=sys.stderr)
     attempted = matrix.attempted_channels()
     if attempted and len(failed) / attempted > args.fail_threshold:
-        for region_id, host, channel in failed:
-            print(f"failed channel: {region_id} -> {host} [{channel}]", file=sys.stderr)
         print(
             f"error: {len(failed)} of {attempted} channels failed "
             f"(threshold {args.fail_threshold:.2f})",

@@ -14,6 +14,11 @@ by a large sentinel during scoring so broken regions sink to the bottom of
 rankings instead of aborting the run. A region can also be left unprobed: it
 then has only a distance row, and scoring its latency or rtt raises
 CoverageError, since there is no measurement to score, not even a failed one.
+
+A probe measures from a vantage. Regions that share a vantage share their
+latency and rtt rows, so each host is probed once per vantage: LiveProbe
+measures every region from the machine it runs on, while a probe without a
+vantage method, such as the simulator's, measures from inside each region.
 """
 
 from __future__ import annotations
@@ -134,7 +139,14 @@ class MetricMatrix(Record):
 
 
 class Probe(Protocol):
-    """Measurement backend used when gathering a matrix."""
+    """Measurement backend used when gathering a matrix.
+
+    A probe may also have a vantage(region) method that returns a hashable
+    key naming where it measures region's channels from; regions with equal
+    keys are measured once, through the first of them, and share the rows.
+    A probe without the method measures each region from its own vantage,
+    as if vantage(region) returned region.id.
+    """
 
     def measure_latency(self, region: Region, url: str, k: int) -> float:
         """Mean network round-trip region->the host of url over k samples, in ms."""
@@ -181,6 +193,10 @@ class LiveProbe:
 
     def __init__(self, deadline_s: float = DEFAULT_DEADLINE_S):
         self.deadline_s = deadline_s
+
+    def vantage(self, region: Region) -> str:
+        """One vantage for every region: all are measured from the local machine."""
+        return "local"
 
     def _ping_once(self, address: str, seq: int) -> float:
         import socket  # deferred: only live probing opens sockets
@@ -269,8 +285,10 @@ def gather_metric_matrix(
 
     Channels fail independently: an unresolvable host only loses its distance
     channel, a dead HTTP endpoint only its rtt channel. Each distinct host is
-    probed once per region, through the first endpoint URL seen for it, even
-    when several workflow nodes share it. The probes run on a pool of
+    probed once per vantage (see Probe), through the first endpoint URL seen
+    for it, even when several workflow nodes share it; every probed region of
+    a vantage gets that vantage's latency and rtt rows, so a failed channel
+    fails in each of their rows. The probes run on a pool of
     `parallelism` threads, or one after another in the calling thread when
     parallelism is 1.
     """
@@ -321,7 +339,13 @@ def gather_metric_matrix(
             rtt = None
         return latency, rtt
 
-    pairs = [(region, host) for region in to_probe for host in hosts]
+    # the first region of each vantage probes on behalf of all of them
+    vantage = getattr(probe, "vantage", lambda region: region.id)
+    keys = [vantage(region) for region in to_probe]
+    probers = {}
+    for key, region in zip(keys, to_probe):
+        probers.setdefault(key, region)
+    pairs = [(region, host) for region in probers.values() for host in hosts]
     if parallelism == 1:
         measured = list(map(probe_pair, pairs))
     else:
@@ -331,11 +355,12 @@ def gather_metric_matrix(
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             measured = list(pool.map(probe_pair, pairs))
-    # the probes come back region by region, so each region's pairs are one slice
+    # the probes come back vantage by vantage, so each vantage's pairs are one slice
     width = len(hosts)
-    probed = {region.id: measured[i * width:(i + 1) * width] for i, region in enumerate(to_probe)}
+    probed = {key: measured[i * width:(i + 1) * width] for i, key in enumerate(probers)}
+    rows = [(region.id, probed[key]) for key, region in zip(keys, to_probe)]
     return MetricMatrix(hosts, {
         "distance": distances,
-        "latency": {region_id: [latency for latency, _ in row] for region_id, row in probed.items()},
-        "rtt": {region_id: [rtt for _, rtt in row] for region_id, row in probed.items()},
+        "latency": {region_id: [latency for latency, _ in row] for region_id, row in rows},
+        "rtt": {region_id: [rtt for _, rtt in row] for region_id, row in rows},
     })

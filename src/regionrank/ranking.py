@@ -12,7 +12,10 @@ region's row of the matrix.
 Stage one ranks every candidate region by total great-circle distance and
 keeps the top n. Stage two scores each survivor as the average of its summed
 HTTP round-trip and summed network latency. All tables are ordinal: scores
-order regions but do not predict run times.
+order regions but do not predict run times. Every table breaks an exact tie
+by distance score, then by region id, so when survivors measure the same (as
+every survivor does in live mode, where all share one vantage) the closest
+one wins.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ class RankingReport(Record):
     prefiltered_regions are the survivors, at most n, in prefilter order;
     distance_table covers every region while the latency, rtt and final
     tables cover only the survivors. Every table is sorted ascending by
-    (score, region-id).
+    (score, distance score, region id): an exact tie goes to the closer
+    region, and a tie in distance too to the lower id.
     """
 
     def __init__(self, recommended: str, prefiltered_regions: tuple[str, ...], distance_table: Table,
@@ -50,8 +54,8 @@ class RankingReport(Record):
                              rtt_table=rtt_table, final_table=final_table)
 
 
-def _sorted_table(scores: dict[str, float]) -> Table:
-    return tuple(sorted(scores.items(), key=lambda item: (item[1], item[0])))
+def _sorted_table(scores: dict[str, float], distances: dict[str, float]) -> Table:
+    return tuple(sorted(scores.items(), key=lambda item: (item[1], distances[item[0]], item[0])))
 
 
 def _prefilter(
@@ -64,8 +68,8 @@ def _prefilter(
     if n < 1:
         raise ValueError("prefilter size must be at least 1")
     regions = {region.id: region for region in catalog}
-    totals = matrix.weighted_sums(spec.host_weights, regions, "distance")
-    table = _sorted_table(dict(zip(regions, totals)))
+    totals = dict(zip(regions, matrix.weighted_sums(spec.host_weights, regions, "distance")))
+    table = _sorted_table(totals, totals)
     return table, [regions[region_id] for region_id, _ in table[:n]]
 
 
@@ -88,12 +92,14 @@ def rank(
     """Rank candidate regions for hosting the workflow orchestrator.
 
     The recommendation is the argmin of final_score = (total rtt +
-    total latency) / 2 over prefilter survivors, ties broken by region id.
+    total latency) / 2 over prefilter survivors; an exact tie goes to the
+    survivor with the lower distance score, then to the lower region id.
     A survivor whose latency, rtt or final score is not finite (summed
     metrics that overflow, from any probe) raises RankingError naming the
     region and the score.
     """
     distance_table, survivors = _prefilter(spec, catalog, matrix, n)
+    distances = dict(distance_table)
     survivor_ids = [region.id for region in survivors]
     latencies = matrix.weighted_sums(spec.host_weights, survivor_ids, "latency")
     rtts = matrix.weighted_sums(spec.host_weights, survivor_ids, "rtt")
@@ -108,13 +114,13 @@ def rank(
         rtt_scores[region_id] = rtt
         final_scores[region_id] = final
 
-    final_table = _sorted_table(final_scores)
+    final_table = _sorted_table(final_scores, distances)
     return RankingReport(
         recommended=final_table[0][0],
         prefiltered_regions=tuple(survivor_ids),
         distance_table=distance_table,
-        latency_table=_sorted_table(latency_scores),
-        rtt_table=_sorted_table(rtt_scores),
+        latency_table=_sorted_table(latency_scores, distances),
+        rtt_table=_sorted_table(rtt_scores, distances),
         final_table=final_table,
     )
 

@@ -22,9 +22,10 @@ from regionrank.bundled import fixture_path
 from regionrank.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROBE_FAILURE, main
 from regionrank.geo import haversine_row
 from regionrank.harness import transform_service
-from regionrank.ranking import rank
+from regionrank.ranking import rank, render_report
+from regionrank.regions import load_catalog
 from regionrank.simulator import SimulatedProbe
-from regionrank.workflow import endpoint_host, render_workflow
+from regionrank.workflow import endpoint_host, parse_workflow, render_workflow
 
 WORKED_WORKFLOW = str(fixture_path("worked_example.workflow"))
 WORKED_ENV = str(fixture_path("worked_example_env.json"))
@@ -320,14 +321,18 @@ def test_rank_dag_workflow_with_a_null_name_is_input_error(tmp_path, capsys):
     assert err == "error: malformed dag file: name None is not a string\n"
 
 
-def _rank_live(tmp_path, urls):
-    """Exit code of live rank with --fail-threshold 0 over a workflow of `urls`, all located."""
+def _live_rank_args(tmp_path, urls, lat=40.0, lon=-75.0):
+    """Arguments of live rank over a workflow of `urls`, every host located at (lat, lon)."""
     geo = tmp_path / "geo.json"
-    geo.write_text(json.dumps({endpoint_host(url): {"lat": 40.0, "lon": -75.0} for url in urls}))
+    geo.write_text(json.dumps({endpoint_host(url): {"lat": lat, "lon": lon} for url in urls}))
     wf = tmp_path / "live.workflow"
     wf.write_text("".join(f"{url}\n" for url in urls))
-    return main(["rank", "--workflow", str(wf), "--catalog", CATALOG, "--mode", "live",
-                 "--geo", str(geo), "--fail-threshold", "0"])
+    return ["rank", "--workflow", str(wf), "--catalog", CATALOG, "--mode", "live", "--geo", str(geo)]
+
+
+def _rank_live(tmp_path, urls):
+    """Exit code of live rank with --fail-threshold 0 over a workflow of `urls`, all located."""
+    return main(_live_rank_args(tmp_path, urls) + ["--fail-threshold", "0"])
 
 
 def _failed_host_channels(err):
@@ -360,6 +365,46 @@ def test_rank_live_host_name_idna_cannot_encode_fails_only_that_hosts_probes(tmp
     out, err = capsys.readouterr()
     assert out == ""
     assert _failed_host_channels(err) == {(long_name, "latency"), (long_name, "rtt")}
+
+
+def test_rank_live_names_a_failed_channel_below_the_threshold(tmp_path, capsys, monkeypatch):
+    gathered = []
+    gather = regionrank.cli.gather_metric_matrix
+
+    def kept_gather(*args, **kwargs):
+        gathered.append(gather(*args, **kwargs))
+        return gathered[-1]
+
+    monkeypatch.setattr(regionrank.cli, "gather_metric_matrix", kept_gather)
+    with transform_service() as svc, raw_peer(HOSTILE_REPLIES["huge-body"]) as huge:
+        args = _live_rank_args(tmp_path, [svc.url, huge])
+        assert main(args) == EXIT_OK  # 3 failed of 8 x 2 distances + 3 x 2 x 2 probed, under 0.5
+    out, err = capsys.readouterr()
+    [matrix] = gathered
+    spec = parse_workflow((tmp_path / "live.workflow").read_text(), format="lines")
+    catalog = load_catalog(Path(CATALOG).read_text())
+    report = rank(spec, catalog, matrix, n=3)
+    # stdout is the report alone; stderr names the dead host's rtt in each survivor's row
+    assert out == render_report(report) + f"RECOMMENDED: {report.recommended}\n"
+    assert err == "".join(f"failed channel: {region_id} -> {endpoint_host(huge)} [rtt]\n"
+                          for region_id in sorted(report.prefiltered_regions))
+
+
+def test_rank_live_recommends_the_closest_survivor_every_time(tmp_path, capsys):
+    # Seattle: the prefilter order (us-west-2 first) is not the order of the ids
+    with contextlib.ExitStack() as stack:
+        urls = [stack.enter_context(transform_service()).url for _ in range(3)]
+        args = _live_rank_args(tmp_path, urls, lat=47.6, lon=-122.3) + ["--format", "json"]
+        reports = []
+        for _ in range(3):
+            assert main(args) == EXIT_OK
+            reports.append(json_report(capsys.readouterr().out))
+    survivors = reports[0]["prefiltered_regions"]
+    assert survivors[0] != min(survivors)
+    for report in reports:
+        assert report["recommended"] == report["prefiltered_regions"][0] == survivors[0]
+        for table in ("distance_table", "latency_table", "rtt_table", "final_table"):
+            assert [row[0] for row in report[table]] == [row[0] for row in reports[0][table]]
 
 
 # --- verify ---

@@ -365,6 +365,81 @@ def test_gather_probes_each_host_once_despite_repeats():
     assert sorted(probe.rtt_calls) == [("r", "http://a.test/"), ("r", "http://b.test/")]
 
 
+class _NoisyProbe(_CountingProbe):
+    """Counts its probes and gives each measurement a value of its own, as live noise does; down.test fails."""
+
+    def _measure(self, calls, region, url):
+        with self.lock:
+            calls.append((region.id, url))
+            value = float(len(calls))
+        if endpoint_host(url) == "down.test":
+            raise ProbeError("down")
+        return value
+
+    def measure_latency(self, region, url, k):
+        return self._measure(self.latency_calls, region, url)
+
+    def measure_http_rtt(self, region, url):
+        return self._measure(self.rtt_calls, region, url)
+
+
+class _OneVantageProbe(_NoisyProbe):
+    def vantage(self, region):
+        return "here"
+
+
+class _TwoVantageProbe(_NoisyProbe):
+    """region-0 and region-2 share one vantage, region-1 and region-3 the other."""
+
+    def vantage(self, region):
+        return int(region.id.rpartition("-")[2]) % 2
+
+
+FOUR_HOSTS = parse_workflow(
+    "http://node00.test/\nhttp://node01.test/\nhttp://down.test/\nhttp://node02.test/\n", format="lines"
+)
+FOUR_HOSTS_AT = FixtureResolver({node.host: GeoPoint(1, 1) for node in distinct_nodes(FOUR_HOSTS)})
+
+
+@pytest.mark.parametrize("parallelism", [1, 8])
+def test_gather_probes_each_host_once_per_vantage(parallelism):
+    regions, _ = sim_setup()
+    nodes = distinct_nodes(FOUR_HOSTS)
+    urls = sorted(node.endpoint for node in nodes)
+
+    def gather(probe):
+        return gather_metric_matrix(probe, FOUR_HOSTS_AT, regions, nodes, parallelism=parallelism,
+                                    probe_regions=lambda _: regions[2:5])
+
+    shared, apart = _OneVantageProbe(), _NoisyProbe()
+    matrix, per_region = gather(shared), gather(apart)
+    # each host once, through the first probed region
+    assert sorted(shared.latency_calls) == sorted(shared.rtt_calls) == [("region-2", url) for url in urls]
+    assert len(apart.latency_calls) == len(apart.rtt_calls) == 3 * 4
+    for channel in ("latency", "rtt"):
+        rows = matrix.rows[channel]
+        assert list(rows) == ["region-2", "region-3", "region-4"]
+        assert rows["region-2"] == rows["region-3"] == rows["region-4"]
+        assert rows["region-2"][2] is None
+    assert matrix.rows["distance"] == per_region.rows["distance"]
+    assert matrix.failed_channels() == per_region.failed_channels()
+    assert len(matrix.failed_channels()) == 3 * 2
+    assert matrix.attempted_channels() == per_region.attempted_channels()
+
+
+def test_gather_probes_once_for_each_vantage():
+    regions, _ = sim_setup(n_regions=4)
+    nodes = distinct_nodes(FOUR_HOSTS)
+    probe = _TwoVantageProbe()
+    matrix = gather_metric_matrix(probe, FOUR_HOSTS_AT, regions, nodes, parallelism=1)
+    expected = sorted((region_id, node.endpoint) for region_id in ("region-0", "region-1") for node in nodes)
+    assert sorted(probe.latency_calls) == sorted(probe.rtt_calls) == expected
+    for channel in ("latency", "rtt"):
+        rows = matrix.rows[channel]
+        assert rows["region-0"] == rows["region-2"] != rows["region-1"] == rows["region-3"]
+    assert len(matrix.failed_channels()) == 4 * 2
+
+
 def test_gather_parallelism_does_not_change_results():
     regions, env = sim_setup()
     nodes = distinct_nodes(WORKFLOW)

@@ -239,6 +239,17 @@ def test_tables_sorted_by_score_then_id():
         assert list(table) == sorted(table, key=lambda row: (row[1], row[0]))
 
 
+def test_an_exact_tie_falls_to_the_closer_region():
+    # region-0 and region-1 measure the same, and the later id is the closer one
+    catalog = catalog_of(3)
+    values = {"region-0": (2.0, 5.0, 7.0), "region-1": (1.0, 5.0, 7.0), "region-2": (3.0, 1.0, 13.0)}
+    report = rank(SPEC1, catalog, matrix_for(catalog, values), n=3)
+    assert report.recommended == "region-1"
+    assert [rid for rid, _ in report.final_table] == ["region-1", "region-0", "region-2"]
+    assert [rid for rid, _ in report.latency_table] == ["region-2", "region-1", "region-0"]
+    assert [rid for rid, _ in report.rtt_table] == ["region-1", "region-0", "region-2"]
+
+
 def test_report_rendering_deterministic():
     spec, catalog, env = make_consistent_case(seed=4)
     matrix = gather_sim(spec, catalog, env)
