@@ -127,6 +127,8 @@ def cmd_rank(args) -> int:
     catalog = load_catalog(_read_text(args.catalog, "catalog"))
     if args.top_n < 1:
         raise UsageError("--top-n must be at least 1")
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     if not 0 <= args.fail_threshold <= 1:
         raise UsageError(f"--fail-threshold must be between 0 and 1, not {args.fail_threshold}")
     if args.mode == "sim":

@@ -4,7 +4,7 @@ Three channels are measured between each candidate region and each distinct
 workflow host:
 
 * ``distance``: great-circle distance in km (from geolocation, not probing)
-* ``latency``: network round-trip in ms (ICMP echo, TCP-connect fallback)
+* ``latency``: network round-trip in ms (a timed TCP connect)
 * ``rtt``: full HTTP GET round-trip in ms
 
 A MetricMatrix keeps one table per channel, each with one row per region
@@ -23,8 +23,6 @@ vantage method, such as the simulator's, measures from inside each region.
 
 from __future__ import annotations
 
-import os
-import struct
 import time
 from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
@@ -169,26 +167,16 @@ def _mean(samples: list[float]) -> float:
     return total / len(samples)
 
 
-def _icmp_checksum(data: bytes) -> int:
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) + data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
 class LiveProbe:
     """Measures real networks from the local vantage point.
 
-    Latency uses unprivileged ICMP echo (datagram socket) to IPv4 addresses;
-    IPv6 addresses, URLs with an explicit port, and platforms refusing ICMP
-    fall back to a timed TCP connect to the URL's port, or its scheme's
-    default port. HTTP round-trip is a timed GET on a new connection; any
-    HTTP status (a redirect, which is not followed, included) counts as a
-    completed round-trip, only transport failures and unparsable replies
-    count as probe failures.
+    Latency is a timed TCP connect to the URL's port, or its scheme's
+    default port. The host is resolved once per probe, and its addresses are
+    tried in order, as an HTTP client tries them, until one accepts; every
+    sample connects there. HTTP round-trip is a timed GET on a new
+    connection; any HTTP status (a redirect, which is not followed, included)
+    counts as a completed round-trip, only transport failures and unparsable
+    replies count as probe failures.
     """
 
     def __init__(self, deadline_s: float = DEFAULT_DEADLINE_S):
@@ -197,21 +185,6 @@ class LiveProbe:
     def vantage(self, region: Region) -> str:
         """One vantage for every region: all are measured from the local machine."""
         return "local"
-
-    def _ping_once(self, address: str, seq: int) -> float:
-        import socket  # deferred: only live probing opens sockets
-
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM, socket.IPPROTO_ICMP) as sock:
-            sock.settimeout(self.deadline_s)
-            ident = os.getpid() & 0xFFFF
-            header = struct.pack("!BBHHH", 8, 0, 0, ident, seq)
-            payload = b"regionrank-probe"
-            checksum = _icmp_checksum(header + payload)
-            packet = struct.pack("!BBHHH", 8, 0, checksum, ident, seq) + payload
-            start = time.perf_counter()
-            sock.sendto(packet, (address, 0))
-            sock.recv(1024)
-            return (time.perf_counter() - start) * 1000.0
 
     def _tcp_once(self, family: int, sockaddr: tuple) -> float:
         import socket  # deferred: only live probing opens sockets
@@ -228,30 +201,26 @@ class LiveProbe:
 
         try:
             parts = urlsplit(url)
-            explicit_port = parts.port
-            port = _DEFAULT_PORTS[parts.scheme] if explicit_port is None else explicit_port
+            port = _DEFAULT_PORTS[parts.scheme] if parts.port is None else parts.port
         except (ValueError, KeyError) as exc:  # KeyError: a scheme other than http(s)
             raise ProbeError(f"not an http(s) URL: {url!r}") from exc
         name = parts.hostname
         try:
-            family, _, _, _, sockaddr = socket.getaddrinfo(name, None, type=socket.SOCK_STREAM)[0]
+            # an IPv6 sockaddr keeps its flowinfo and scope id
+            targets = [(family, (sockaddr[0], port, *sockaddr[2:]))
+                       for family, _, _, _, sockaddr in socket.getaddrinfo(name, None, type=socket.SOCK_STREAM)]
         except (OSError, UnicodeError) as exc:  # UnicodeError: a name idna cannot encode
             raise ProbeError(f"cannot resolve {name!r}: {exc}") from exc
-        address = sockaddr[0]
-        target = (address, port, *sockaddr[2:])  # an IPv6 sockaddr keeps its flowinfo and scope id
         samples = []
-        use_icmp = explicit_port is None and family == socket.AF_INET
-        for seq in range(k):
+        while len(samples) < k:
+            family, target = targets[0]
             try:
-                if use_icmp:
-                    try:
-                        samples.append(self._ping_once(address, seq))
-                        continue
-                    except OSError:
-                        use_icmp = False  # unsupported or filtered; switch transports
                 samples.append(self._tcp_once(family, target))
             except OSError as exc:
-                raise ProbeError(f"latency probe to {url!r} failed: {exc}") from exc
+                # until one address accepts, each that fails gives way to the next
+                if samples or len(targets) == 1:
+                    raise ProbeError(f"latency probe to {url!r} failed: {exc}") from exc
+                del targets[0]
         return _mean(samples)
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
@@ -284,13 +253,14 @@ def gather_metric_matrix(
     latency row and an rtt row, and the other regions are left unprobed.
 
     Channels fail independently: an unresolvable host only loses its distance
-    channel, a dead HTTP endpoint only its rtt channel. Each distinct host is
-    probed once per vantage (see Probe), through the first endpoint URL seen
-    for it, even when several workflow nodes share it; every probed region of
-    a vantage gets that vantage's latency and rtt rows, so a failed channel
-    fails in each of their rows. The probes run on a pool of
-    `parallelism` threads, or one after another in the calling thread when
-    parallelism is 1.
+    channel, a port that refuses connections its latency and rtt channels,
+    and a peer that accepts and then replies badly only its rtt channel. Each
+    distinct host is probed once per vantage (see Probe), through the first
+    endpoint URL seen for it, even when several workflow nodes share it;
+    every probed region of a vantage gets that vantage's latency and rtt
+    rows, so a failed channel fails in each of their rows. The probes run on
+    a pool of `parallelism` threads, or one after another in the calling
+    thread when parallelism is 1.
     """
     if k < 1:
         raise ValueError("sample count must be at least 1")

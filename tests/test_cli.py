@@ -100,9 +100,10 @@ def test_rank_sim_mode_requires_env(capsys):
     assert "--env" in capsys.readouterr().err
 
 
-def test_rank_rejects_bad_top_n(capsys):
-    assert main(rank_args(**{"--top-n": "0"})) == EXIT_INPUT_ERROR
-    assert "top-n" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--top-n", "--samples"])
+def test_rank_rejects_bad_top_n(capsys, flag):
+    assert main(rank_args(**{flag: "0"})) == EXIT_INPUT_ERROR
+    assert f"error: {flag} must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threshold", ["-1", "1.5", "nan"])

@@ -161,32 +161,25 @@ def test_live_latency_tcp_fallback_on_explicit_port():
         assert 0.0 < ms < 1000.0
 
 
-def icmp_refused(monkeypatch, probe):
-    """The (address, seq) pings and (address, port) connects of `probe`, whose ICMP is refused.
-
-    Linux refuses an unprivileged ICMP socket with EACCES when
-    net.ipv4.ping_group_range excludes the caller. The n-th connect takes n ms.
-    """
-    pings, connects = [], []
-
-    def refused_ping(address, seq):
-        pings.append((address, seq))
-        raise PermissionError(13, "Permission denied")
+def recorded_connects(monkeypatch, probe):
+    """The (address, port) connects of `probe`, none of them made; the n-th takes n ms."""
+    connects = []
 
     def timed_connect(family, sockaddr):
         connects.append(sockaddr[:2])
         return float(len(connects))
 
-    monkeypatch.setattr(probe, "_ping_once", refused_ping)
     monkeypatch.setattr(probe, "_tcp_once", timed_connect)
-    return pings, connects
+    return connects
 
 
-def test_live_latency_falls_back_to_tcp_port_80_when_icmp_is_refused(monkeypatch):
+def test_live_latency_of_a_url_without_a_port_is_k_connects_to_port_80(monkeypatch):
     probe = LiveProbe()
-    pings, connects = icmp_refused(monkeypatch, probe)
+    connects = recorded_connects(monkeypatch, probe)
+    # the recorded connects open no socket, so no other socket may open either
+    monkeypatch.setattr(socket, "socket", lambda *args: pytest.fail(
+        f"socket({', '.join(getattr(arg, 'name', str(arg)) for arg in args)}) opened"))
     assert probe.measure_latency(REGION, "http://127.0.0.1/", k=3) == pytest.approx(2.0)  # mean of 1, 2, 3
-    assert pings == [("127.0.0.1", 0)]
     assert connects == [("127.0.0.1", 80)] * 3
 
 
@@ -198,7 +191,7 @@ def test_live_latency_falls_back_to_tcp_port_80_when_icmp_is_refused(monkeypatch
 ])
 def test_live_latency_tcp_fallback_connects_to_the_endpoint_port(monkeypatch, url, port):
     probe = LiveProbe()
-    _, connects = icmp_refused(monkeypatch, probe)
+    connects = recorded_connects(monkeypatch, probe)
     probe.measure_latency(REGION, url, k=3)
     assert [connected for _, connected in connects] == [port] * 3
 
@@ -241,11 +234,32 @@ def test_live_latency_of_a_url_that_is_no_http_endpoint_is_probe_error(url):
         LiveProbe(deadline_s=1.0).measure_latency(REGION, url, k=1)
 
 
-def test_live_latency_uses_icmp_alone_when_it_answers(monkeypatch):
-    probe = LiveProbe()
-    monkeypatch.setattr(probe, "_ping_once", lambda address, seq: 10.0 * (seq + 1))
-    monkeypatch.setattr(probe, "_tcp_once", lambda family, sockaddr: pytest.fail("TCP connect after ICMP answered"))
-    assert probe.measure_latency(REGION, "http://127.0.0.1/", k=3) == pytest.approx(20.0)
+def test_live_latency_connects_to_the_first_address_that_accepts_as_the_rtt_get_does(monkeypatch):
+    # as localhost resolving to ::1 first for a service bound to 127.0.0.1
+    monkeypatch.setattr(socket, "getaddrinfo", lambda host, port, *args, **kwargs: [
+        (socket.AF_INET, socket.SOCK_STREAM, 6, "", (address, port or 0)) for address in ("127.0.0.2", "127.0.0.1")])
+    probe = LiveProbe(deadline_s=1.0)
+    connects, connect = [], probe._tcp_once
+    monkeypatch.setattr(probe, "_tcp_once", lambda family, sockaddr: connects.append(sockaddr) or connect(family, sockaddr))
+    with transform_service() as svc:
+        url = f"http://two-addresses.test:{svc.port}/"
+        assert probe.measure_http_rtt(REGION, url) > 0.0
+        assert probe.measure_latency(REGION, url, k=4) > 0.0
+    # 127.0.0.2 refuses, then every sample connects to the address that accepted
+    assert connects == [("127.0.0.2", svc.port)] + [("127.0.0.1", svc.port)] * 4
+
+
+def test_live_latency_fails_with_the_last_error_when_no_address_accepts(monkeypatch):
+    probe = LiveProbe(deadline_s=1.0)
+
+    def refused(family, sockaddr):
+        raise ConnectionRefusedError(111, f"{sockaddr[0]} refused")
+
+    monkeypatch.setattr(probe, "_tcp_once", refused)
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args, **kwargs: [
+        (socket.AF_INET, socket.SOCK_STREAM, 6, "", (address, 0)) for address in ("127.0.0.2", "127.0.0.1")])
+    with pytest.raises(ProbeError, match=r"127\.0\.0\.1 refused$"):
+        probe.measure_latency(REGION, "http://two-addresses.test:8080/", k=2)
 
 
 def test_live_latency_over_ipv6_uses_tcp():

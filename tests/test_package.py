@@ -45,12 +45,13 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
-# urlopen, and the http.client classes that open an HTTP connection
-HTTP_OPENERS = {"urlopen", "HTTPConnection", "HTTPSConnection"}
+# urlopen, the http.client classes that open an HTTP connection, and the
+# socket calls that open any other
+CONNECTION_OPENERS = {"urlopen", "HTTPConnection", "HTTPSConnection", "socket", "create_connection"}
 
 
-def _http_openers(path):
-    """(function, name) of every call in one source file to a name in HTTP_OPENERS,
+def _connection_openers(path):
+    """(function, name) of every call in one source file to a name in CONNECTION_OPENERS,
     whether by module path or by imported name; function is the innermost def around it."""
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -58,7 +59,7 @@ def _http_openers(path):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in HTTP_OPENERS:
+            if name in CONNECTION_OPENERS:
                 yield function, name
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
@@ -66,10 +67,15 @@ def _http_openers(path):
     yield from visit(ast.parse(path.read_text(), str(path)), None)
 
 
-def test_the_package_makes_its_http_requests_at_one_site():
-    # harness.http_body is the one exception boundary for every HTTP client
-    sites = sorted((path.name, function, name) for path in SOURCES for function, name in _http_openers(path))
-    assert sites == [("harness.py", "http_body", "HTTPConnection"), ("harness.py", "http_body", "HTTPSConnection")]
+def test_the_package_opens_its_connections_at_two_sites():
+    # harness.http_body is the one exception boundary for every HTTP client,
+    # and LiveProbe._tcp_once the one timed connect of a latency probe
+    sites = sorted((path.name, function, name) for path in SOURCES for function, name in _connection_openers(path))
+    assert sites == [
+        ("harness.py", "http_body", "HTTPConnection"),
+        ("harness.py", "http_body", "HTTPSConnection"),
+        ("metrics.py", "_tcp_once", "socket"),
+    ]
 
 
 def test_every_public_name_resolves_on_the_package():
