@@ -39,7 +39,8 @@ class SimEnvironment(Record):
 
     `base_rows` is a memo that simulated runs fill: for each (orchestrator
     host, workflow hosts in the order of spec.host_weights) it holds the
-    _base_row from that host to those hosts. A row depends only on the
+    _base_row from that host to those hosts, a list indexed by the hosts'
+    columns (spec.edge_columns). A row depends only on the
     environment, so it is computed once, on the first run from that host,
     and every later run from it reads it back. It keeps one row per pair
     run, for as long as the environment lives. It is not part of the
@@ -118,29 +119,35 @@ def _noise_ms(env: SimEnvironment, pair: tuple[str, str], sample: Union[int, str
     return rng.gauss(0.0, env.noise_sigma_ms)
 
 
-def _base_row(env: SimEnvironment, a: str, pa: GeoPoint, peers: dict[str, GeoPoint]) -> dict[str, float]:
+def _base_row(env: SimEnvironment, a: str, pa: GeoPoint, peers: dict[str, GeoPoint]) -> list[float]:
     """Noise-free one-way latency in ms from a to each host of peers, given the located points.
 
-    A pair's override wins, else base_latency_per_km times the distance; the
-    distances come from one row. Every base latency of the simulator comes
-    from here, so the override rule has one copy. Callers locate every host
+    The row is a list in the order of peers, so with the hosts of
+    spec.host_weights it is indexed by spec.edge_columns. A pair's override
+    wins, else base_latency_per_km times the distance; the distances come
+    from one row. Every base latency of the simulator comes from here, so
+    the override rule has one copy. Callers locate every host
     even when an override pins the pair; a typo in a host name should fail
     loudly and not silently bypass the geography.
     """
     rate, pinned = env.base_latency_per_km, env.pinned.get(a, {})
-    return {b: pinned.get(b, rate * km) for b, km in zip(peers, haversine_row(pa, peers.values()))}
+    return [pinned.get(b, rate * km) for b, km in zip(peers, haversine_row(pa, peers.values()))]
 
 
 def _base_latency(env: SimEnvironment, a: str, pa: GeoPoint, b: str, pb: GeoPoint) -> float:
     """Noise-free one-way latency a<->b in ms: a row of one of _base_row."""
-    return _base_row(env, a, pa, {b: pb})[b]
+    return _base_row(env, a, pa, {b: pb})[0]
 
 
 def _add_noise(env: SimEnvironment, base: float, a: str, b: str, sample: Union[int, str]) -> float:
-    """One sample of the pair a<->b whose base latency is `base`: max(0, base + noise)."""
+    """One sample of the pair a<->b whose base latency is `base`: max(0, base + noise).
+
+    The clamp is written as a conditional, which gives max(0.0, x)'s float
+    for every x (-0.0 and nan give 0.0) without a builtin call.
+    """
     if env.noise_sigma_ms > 0:
         base += _noise_ms(env, _pair_key(a, b), sample)
-    return max(0.0, base)
+    return base if base > 0.0 else 0.0
 
 
 def sim_latency(env: SimEnvironment, a: str, b: str, sample: Union[int, str] = 0) -> float:
@@ -164,25 +171,27 @@ def _execution_time(
     env: SimEnvironment,
     spec: WorkflowSpec,
     orchestrator_host: str,
-    bases: dict[str, float],
+    bases: list[float],
     transfer_s: float,
     run: Union[int, str],
 ) -> float:
     """sim_execution_time, given the base-latency row and the per-edge transfer seconds.
 
     `bases` is the _base_row from the orchestrator host to each host of
-    spec.host_weights; edges are still summed one by one in edge order.
+    spec.host_weights, so each edge reads its host's entry at its column of
+    spec.edge_columns; edges are still summed one by one in edge order.
     """
     total = 0.0
     if env.noise_sigma_ms > 0:
-        for i, peer in enumerate(spec.edge_peers):
-            latency = _add_noise(env, bases[peer], orchestrator_host, peer, f"run{run}/edge{i}")
+        for i, (peer, column) in enumerate(zip(spec.edge_peers, spec.edge_columns)):
+            latency = _add_noise(env, bases[column], orchestrator_host, peer, f"run{run}/edge{i}")
             total += latency / 1000.0 + transfer_s
     else:
-        # noise-free, an edge's latency is max(0, base): its whole term depends only on its peer
-        terms = {peer: max(0.0, base) / 1000.0 + transfer_s for peer, base in bases.items()}
-        for peer in spec.edge_peers:
-            total += terms[peer]
+        # noise-free, an edge's latency is _add_noise's clamp of its base:
+        # its whole term depends only on its host's column
+        terms = [(base if base > 0.0 else 0.0) / 1000.0 + transfer_s for base in bases]
+        for column in spec.edge_columns:
+            total += terms[column]
     total += env.processing_s * spec.invocations
     if not math.isfinite(total):
         raise SimulationError(
@@ -208,9 +217,10 @@ def sim_execution_time(
 
     Once per (orchestrator host, workflow hosts) the hosts are located and
     their base-latency row is computed, then kept in env.base_rows. Each run
-    then draws only its noise and sums its edges. A host the environment
-    cannot locate raises SimulationError on every call, since no row is kept
-    before it is complete.
+    then draws only its noise and sums its edges, each reading its host's
+    column of the row. A host the environment cannot locate raises
+    SimulationError on every call, since no row is kept before it is
+    complete.
     """
     transfer_s = _transfer_s(env, data_mb)
     # spec's hosts and not spec itself: hashing a spec hashes every node
@@ -231,9 +241,11 @@ def best_region_oracle(
     """Brute-force ground truth: simulate every region, pick the fastest.
 
     Returns (best region id, full (id, seconds) table sorted fastest first,
-    ties broken by id). It sums spec.edge_peers one edge at a time for every
-    region and reads no weight of spec.host_weights, only its hosts, so it
-    stays an independent check of the ranking's weighted sums.
+    ties broken by id). It sums the candidate edges one at a time, in edge
+    order, for every region, each edge reading its host's column of the
+    region's row (spec.edge_columns). It reads no weight of
+    spec.host_weights, only its hosts and their columns, so it stays an
+    independent check of the ranking's weighted sums.
     The spec's peers are located once per sweep, right after the first
     region's probe host, so a missing host fails as it would in a sweep that
     located every host per region: in catalog order, then in edge order.

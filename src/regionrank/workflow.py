@@ -107,6 +107,9 @@ class WorkflowSpec(Record):
     * host_weights, how many candidate edges end at each host, in the order
       of each host's first edge: the weight vector w of every region's score
       sum_h w_h * m(R, h).
+    * edge_columns, the column of each candidate edge's host: its position
+      in host_weights, in edge order, so a list with one entry per host of
+      host_weights is read once per edge by index.
     * invocations, how many hops deliver to a processor.
     """
 
@@ -159,9 +162,12 @@ class WorkflowSpec(Record):
         hosts = {node_id: node.host for node_id, node in nodes.items()}
         peers = [hosts[end] for hop in self.hops for end in hop]
         peers += [hosts[node_id] for node_id, after in successors.items() if not after]
+        weights = Counter(peers)
+        columns = {host: column for column, host in enumerate(weights)}
         self.__dict__.update(
             edge_peers=tuple(peers),
-            host_weights=Counter(peers),
+            edge_columns=tuple(map(columns.__getitem__, peers)),
+            host_weights=weights,
             invocations=sum(1 for _, v in self.hops if nodes[v].role == ROLE_PROCESSOR),
         )
 

@@ -21,7 +21,7 @@ import regionrank
 from regionrank.bundled import fixture_path
 from regionrank.harness import payload_source, transform_service
 from regionrank.workflow import endpoint_host
-from test_golden import WORLDS, write_world
+from test_golden import GOLDEN, WORLDS, write_world
 
 SRC = str(Path(regionrank.__file__).resolve().parent.parent)
 WORKED_WORKFLOW = str(fixture_path("worked_example.workflow"))
@@ -134,6 +134,16 @@ def test_simulated_times_are_the_same_floats_in_every_process(tmp_path, monkeypa
     in_process = capsys.readouterr().out
     assert len(in_process.splitlines()) == 2 * 10 + 64
     assert outputs == [in_process, in_process]
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_simulated_times_are_the_golden_floats(world, tmp_path, monkeypatch, capsys):
+    # tests/golden/<world>-times.hex is SIMULATED_TIMES's output on the world,
+    # so a change that moves any time's last bit shows up as a diff
+    paths = write_world(tmp_path, *WORLDS[world])
+    monkeypatch.setattr(sys, "argv", ["-c", paths["--workflow"], paths["--catalog"], paths["--env"]])
+    exec(SIMULATED_TIMES, {})
+    assert capsys.readouterr().out == (GOLDEN / f"{world}-times.hex").read_text()
 
 
 # Runs each argv of the JSON list argv[1] through cli.main in this process

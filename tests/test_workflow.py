@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import regionrank
+from conftest import dag_specs
+from test_simulator import chain_specs
 from regionrank.workflow import (
     ROLE_PROCESSOR,
     ROLE_SOURCE,
@@ -437,6 +440,16 @@ def test_specs_parsed_from_the_same_text_compare_and_hash_equal():
     assert second.host_weights == {hosts[0]: 1, hosts[1]: 2, hosts[2]: 2}
     assert tuple(second.host_weights) == hosts  # in the order of each host's first edge
     assert second.invocations == 2
+
+
+@given(st.one_of(chain_specs(), dag_specs()))
+def test_edge_columns_line_up_with_edge_peers(spec):
+    hosts = tuple(spec.host_weights)
+    assert len(spec.edge_columns) == len(spec.edge_peers)
+    for peer, column in zip(spec.edge_peers, spec.edge_columns):
+        assert hosts[column] == peer
+    # columns first appear in order 0, 1, ..., each as often as its host's weight
+    assert list(Counter(spec.edge_columns).items()) == list(enumerate(spec.host_weights.values()))
 
 
 def test_replace_derives_the_values_again(derivations):
