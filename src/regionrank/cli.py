@@ -27,6 +27,7 @@ from .regions import load_catalog
 from .simulator import SimEnvironment, SimulatedProbe, best_region_oracle, load_env, sim_execution_time
 from .stats import DEFAULT_RUNS, ExecutionStats, compare_stats
 from .workflow import (
+    check_host_key,
     distinct_nodes,
     generate_random_workflow,
     parse_workflow,
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="regions surviving the geographic prefilter; only they are probed")
     p_rank.add_argument("--format", choices=("table", "json"), default="table")
     p_rank.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT,
-                        help="latency samples per (region, host) pair")
+                        help="latency samples per probed host and vantage")
     p_rank.add_argument("--geo", help="host geolocation JSON (live mode; bundled default)")
     p_rank.add_argument("--fail-threshold", type=float, default=0.5,
                         help="max tolerated fraction of failed channels, of those attempted")
@@ -148,7 +149,7 @@ def cmd_rank(args) -> int:
     for region_id, host, channel in failed:
         print(f"failed channel: {region_id} -> {host} [{channel}]", file=sys.stderr)
     attempted = matrix.attempted_channels()
-    if attempted and len(failed) / attempted > args.fail_threshold:
+    if len(failed) / attempted > args.fail_threshold:
         print(
             f"error: {len(failed)} of {attempted} channels failed "
             f"(threshold {args.fail_threshold:.2f})",
@@ -174,6 +175,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--runs must be at least 1")
     if args.mode == "sim":
         env = _load_sim_env(args)
+        for flag, vantage in (("--vantage-a", args.vantage_a), ("--vantage-b", args.vantage_b)):
+            check_host_key(vantage, flag, UsageError)
         stats_a = _sim_stats(env, spec, args.vantage_a, args.runs, args.data_mb)
         stats_b = _sim_stats(env, spec, args.vantage_b, args.runs, args.data_mb)
     else:

@@ -12,6 +12,7 @@ import math
 from typing import Iterable, Mapping, Protocol
 
 from .errors import Record, RegionRankError, decode_json
+from .workflow import check_host_key
 
 # Mean Earth radius in kilometers.
 EARTH_RADIUS_KM = 6371.0
@@ -51,13 +52,17 @@ def parse_point(entry) -> GeoPoint:
 
 
 def parse_locations(doc) -> dict[str, GeoPoint]:
-    """Locations from a decoded JSON object of the form {host: {"lat": num, "lon": num}}."""
+    """Locations from a decoded JSON object of the form {host: {"lat": num, "lon": num}}.
+
+    Every host must be a canonical host key (workflow.check_host_key).
+    """
     if not isinstance(doc, dict):
         raise GeoFixtureError("locations must be a JSON object of {host: {lat, lon}}")
     locations = {}
     for host, entry in doc.items():
+        host = check_host_key(str(host), "locations", GeoFixtureError)
         try:
-            locations[str(host)] = parse_point(entry)
+            locations[host] = parse_point(entry)
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GeoFixtureError(f"bad location for host {host!r}: {exc}") from exc
     return locations

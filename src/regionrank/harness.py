@@ -191,9 +191,8 @@ def run_workflow_once(
         for node in spec.nodes:
             if node.role == ROLE_SOURCE:
                 outputs[node.id] = http_body(node.endpoint, timeout, WorkflowRunError, pool=pool)
+        # validation orders the hops so that every from-node has its output by then
         for u, v in spec.hop_order:
-            if u not in outputs:
-                raise WorkflowRunError(f"hop source {u!r} produced no payload")
             outputs[v] = http_body(endpoints[v], timeout, WorkflowRunError, outputs[u], pool=pool)
         return time.perf_counter() - start, outputs
 
@@ -296,6 +295,9 @@ class _PayloadHandler(_ServiceHandler):
 # Inboxes of the handler threads parked between connections, shared by every
 # service in the process (a stack per service keeps more threads, each with
 # its malloc arena, alive); the most recently parked thread is reused first.
+# A live rank over 9 hosts at k = 4 opens 45 connections, 36 of them
+# TCP-connect latency samples that send no request; a new thread for each
+# made a loopback rank take about 4 ms more.
 _PARKED: list[queue.SimpleQueue] = []
 _PARKED_LOCK = threading.Lock()
 

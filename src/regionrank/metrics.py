@@ -148,11 +148,9 @@ class Probe(Protocol):
 
     def measure_latency(self, region: Region, url: str, k: int) -> float:
         """Mean network round-trip region->the host of url over k samples, in ms."""
-        ...
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
         """One full HTTP GET round-trip region->url, in ms."""
-        ...
 
 
 def _mean(samples: list[float]) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from .bundled import fixture_text
 from .errors import Record, RegionRankError, decode_json
 from .geo import GeoPoint, parse_point
+from .workflow import check_host_key
 
 
 class CatalogError(RegionRankError):
@@ -52,7 +53,10 @@ class RegionCatalog(Record):
 
 
 def load_catalog(text: str) -> RegionCatalog:
-    """Parse a catalog file: a JSON array of {id: str, probe_host: str, lat: num, lon: num}."""
+    """Parse a catalog file: a JSON array of {id: str, probe_host: str, lat: num, lon: num}.
+
+    Each probe_host must be a canonical host key (workflow.check_host_key).
+    """
     regions = []
     for entry in decode_json(text, "catalog file", CatalogError, list):
         try:
@@ -64,6 +68,7 @@ def load_catalog(text: str) -> RegionCatalog:
             raise CatalogError(f"malformed catalog entry {entry!r}") from exc
         except (ValueError, OverflowError) as exc:
             raise CatalogError(f"region {region_id!r}: {exc}") from exc
+        check_host_key(probe_host, f"region {region_id!r} probe_host", CatalogError)
         regions.append(Region(region_id, probe_host, location))
     return RegionCatalog(tuple(regions))
 

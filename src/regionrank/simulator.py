@@ -16,7 +16,7 @@ from .errors import Record, RegionRankError, decode_json
 from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_row, parse_locations
 from .metrics import ProbeError, _mean
 from .regions import Region, RegionCatalog
-from .workflow import WorkflowSpec, endpoint_host
+from .workflow import WorkflowSpec, check_host_key, endpoint_host
 
 
 class SimulationError(RegionRankError):
@@ -33,7 +33,8 @@ class SimEnvironment(Record):
     latency_overrides pins specific host pairs to a fixed one-way latency in
     ms (symmetric); every other pair costs base_latency_per_km times the
     great-circle distance. Keys may be given as (a, b) tuples or "a|b"
-    strings and are normalised to sorted tuples. `pinned` is derived from
+    strings and are normalised to sorted tuples; each host must be a
+    canonical host key (workflow.check_host_key). `pinned` is derived from
     them: each host's pinned peers, pinned[a][b] == pinned[b][a], so a row
     of pairs from one host looks up its overrides without building keys.
 
@@ -67,7 +68,8 @@ class SimEnvironment(Record):
                     raise SimulationError(f"override key {key!r} is not of the form 'hostA|hostB'")
             else:
                 a, b = key
-            pair = _pair_key(str(a), str(b))
+            a, b = (check_host_key(str(end), "latency_overrides", SimulationError) for end in (a, b))
+            pair = _pair_key(a, b)
             value = float(value)
             if not math.isfinite(value):
                 raise SimulationError(f"override for {pair!r} must be finite, not {value}")
@@ -134,11 +136,6 @@ def _base_row(env: SimEnvironment, a: str, pa: GeoPoint, peers: dict[str, GeoPoi
     return [pinned.get(b, rate * km) for b, km in zip(peers, haversine_row(pa, peers.values()))]
 
 
-def _base_latency(env: SimEnvironment, a: str, pa: GeoPoint, b: str, pb: GeoPoint) -> float:
-    """Noise-free one-way latency a<->b in ms: a row of one of _base_row."""
-    return _base_row(env, a, pa, {b: pb})[0]
-
-
 def _add_noise(env: SimEnvironment, base: float, a: str, b: str, sample: Union[int, str]) -> float:
     """One sample of the pair a<->b whose base latency is `base`: max(0, base + noise).
 
@@ -151,8 +148,12 @@ def _add_noise(env: SimEnvironment, base: float, a: str, b: str, sample: Union[i
 
 
 def sim_latency(env: SimEnvironment, a: str, b: str, sample: Union[int, str] = 0) -> float:
-    """One-way latency a<->b in ms: override or distance-based, plus noise."""
-    return _add_noise(env, _base_latency(env, a, env.locate(a), b, env.locate(b)), a, b, sample)
+    """One-way latency a<->b in ms: override or distance-based, plus noise.
+
+    The per-pair reference: a row of one of _base_row, as SimulatedProbe
+    reads it, then one sample's noise.
+    """
+    return _add_noise(env, _base_row(env, a, env.locate(a), {b: env.locate(b)})[0], a, b, sample)
 
 
 def _transfer_s(env: SimEnvironment, data_mb: float) -> float:
@@ -267,27 +268,34 @@ def best_region_oracle(
 
 
 class SimulatedProbe:
-    """Probe backend that answers from a SimEnvironment instead of a network."""
+    """Probe backend that answers from a SimEnvironment instead of a network.
+
+    Both channels of a (region, host) pair read one base latency, looked up
+    one way: the region's probe host is located, then the workflow host, and
+    the base is a row of one of _base_row. They differ only in their noise
+    samples, "lat{i}" for the k latency samples and "rtt" for the round trip.
+    """
 
     def __init__(self, env: SimEnvironment):
         self.env = env
 
-    def measure_latency(self, region: Region, url: str, k: int) -> float:
-        env, source, host = self.env, region.probe_host, endpoint_host(url)
+    def _base(self, source: str, host: str) -> float:
+        """The pair's noise-free one-way latency in ms; an unlocated host is a ProbeError."""
+        env = self.env
         try:
-            base = _base_latency(env, source, env.locate(source), host, env.locate(host))
+            return _base_row(env, source, env.locate(source), {host: env.locate(host)})[0]
         except SimulationError as exc:
             raise ProbeError(str(exc)) from exc
+
+    def measure_latency(self, region: Region, url: str, k: int) -> float:
+        source, host = region.probe_host, endpoint_host(url)
+        base = self._base(source, host)
         # the k samples share the pair's base latency and differ only in noise
-        samples = [_add_noise(env, base, source, host, f"lat{i}") for i in range(k)]
-        return _mean(samples)
+        return _mean([_add_noise(self.env, base, source, host, f"lat{i}") for i in range(k)])
 
     def measure_http_rtt(self, region: Region, url: str) -> float:
-        host = endpoint_host(url)
-        try:
-            one_way = sim_latency(self.env, region.probe_host, host, sample="rtt")
-        except SimulationError as exc:
-            raise ProbeError(str(exc)) from exc
+        source, host = region.probe_host, endpoint_host(url)
+        one_way = _add_noise(self.env, self._base(source, host), source, host, "rtt")
         return 2.0 * one_way + self.env.service_overhead_ms
 
 

@@ -50,8 +50,31 @@ def endpoint_host(url: str, where: str = "endpoint") -> str:
     return host
 
 
-# a workflow names each service in many hops, and a simulated probe looks the
-# host up again, so each distinct URL is parsed once
+def check_host_key(key: str, where: str, error: type[RegionRankError] = WorkflowError) -> str:
+    """Return a bare host key if it is canonical, else raise `error` naming where it was found.
+
+    A key is canonical when endpoint_host returns it for an http(s) URL on
+    that host: lowercase, without the scheme's default port, an IPv6 literal
+    in brackets. Any other key can never equal a workflow host's key, so a
+    lookup by it would fail as if the key were absent. The error gives the
+    canonical form, when the key has one.
+    """
+    netloc = f"[{key}]" if key.count(":") > 1 and not key.startswith("[") else key
+    try:
+        canonical = _host_key(f"http://{netloc}/")
+    except ValueError:
+        canonical = None
+    if canonical != key:
+        # a host has no path, query or fragment: "a/b" is not a spelling of "a"
+        if canonical is None or any(c in key for c in "/?#"):
+            raise error(f"{where}: {key!r} is not a host key")
+        raise error(f"{where}: host key {key!r} is not canonical; write {canonical!r}")
+    return key
+
+
+# a workflow names each service in many hops, a simulated probe looks the
+# host up again, and check_host_key asks for each key of an input file, so
+# each distinct URL is parsed once
 @functools.lru_cache(maxsize=4096)
 def _host_key(url: str) -> str | None:
     """endpoint_host's key for url, or None if it is not an absolute http(s) URL with a host.

@@ -307,6 +307,18 @@ def test_rank_dag_workflow_with_a_null_id_is_input_error(tmp_path, capsys):
     assert err.startswith("error: malformed dag node entry")
 
 
+def test_rank_dag_workflow_with_an_empty_id_is_input_error(tmp_path, capsys):
+    doc = {
+        "sources": ["http://wikimedia.org/images/sample.png"],
+        "nodes": [{"id": "", "url": "http://wikimedia.org/images/sample.png"}],
+        "hops": [],
+    }
+    wf = tmp_path / "flow.json"
+    wf.write_text(json.dumps(doc))
+    assert main(rank_args(**{"--workflow": str(wf)})) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: node id must be non-empty\n")
+
+
 def test_rank_dag_workflow_with_a_null_name_is_input_error(tmp_path, capsys):
     doc = {
         "name": None,
@@ -457,6 +469,17 @@ def test_verify_sim_identical_vantages_zero_speedup(small_world, capsys):
     assert "delta-sigma: n/a" in out
 
 
+@pytest.mark.parametrize("mode", ["sim", "live"])
+def test_verify_rejects_runs_below_1(small_world, capsys, mode):
+    wf, env_file = small_world
+    code = main([
+        "verify", "--workflow", wf, "--mode", mode, "--env", env_file,
+        "--vantage-a", "far.probe.test", "--vantage-b", "near.probe.test", "--runs", "0",
+    ])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", "error: --runs must be at least 1\n")
+
+
 def test_verify_sim_noisy_worked_example(tmp_path, capsys):
     env = json.loads(Path(WORKED_ENV).read_text())
     env.update(noise_sigma_ms=5.0, seed=7)
@@ -514,6 +537,74 @@ def test_verify_sim_unknown_vantage_is_input_error(small_world, capsys):
     ])
     assert code == EXIT_INPUT_ERROR
     assert "ghost.test" in capsys.readouterr().err
+
+
+# --- host keys ---
+
+
+def _keyed_world(tmp_path, workflow="http://src.test/\nhttp://p.test/\n", locations=(), catalog=None,
+                 overrides=None):
+    """Paths of a two-region world; `locations` replaces host keys of the environment's node_locations."""
+    renamed = dict(locations)
+    points = {"src.test": (0.0, 0.0), "p.test": (1.0, 1.0), "r1.test": (0.5, 0.5), "r2.test": (50.0, 50.0)}
+    env = {"node_locations": {renamed.get(host, host): {"lat": lat, "lon": lon}
+                              for host, (lat, lon) in points.items()},
+           "latency_overrides": overrides or {}}
+    regions = catalog or {"us-east-1": "r1.test", "eu-west-1": "r2.test"}
+    paths = {"workflow": tmp_path / "wf", "env": tmp_path / "env.json", "catalog": tmp_path / "catalog.json",
+             "geo": tmp_path / "geo.json"}
+    paths["workflow"].write_text(workflow)
+    paths["env"].write_text(json.dumps(env))
+    paths["catalog"].write_text(json.dumps([
+        {"id": region_id, "probe_host": host, **env["node_locations"].get(host, {"lat": 0.0, "lon": 0.0})}
+        for region_id, host in regions.items()
+    ]))
+    paths["geo"].write_text(json.dumps(env["node_locations"]))
+    return {name: str(path) for name, path in paths.items()}
+
+
+KEYED_COMMANDS = {
+    "rank": "rank --mode sim --top-n 2 --workflow {workflow} --catalog {catalog} --env {env}",
+    "simulate": "simulate --workflow {workflow} --catalog {catalog} --env {env}",
+    "verify": "verify --mode sim --workflow {workflow} --env {env} --vantage-a r1.test --vantage-b r2.test",
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEYED_COMMANDS))
+def test_a_mixed_case_location_key_is_input_error_for_every_command(tmp_path, capsys, command):
+    # the workflow's host key is src.test, which an environment locating
+    # SRC.test can never match: rank --mode sim used to exit 0 with every
+    # score near 1e8, the failed distances under the default threshold
+    paths = _keyed_world(tmp_path, workflow="http://Src.Test/\nhttp://p.test/\n", locations={"src.test": "SRC.test"})
+    assert main(KEYED_COMMANDS[command].format_map(paths).split()) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", (
+        "error: bad environment field 'node_locations': locations: host key 'SRC.test' is not canonical; "
+        "write 'src.test'\n"
+    ))
+
+
+@pytest.mark.parametrize("world, command, message", [
+    ({"catalog": {"us-east-1": "R1.test", "eu-west-1": "r2.test"}}, "rank",
+     "region 'us-east-1' probe_host: host key 'R1.test' is not canonical; write 'r1.test'"),
+    ({"overrides": {"r1.test|p.test:80": 5.0}}, "simulate",
+     "latency_overrides: host key 'p.test:80' is not canonical; write 'p.test'"),
+    ({"locations": {"p.test": "p.test:80"}}, "rank",
+     "bad environment field 'node_locations': locations: host key 'p.test:80' is not canonical; write 'p.test'"),
+    ({}, "verify-vantage",
+     "--vantage-b: host key '::1' is not canonical; write '[::1]'"),
+    ({"locations": {"r2.test": "R2.test"}}, "rank-live",
+     "locations: host key 'R2.test' is not canonical; write 'r2.test'"),
+], ids=["catalog", "override", "location", "vantage", "geo"])
+def test_a_non_canonical_host_key_is_input_error_naming_it(tmp_path, capsys, world, command, message):
+    commands = dict(
+        KEYED_COMMANDS,
+        **{"verify-vantage": KEYED_COMMANDS["verify"].replace("r2.test", "::1"),
+           # refused before any probe: the workflow's hosts are never contacted
+           "rank-live": "rank --mode live --workflow {workflow} --catalog {catalog} --geo {geo}"},
+    )
+    paths = _keyed_world(tmp_path, **world)
+    assert main(commands[command].format_map(paths).split()) == EXIT_INPUT_ERROR
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_verify_live_counts_a_reply_no_client_parses_as_a_failed_run(tmp_path, capsys):

@@ -9,15 +9,21 @@ and a run that exits 0 must print only finite numbers.
 serve reads no input file, and verify --mode live over the bundled workflow
 would contact its hosts, so neither is fuzzed here. Live rank runs only over
 loopback endpoints; its mutations never reach the workflow.
+
+A second property changes one host key of one input (its case, a default
+port, the brackets of an IPv6 literal): the run's output stays the same, or
+it exits 2 with one error line naming the changed key.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
 import re
 import tempfile
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,3 +121,105 @@ def test_one_hostile_value_never_makes_the_cli_raise(inputs, command, data):
     assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_PROBE_FAILURE), err.getvalue()
     if code == EXIT_OK:
         assert NOT_FINITE.search(out.getvalue()) is None, out.getvalue()
+
+
+# --- host keys ---
+
+# names, a name with a port, IPv6 literals with and without a port: every
+# form a host key takes, as workflow hosts, located hosts, a probe host,
+# override ends and a vantage
+IPV6_PROBE, IPV6, IPV6_PORT, NAME_PORT = "[2001:db8::1]", "[2001:db8::7]", "[2001:db8::8]:8080", "p.test:8080"
+KEYED_COMMANDS = {
+    "rank-sim": ("rank --mode sim --format json --top-n 8 --workflow {workflow} --catalog {catalog} --env {env}",
+                 ("workflow", "catalog", "locations", "overrides")),
+    "simulate": ("simulate --workflow {workflow} --catalog {catalog} --env {env}",
+                 ("workflow", "catalog", "locations", "overrides")),
+    "verify-sim": ("verify --mode sim --runs 3 --workflow {workflow} --env {env} --vantage-a {a} --vantage-b {b}",
+                   ("workflow", "locations", "overrides", "vantage")),
+}
+
+
+def _keyed_world() -> dict:
+    """The bundled worked example, with keys of every form added."""
+    catalog = json.loads(BUNDLED["catalog"])
+    catalog[1]["probe_host"] = IPV6_PROBE
+    env = json.loads(BUNDLED["env"])
+    for i, key in enumerate([IPV6_PROBE, IPV6, IPV6_PORT, NAME_PORT]):
+        env["node_locations"][key] = {"lat": 10.0 * i, "lon": -20.0 * i}
+    env["latency_overrides"] = {f"ec2.us-east-1.amazonaws.com|{IPV6}": 5.0, f"{NAME_PORT}|wikimedia.org": 7.0}
+    workflow = WORKED_LINES + "".join(f"http://{key}/\n" for key in (IPV6, IPV6_PORT, NAME_PORT))
+    return {"workflow": workflow, "catalog": catalog, "env": env, "vantages": [IPV6_PROBE, VANTAGES[3]]}
+
+
+def _changed(key: str, how: str) -> str:
+    if how == "case":
+        return key.swapcase()
+    if how == "port":  # the http default port, to a key that has none
+        return key if ":" in key.rpartition("]")[2] else f"{key}:80"
+    return key.replace("[", "").replace("]", "")
+
+
+@st.composite
+def one_key_changed(draw, targets):
+    """(world, the changed key or workflow line): one key of one input changed in case, port or brackets."""
+    world = _keyed_world()
+    target = draw(st.sampled_from(targets), label="input")
+    how = draw(st.sampled_from(["case", "port", "brackets"]), label="change")
+    if target == "workflow":
+        lines = world["workflow"].splitlines()
+        index = draw(st.sampled_from([i for i, line in enumerate(lines) if not line.startswith("#")]))
+        netloc = urlsplit(lines[index]).netloc
+        lines[index] = named = lines[index].replace(f"//{netloc}", f"//{_changed(netloc, how)}", 1)
+        world["workflow"] = "\n".join(lines) + "\n"
+    elif target == "catalog":
+        region = draw(st.sampled_from(world["catalog"]))
+        region["probe_host"] = named = _changed(region["probe_host"], how)
+    elif target == "locations":
+        locations = world["env"]["node_locations"]
+        key = draw(st.sampled_from(sorted(locations)))
+        named = _changed(key, how)
+        world["env"]["node_locations"] = {named if k == key else k: v for k, v in locations.items()}
+    elif target == "overrides":
+        overrides = world["env"]["latency_overrides"]
+        key = draw(st.sampled_from(sorted(overrides)))
+        ends = key.split("|")
+        side = draw(st.integers(0, 1))
+        ends[side] = named = _changed(ends[side], how)
+        world["env"]["latency_overrides"] = {"|".join(ends) if k == key else k: v for k, v in overrides.items()}
+    else:
+        side = draw(st.integers(0, 1))
+        world["vantages"][side] = named = _changed(world["vantages"][side], how)
+    return world, named
+
+
+def _run_keyed(command: str, world: dict) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp, name)) for name in ("workflow", "catalog", "env")}
+        Path(paths["workflow"]).write_text(world["workflow"], encoding="utf-8")
+        Path(paths["catalog"]).write_text(json.dumps(world["catalog"]), encoding="utf-8")
+        Path(paths["env"]).write_text(json.dumps(world["env"]), encoding="utf-8")
+        a, b = world["vantages"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(KEYED_COMMANDS[command][0].format(a=a, b=b, **paths).split())
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _unchanged_run(command: str) -> tuple[int, str, str]:
+    return _run_keyed(command, _keyed_world())
+
+
+@pytest.mark.parametrize("command", sorted(KEYED_COMMANDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_changed_host_key_keeps_the_output_or_is_named_in_one_error(command, data):
+    # a key that no workflow host can equal never exits 0 with a failed channel
+    baseline = _unchanged_run(command)
+    assert baseline[0] == EXIT_OK and baseline[2] == "", baseline
+    world, named = data.draw(one_key_changed(KEYED_COMMANDS[command][1]))
+    code, out, err = _run_keyed(command, world)
+    if (code, out, err) != baseline:
+        assert code == EXIT_INPUT_ERROR, (code, err)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(named) in err, err

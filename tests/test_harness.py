@@ -25,6 +25,7 @@ from regionrank.harness import (
     WorkflowRunError,
     compare_stats,
     execute_workflow,
+    http_body,
     payload_source,
     run_workflow_once,
     transform_service,
@@ -53,6 +54,11 @@ def test_stats_single_run_has_zero_stddev():
 def test_stats_require_at_least_one_run():
     with pytest.raises(HarnessError):
         stats([])
+
+
+def test_stats_reject_a_negative_failure_count():
+    with pytest.raises(HarnessError, match="negative"):
+        stats([1.0], failures=-1)
 
 
 # --- published measurement arithmetic ---
@@ -632,6 +638,26 @@ def test_a_reply_of_unknown_length_is_read_up_to_the_cap(monkeypatch, reply):
     with raw_peer(reply(b"x" * 17)) as url:
         with pytest.raises(WorkflowRunError, match=f"^GET {re.escape(url)} failed: reply body over 16 bytes$"):
             run_workflow_once(parse_workflow(url, format="lines"), timeout=2)
+
+
+def test_a_url_of_another_scheme_is_the_callers_error_and_opens_no_connection():
+    with transform_service() as svc:
+        accepted = count_accepts(svc)
+        url = f"ftp://127.0.0.1:{svc.port}/"
+        with pytest.raises(WorkflowRunError, match=f"^GET {re.escape(url)} failed: unknown url type: 'ftp'$"):
+            http_body(url, 2.0, WorkflowRunError)
+    assert accepted == []
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["new", "pooled"])
+def test_an_https_url_served_by_plain_http_is_the_callers_error(pooled):
+    # the TLS handshake gets an HTTP reply: a typed error, no traceback, and no
+    # socket left open (a leaked one would be a ResourceWarning, an error here)
+    with transform_service() as svc, ConnectionPool() as pool:
+        url = f"https://127.0.0.1:{svc.port}/"
+        with pytest.raises(WorkflowRunError, match=f"^GET {re.escape(url)} failed: "):
+            http_body(url, 2.0, WorkflowRunError, pool=pool if pooled else None)
+        assert pool.take(("https", f"127.0.0.1:{svc.port}")) is None
 
 
 def test_a_redirect_fails_a_run():

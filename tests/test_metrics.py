@@ -140,6 +140,16 @@ def test_live_gather_fails_only_the_rtt_of_a_peer_whose_reply_no_client_parses(h
     assert matrix.failed_channels() == [("r-test", host, "rtt")]
 
 
+def test_live_gather_fails_only_the_rtt_of_an_https_url_served_by_plain_http():
+    # the latency probe's TCP connect succeeds; only the GET's TLS handshake fails
+    with transform_service() as svc:
+        host, matrix = _live_gather(f"https://127.0.0.1:{svc.port}/")
+    [latency] = matrix.rows["latency"]["r-test"]
+    assert latency > 0.0
+    assert matrix.rows["rtt"] == {"r-test": [None]}
+    assert matrix.failed_channels() == [("r-test", host, "rtt")]
+
+
 def test_live_gather_counts_an_error_status_as_a_measured_rtt():
     with raw_peer(b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 5\r\n\r\nbroke") as url:
         _, matrix = _live_gather(url)

@@ -24,6 +24,15 @@ def test_load_catalog_parses_entries():
     assert catalog.by_id("r1").location == GeoPoint(1.0, 2.0)
 
 
+@pytest.mark.parametrize("region_id, probe_host, match", [
+    ("", "p.example", "region id must be non-empty"),
+    ("r1", "", "region 'r1' has an empty probe_host"),
+])
+def test_region_rejects_an_empty_id_or_probe_host(region_id, probe_host, match):
+    with pytest.raises(CatalogError, match=match):
+        Region(region_id, probe_host, GeoPoint(0, 0))
+
+
 def test_catalog_rejects_duplicate_ids():
     region = Region("r1", "p.example", GeoPoint(0, 0))
     with pytest.raises(CatalogError, match="duplicate"):
@@ -59,6 +68,9 @@ def test_unknown_region_id():
         pytest.param('[{"id": "r", "probe_host": "p", "lat": 1%s, "lon": 0}]' % ("0" * 400),
                      id="lat-too-large-for-a-float"),
         '["r"]',
+        '[{"id": "r", "probe_host": "P.test", "lat": 0, "lon": 0}]',
+        '[{"id": "r", "probe_host": "p.test:80", "lat": 0, "lon": 0}]',
+        '[{"id": "r", "probe_host": "p/", "lat": 0, "lon": 0}]',
     ],
 )
 def test_load_catalog_rejects_malformed(text):

@@ -112,6 +112,11 @@ def test_noise_truncated_at_zero(sample):
         {"seed": math.nan},
         {"latency_overrides": {"a|b": math.nan}},
         {"latency_overrides": {"a|b": math.inf}},
+        {"latency_overrides": {"a|b": -1.0}},
+        # a host key no workflow host can have, in either form of key
+        {"latency_overrides": {("A.test", "b.test"): 1.0}},
+        {"latency_overrides": {"a.test|b.test:80": 1.0}},
+        {"latency_overrides": {("a.test", "::1"): 1.0}},
     ],
 )
 def test_environment_rejects_bad_parameters(kwargs):

@@ -17,6 +17,7 @@ from regionrank.workflow import (
     ServiceNode,
     WorkflowError,
     WorkflowSpec,
+    check_host_key,
     distinct_nodes,
     endpoint_host,
     generate_random_workflow,
@@ -80,8 +81,31 @@ def test_endpoint_host_canonical_key(case):
     url, name, port, scheme = case
     # lowercase, IPv6 literals bracketed, no default port
     host = (f"[{name}]" if ":" in name else name).lower()
-    assert endpoint_host(url) == (host if port in (None, _DEFAULT_PORTS[scheme]) else f"{host}:{port}")
+    key = endpoint_host(url)
+    assert key == (host if port in (None, _DEFAULT_PORTS[scheme]) else f"{host}:{port}")
+    assert check_host_key(key, "key") == key
 
+
+@pytest.mark.parametrize("key, canonical", [
+    ("SRC.test", "src.test"),
+    ("h.test:80", "h.test"),
+    ("h.test:", "h.test"),
+    ("::1", "[::1]"),
+    ("[::1]:80", "[::1]"),
+    ("[FE80::1]:8080", "[fe80::1]:8080"),
+    ("2001:db8::8:8080", "[2001:db8::8:8080]"),
+])
+def test_check_host_key_names_the_canonical_form(key, canonical):
+    assert check_host_key(canonical, "--vantage-a") == canonical
+    with pytest.raises(WorkflowError) as caught:
+        check_host_key(key, "--vantage-a")
+    assert str(caught.value) == f"--vantage-a: host key {key!r} is not canonical; write {canonical!r}"
+
+
+@pytest.mark.parametrize("key", ["", "a/b", "a?b", "a#b", "x@y", "[::1", "h.test:99999", "h.test:8080:80"])
+def test_check_host_key_refuses_what_no_url_has_as_its_host(key):
+    with pytest.raises(ValueError, match="^catalog: .* is not a host key$"):
+        check_host_key(key, "catalog", ValueError)
 
 def test_lines_chain_parses_each_distinct_url_once(urlsplit_calls):
     urls = [f"http://h{i % 7}.test:{8000 + i % 3}/" for i in range(101)]
@@ -241,6 +265,18 @@ def _dag_with(position, value):
 def test_parse_dag_requires_json_strings(position, message, value):
     with pytest.raises(WorkflowError, match=message):
         parse_workflow(_dag_with(position, value), format="dag")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sources": {}, "nodes": [], "hops": []}', "malformed dag file: sources, nodes and hops must be arrays"),
+    ('{"sources": [], "nodes": "n", "hops": []}', "malformed dag file: sources, nodes and hops must be arrays"),
+    ('{"sources": [], "nodes": [], "hops": null}', "malformed dag file: sources, nodes and hops must be arrays"),
+    ('{"nodes": [["s", "http://s.example/"]]}', "malformed dag node entry"),
+    ('{"nodes": [{"id": "s"}]}', "malformed dag node entry"),
+])
+def test_parse_dag_requires_arrays_and_node_objects(text, message):
+    with pytest.raises(WorkflowError, match=f"^{message}"):
+        parse_workflow(text, format="dag")
 
 
 def test_spec_requires_a_source():
@@ -407,6 +443,18 @@ def test_node_rejects_relative_and_schemeless_urls():
     for url in ["ftp://a.example/", "/relative/path", "a.example", "http:///nohost"]:
         with pytest.raises(WorkflowError):
             ServiceNode("n", url, ROLE_PROCESSOR)
+
+
+def test_node_rejects_an_unknown_role():
+    with pytest.raises(WorkflowError, match="unknown node role 'sink'"):
+        ServiceNode("a", "http://a.test/", role="sink")
+
+
+def test_parse_and_render_reject_an_unknown_format():
+    with pytest.raises(WorkflowError, match="unknown workflow format 'yaml'"):
+        parse_workflow("http://a.test/\n", format="yaml")
+    with pytest.raises(WorkflowError, match="unknown workflow format 'yaml'"):
+        render_workflow(chain("a.test"), format="yaml")
 
 
 def test_distinct_nodes_dedups_by_host():
