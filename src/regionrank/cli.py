@@ -262,7 +262,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # stdout's reader has gone: send what is left to devnull, so that the
         # flush at exit does not fail again, and exit 1 as Python does on EPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except (RegionRankError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Great-circle distance and host geolocation behind a pluggable resolver.
+"""Great-circle distance and host geolocation from a fixture.
 
 Distances use the haversine formula on a sphere with the mean Earth radius;
 good to a fraction of a percent, which is plenty for ranking data centers.
@@ -9,7 +9,7 @@ to many points, and haversine_km, a single pair, is a row of one.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping
 
 from .errors import Record, RegionRankError, decode_json
 from .workflow import check_host_key
@@ -36,6 +36,11 @@ class GeoPoint(Record):
     """A point on Earth in decimal degrees."""
 
     def __init__(self, lat: float, lon: float):
+        for value in (lat, lon):
+            # JSON true and false decode to bools, which are ints but not numbers here
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"lat and lon must be numbers, not {lat!r} and {lon!r}")
+        lat, lon = float(lat), float(lon)
         if not -90.0 <= lat <= 90.0:
             raise ValueError(f"latitude {lat} out of range [-90, 90]")
         if not -180.0 <= lon <= 180.0:
@@ -43,26 +48,18 @@ class GeoPoint(Record):
         self.__dict__.update(lat=lat, lon=lon)
 
 
-def parse_point(entry) -> GeoPoint:
-    """The point of a decoded {"lat": num, "lon": num}; JSON true and false are not numbers."""
-    lat, lon = entry["lat"], entry["lon"]
-    if type(lat) not in (int, float) or type(lon) not in (int, float):
-        raise TypeError(f"lat and lon must be numbers, not {lat!r} and {lon!r}")
-    return GeoPoint(float(lat), float(lon))
-
-
 def parse_locations(doc) -> dict[str, GeoPoint]:
     """Locations from a decoded JSON object of the form {host: {"lat": num, "lon": num}}.
 
-    Every host must be a canonical host key (workflow.check_host_key).
+    Only the points are built here; FixtureResolver and SimEnvironment check
+    the hosts when they are given the map.
     """
     if not isinstance(doc, dict):
         raise GeoFixtureError("locations must be a JSON object of {host: {lat, lon}}")
     locations = {}
     for host, entry in doc.items():
-        host = check_host_key(str(host), "locations", GeoFixtureError)
         try:
-            locations[host] = parse_point(entry)
+            locations[host] = GeoPoint(entry["lat"], entry["lon"])
         except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise GeoFixtureError(f"bad location for host {host!r}: {exc}") from exc
     return locations
@@ -98,21 +95,17 @@ def haversine_row(origin: GeoPoint, points: Iterable[GeoPoint]) -> list[float]:
     return row
 
 
-class GeoResolver(Protocol):
-    """Maps a host key to its location; raises GeoResolutionError if unknown."""
-
-    def resolve(self, host: str) -> GeoPoint: ...
-
-
 class FixtureResolver:
-    """Resolver backed by a static host -> coordinates mapping.
+    """Maps a host key to its location, from a static host -> coordinates mapping.
 
-    The default fixture keeps every lookup offline and deterministic; a live
-    geolocation client can be swapped in anywhere a GeoResolver is accepted.
+    Every host must be a canonical host key (workflow.check_host_key). The
+    default fixture keeps every lookup offline and deterministic.
     """
 
     def __init__(self, locations: Mapping[str, GeoPoint]):
         self._locations = dict(locations)
+        for host in self._locations:
+            check_host_key(host, "locations", GeoFixtureError)
 
     @classmethod
     def from_json(cls, text: str) -> "FixtureResolver":

@@ -28,7 +28,7 @@ from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Protocol,
 from urllib.parse import urlsplit
 
 from .errors import Record, RegionRankError
-from .geo import GeoResolutionError, GeoResolver, haversine_row
+from .geo import FixtureResolver, GeoResolutionError, haversine_row
 from .regions import Region
 from .workflow import _DEFAULT_PORTS, ServiceNode
 
@@ -235,7 +235,7 @@ class LiveProbe:
 
 def gather_metric_matrix(
     probe: Probe,
-    resolver: GeoResolver,
+    resolver: FixtureResolver,
     regions,
     nodes: list[ServiceNode],
     k: int = DEFAULT_SAMPLE_COUNT,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .bundled import fixture_text
 from .errors import Record, RegionRankError, decode_json
-from .geo import GeoPoint, parse_point
+from .geo import GeoPoint
 from .workflow import check_host_key
 
 
@@ -15,8 +15,9 @@ class CatalogError(RegionRankError):
 class Region(Record):
     """One candidate deployment region.
 
-    probe_host is the in-region endpoint used for latency and HTTP probing;
-    location anchors the geographic prefilter.
+    probe_host is the in-region endpoint used for latency and HTTP probing,
+    a canonical host key (workflow.check_host_key); location anchors the
+    geographic prefilter.
     """
 
     def __init__(self, id: str, probe_host: str, location: GeoPoint):
@@ -24,6 +25,7 @@ class Region(Record):
             raise CatalogError("region id must be non-empty")
         if not probe_host:
             raise CatalogError(f"region {id!r} has an empty probe_host")
+        check_host_key(probe_host, f"region {id!r} probe_host", CatalogError)
         self.__dict__.update(id=id, probe_host=probe_host, location=location)
 
 
@@ -53,22 +55,18 @@ class RegionCatalog(Record):
 
 
 def load_catalog(text: str) -> RegionCatalog:
-    """Parse a catalog file: a JSON array of {id: str, probe_host: str, lat: num, lon: num}.
-
-    Each probe_host must be a canonical host key (workflow.check_host_key).
-    """
+    """Parse a catalog file: a JSON array of {id: str, probe_host: str, lat: num, lon: num}."""
     regions = []
     for entry in decode_json(text, "catalog file", CatalogError, list):
         try:
             region_id, probe_host = entry["id"], entry["probe_host"]
             if not (isinstance(region_id, str) and isinstance(probe_host, str)):
                 raise TypeError("id and probe_host must be strings")
-            location = parse_point(entry)
+            location = GeoPoint(entry["lat"], entry["lon"])
         except (TypeError, KeyError) as exc:
             raise CatalogError(f"malformed catalog entry {entry!r}") from exc
         except (ValueError, OverflowError) as exc:
             raise CatalogError(f"region {region_id!r}: {exc}") from exc
-        check_host_key(probe_host, f"region {region_id!r} probe_host", CatalogError)
         regions.append(Region(region_id, probe_host, location))
     return RegionCatalog(tuple(regions))
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Mapping, Union
+from collections.abc import Mapping
+from typing import Union
 
 from .errors import Record, RegionRankError, decode_json
 from .geo import FixtureResolver, GeoFixtureError, GeoPoint, haversine_row, parse_locations
@@ -27,6 +28,20 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _field_error(name: str, reason) -> SimulationError:
+    return SimulationError(f"bad environment field {name!r}: {reason}")
+
+
+def _number(name: str, value) -> float:
+    """A field's value as a float, if it is an int or a float; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _field_error(name, f"value must be a JSON number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise _field_error(name, exc) from exc
+
+
 class SimEnvironment(Record):
     """A synthetic world: host positions plus link and service parameters.
 
@@ -37,6 +52,7 @@ class SimEnvironment(Record):
     canonical host key (workflow.check_host_key). `pinned` is derived from
     them: each host's pinned peers, pinned[a][b] == pinned[b][a], so a row
     of pairs from one host looks up its overrides without building keys.
+    Every field is checked here, with the message an environment file gets.
 
     `base_rows` is a memo that simulated runs fill: for each (orchestrator
     host, workflow hosts in the order of spec.host_weights) it holds the
@@ -60,8 +76,23 @@ class SimEnvironment(Record):
         noise_sigma_ms: float = 0.0,
         seed: int = 0,
     ):
+        for name, mapping in (("node_locations", node_locations), ("latency_overrides", latency_overrides)):
+            if not isinstance(mapping, Mapping):
+                raise _field_error(name, f"value must be a JSON object, not {type(mapping).__name__}")
+        numbers = dict(base_latency_per_km=base_latency_per_km, bandwidth_mbps=bandwidth_mbps,
+                       service_overhead_ms=service_overhead_ms, processing_s=processing_s,
+                       noise_sigma_ms=noise_sigma_ms)
+        numbers = {name: _number(name, value) for name, value in numbers.items()}
+        # 1.0, true and "1" are not integers
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise _field_error("seed", f"value must be a JSON integer, not {seed!r}")
+        try:
+            resolver = FixtureResolver(node_locations)
+        except GeoFixtureError as exc:
+            raise _field_error("node_locations", exc) from exc
         normalized: dict[tuple[str, str], float] = {}
-        for key, value in dict(latency_overrides).items():
+        for key, value in latency_overrides.items():
+            value = _number("latency_overrides", value)
             if isinstance(key, str):
                 a, sep, b = key.partition("|")
                 if not sep or not a or not b:
@@ -70,7 +101,6 @@ class SimEnvironment(Record):
                 a, b = key
             a, b = (check_host_key(str(end), "latency_overrides", SimulationError) for end in (a, b))
             pair = _pair_key(a, b)
-            value = float(value)
             if not math.isfinite(value):
                 raise SimulationError(f"override for {pair!r} must be finite, not {value}")
             if pair in normalized and normalized[pair] != value:
@@ -78,27 +108,22 @@ class SimEnvironment(Record):
             if value < 0:
                 raise SimulationError(f"override for {pair!r} must be non-negative")
             normalized[pair] = value
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, not {value}")
+        for name in ("base_latency_per_km", "service_overhead_ms", "processing_s", "noise_sigma_ms"):
+            if numbers[name] < 0:
+                raise SimulationError(f"{name} must be non-negative")
+        if numbers["bandwidth_mbps"] <= 0:
+            raise SimulationError("bandwidth_mbps must be positive")
         pinned: dict[str, dict[str, float]] = {}
         for (a, b), value in normalized.items():
             pinned.setdefault(a, {})[b] = value
             pinned.setdefault(b, {})[a] = value
         self.__dict__.update(
-            node_locations=dict(node_locations), latency_overrides=normalized,
-            base_latency_per_km=base_latency_per_km, bandwidth_mbps=bandwidth_mbps,
-            service_overhead_ms=service_overhead_ms, processing_s=processing_s,
-            noise_sigma_ms=noise_sigma_ms, seed=seed, pinned=pinned, base_rows={},
+            node_locations=dict(node_locations), latency_overrides=normalized, **numbers, seed=seed,
+            pinned=pinned, base_rows={}, _resolver=resolver,
         )
-        for name in ("base_latency_per_km", "bandwidth_mbps", "service_overhead_ms",
-                     "processing_s", "noise_sigma_ms", "seed"):
-            value = getattr(self, name)
-            # an int is finite; math.isfinite would overflow on a huge one
-            if not isinstance(value, int) and not math.isfinite(value):
-                raise SimulationError(f"{name} must be finite, not {value}")
-        for name in ("base_latency_per_km", "service_overhead_ms", "processing_s", "noise_sigma_ms"):
-            if getattr(self, name) < 0:
-                raise SimulationError(f"{name} must be non-negative")
-        if self.bandwidth_mbps <= 0:
-            raise SimulationError("bandwidth_mbps must be positive")
 
     def locate(self, host: str) -> GeoPoint:
         try:
@@ -107,7 +132,7 @@ class SimEnvironment(Record):
             raise SimulationError(f"environment has no location for host {host!r}") from None
 
     def resolver(self) -> FixtureResolver:
-        return FixtureResolver(self.node_locations)
+        return self._resolver
 
 
 def _noise_ms(env: SimEnvironment, pair: tuple[str, str], sample: Union[int, str]) -> float:
@@ -299,28 +324,6 @@ class SimulatedProbe:
         return 2.0 * one_way + self.env.service_overhead_ms
 
 
-def _number(raw) -> float:
-    """A decoded JSON number as a float; true and false are not numbers."""
-    if type(raw) not in (int, float):
-        raise TypeError(f"value must be a JSON number, not {raw!r}")
-    return float(raw)
-
-
-def _integer(raw) -> int:
-    """A decoded JSON integer; 1.0, true and "1" are not integers."""
-    if type(raw) is not int:
-        raise TypeError(f"value must be a JSON integer, not {raw!r}")
-    return raw
-
-
-# how each environment file field becomes a SimEnvironment value; the rest are numbers
-_FIELD_PARSERS = {
-    "node_locations": parse_locations,
-    "latency_overrides": lambda raw: {str(key): _number(value) for key, value in raw.items()},
-    "seed": _integer,
-}
-
-
 def load_env(text: str) -> SimEnvironment:
     """Parse an environment file (JSON; override keys are "hostA|hostB").
 
@@ -330,10 +333,9 @@ def load_env(text: str) -> SimEnvironment:
     unknown = set(doc) - set(SimEnvironment._fields)
     if unknown:
         raise SimulationError(f"unknown environment fields: {sorted(unknown)}")
-    values = {}
-    for name, raw in doc.items():
+    if "node_locations" in doc:
         try:
-            values[name] = _FIELD_PARSERS.get(name, _number)(raw)
-        except (AttributeError, TypeError, ValueError, OverflowError, GeoFixtureError) as exc:
-            raise SimulationError(f"bad environment field {name!r}: {exc}") from exc
-    return SimEnvironment(**values)
+            doc["node_locations"] = parse_locations(doc["node_locations"])
+        except GeoFixtureError as exc:
+            raise _field_error("node_locations", exc) from exc
+    return SimEnvironment(**doc)

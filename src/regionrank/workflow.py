@@ -59,6 +59,8 @@ def check_host_key(key: str, where: str, error: type[RegionRankError] = Workflow
     lookup by it would fail as if the key were absent. The error gives the
     canonical form, when the key has one.
     """
+    if not isinstance(key, str):
+        raise error(f"{where}: {key!r} is not a host key")
     netloc = f"[{key}]" if key.count(":") > 1 and not key.startswith("[") else key
     try:
         canonical = _host_key(f"http://{netloc}/")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regionrank.cli
+import regionrank.harness
 import regionrank.metrics
 from conftest import DEEP_JSON, HOSTILE_REPLIES, gather_sim, kept_alive, make_consistent_case, raw_peer
 from regionrank.bundled import fixture_path
@@ -890,6 +891,46 @@ def test_serve_exits_on_an_interrupt_that_lands_as_its_banner_is_flushed(monkeyp
     assert code == EXIT_OK
     assert stdout.interrupted
     assert stdout.getvalue().startswith("serving transform (rotate) on http://127.0.0.1:")
+
+
+def test_serve_stops_on_an_interrupt_and_closes_its_service(monkeypatch, capsys):
+    started = []
+
+    def recording_service(**kwargs):
+        started.append(transform_service(**kwargs))
+        return started[-1]
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(regionrank.harness, "transform_service", recording_service)
+    monkeypatch.setattr(time, "sleep", interrupt)
+    assert main(["serve", "--port", "0"]) == EXIT_OK
+    [service] = started
+    assert capsys.readouterr().out == f"serving transform (rotate) on {service.url}\n"
+    assert service.socket.fileno() == -1  # the listening socket is closed
+
+
+def test_a_closed_stdout_exits_1_in_process_and_keeps_no_descriptor(monkeypatch, capsys):
+    opened = []
+    os_open = os.open
+
+    def recording_open(path, flags, *args):
+        opened.append(os_open(path, flags, *args))
+        return opened[-1]
+
+    reader, writer = os.pipe()
+    os.close(reader)
+    with open(writer, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(os, "open", recording_open)
+        code = main(["simulate", "--workflow", WORKED_WORKFLOW, "--catalog", CATALOG, "--env", WORKED_ENV])
+        monkeypatch.undo()  # stdout and os.open back before the pipe's file closes
+    assert code == 1
+    assert "error:" not in capsys.readouterr().err
+    [devnull] = opened
+    with pytest.raises(OSError):
+        os.fstat(devnull)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -125,3 +126,41 @@ def test_fixture_resolver_rejects_bad_fixture(text):
     with pytest.raises(GeoFixtureError):
         FixtureResolver.from_json(text)
 
+
+# --- a point or a resolver built in code is checked as a file's is ---
+
+
+@pytest.mark.parametrize("lat, lon", [(True, 5), (5, False), ("5", 0), (0, None)])
+def test_geopoint_refuses_what_is_not_a_number_as_a_fixture_does(lat, lon):
+    message = f"lat and lon must be numbers, not {lat!r} and {lon!r}"
+    with pytest.raises(TypeError) as built:
+        GeoPoint(lat, lon)
+    assert str(built.value) == message
+    with pytest.raises(GeoFixtureError) as loaded:
+        FixtureResolver.from_json(json.dumps({"h.test": {"lat": lat, "lon": lon}}))
+    assert str(loaded.value) == f"bad location for host 'h.test': {message}"
+
+
+def test_geopoint_holds_floats():
+    point = GeoPoint(1, -2)
+    assert (type(point.lat), type(point.lon)) == (float, float)
+    assert point == GeoPoint(1.0, -2.0) and repr(point) == "GeoPoint(lat=1.0, lon=-2.0)"
+
+
+@pytest.mark.parametrize("host, message", [
+    ("SRC.test", "locations: host key 'SRC.test' is not canonical; write 'src.test'"),
+    ("h.test:80", "locations: host key 'h.test:80' is not canonical; write 'h.test'"),
+    ("a/b", "locations: 'a/b' is not a host key"),
+])
+def test_fixture_resolver_refuses_a_non_canonical_host_as_a_fixture_does(host, message):
+    with pytest.raises(GeoFixtureError) as built:
+        FixtureResolver({"ok.test": GeoPoint(0, 0), host: GeoPoint(0, 0)})
+    assert str(built.value) == message
+    with pytest.raises(GeoFixtureError) as loaded:
+        FixtureResolver.from_json(json.dumps({host: {"lat": 0, "lon": 0}}))
+    assert str(loaded.value) == message
+
+
+def test_fixture_resolver_refuses_a_host_that_is_not_a_string():
+    with pytest.raises(GeoFixtureError, match="^locations: 7 is not a host key$"):
+        FixtureResolver({7: GeoPoint(0, 0)})

@@ -9,6 +9,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -31,7 +32,8 @@ from regionrank.harness import (
     transform_service,
 )
 from regionrank.metrics import LiveProbe
-from regionrank.workflow import parse_workflow
+from regionrank.workflow import endpoint_host, parse_workflow
+from test_simulator import chain_specs
 
 
 def stats(runs, failures=0):
@@ -387,6 +389,24 @@ def test_transform_service_rejects_bad_delay(delay_ms):
 def loopback_chain(*services):
     lines = "\n".join(svc.url for svc in services)
     return parse_workflow(lines, format="lines")
+
+
+@given(chain_specs())
+def test_a_chain_run_makes_the_transfers_the_model_counts(spec):
+    """Per host, a chain's run moves data as often as spec.host_weights has candidate edges.
+
+    A GET is one transfer, from its host; a POST is two, to its host and back.
+    """
+    transfers = Counter()
+
+    def recorder(url, timeout, error, payload=None, *, pool=None):
+        transfers[endpoint_host(url)] += 1 if payload is None else 2
+        return b"payload"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regionrank.harness, "http_body", recorder)
+        run_workflow_once(spec)
+    assert transfers == spec.host_weights
 
 
 def test_run_workflow_once_payload_integrity():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from regionrank.geo import GeoPoint
@@ -76,3 +78,27 @@ def test_unknown_region_id():
 def test_load_catalog_rejects_malformed(text):
     with pytest.raises(CatalogError):
         load_catalog(text)
+
+
+@pytest.mark.parametrize("probe_host, message", [
+    ("R1.test", "region 'r' probe_host: host key 'R1.test' is not canonical; write 'r1.test'"),
+    ("r1.test:80", "region 'r' probe_host: host key 'r1.test:80' is not canonical; write 'r1.test'"),
+    ("r1/", "region 'r' probe_host: 'r1/' is not a host key"),
+])
+def test_region_refuses_a_non_canonical_probe_host_as_a_catalog_does(probe_host, message):
+    with pytest.raises(CatalogError) as built:
+        Region("r", probe_host, GeoPoint(0, 0))
+    assert str(built.value) == message
+    with pytest.raises(CatalogError) as loaded:
+        load_catalog(json.dumps([{"id": "r", "probe_host": probe_host, "lat": 0, "lon": 0}]))
+    assert str(loaded.value) == message
+
+
+def test_region_refuses_a_probe_host_that_is_not_a_string():
+    with pytest.raises(CatalogError, match=r"^region 'r' probe_host: \('r1.test',\) is not a host key$"):
+        Region("r", ("r1.test",), GeoPoint(0, 0))
+
+
+def test_catalog_names_an_empty_probe_host_as_the_region_does():
+    with pytest.raises(CatalogError, match="^region 'r' has an empty probe_host$"):
+        load_catalog('[{"id": "r", "probe_host": "", "lat": 0, "lon": 0}]')

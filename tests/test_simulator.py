@@ -6,6 +6,7 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
+import regionrank.geo
 import regionrank.simulator
 from conftest import dag_specs, gather_sim, make_consistent_case
 from regionrank.candidate import build_candidate_graph, total_weight
@@ -507,3 +508,61 @@ def test_bundled_envs_parse(worked_env, adversarial_env):
     assert worked_env.processing_s == 0.5
     assert adversarial_env.latency_overrides
     assert all(v == 0.5 for v in adversarial_env.latency_overrides.values())
+
+
+# --- an environment built in code is checked as a file is ---
+
+
+@pytest.mark.parametrize("field, value", [
+    ("node_locations", {"SRC.test": {"lat": 0, "lon": 0}}),
+    ("node_locations", {"ok.test": {"lat": 0, "lon": 0}, "h.test:80": {"lat": 0, "lon": 0}}),
+    ("latency_overrides", []),
+    ("latency_overrides", {"a.test|b.test": "3"}),
+    ("latency_overrides", {"a.test|b.test": True}),
+    ("bandwidth_mbps", True),
+    ("bandwidth_mbps", "100"),
+    ("processing_s", None),
+    pytest.param("bandwidth_mbps", 10 ** 400, id="bandwidth_mbps-too-large-for-a-float"),
+    ("seed", 1.5),
+    ("seed", False),
+])
+def test_an_environment_built_in_code_is_checked_as_a_file_is(field, value):
+    with pytest.raises(SimulationError) as loaded:
+        load_env(json.dumps({field: value}))
+    if field == "node_locations":
+        value = {host: GeoPoint(**point) for host, point in value.items()}
+    with pytest.raises(SimulationError) as built:
+        SimEnvironment(**{field: value})
+    assert str(built.value) == str(loaded.value)
+
+
+@pytest.mark.parametrize("field", ["node_locations", "latency_overrides"])
+def test_an_environment_mapping_must_be_a_mapping(field):
+    with pytest.raises(SimulationError) as err:
+        SimEnvironment(**{field: [("a.test", ORIGIN)]})
+    assert str(err.value) == f"bad environment field {field!r}: value must be a JSON object, not list"
+
+
+def test_an_environment_holds_its_numbers_as_floats():
+    env = SimEnvironment(base_latency_per_km=1, bandwidth_mbps=100, service_overhead_ms=3,
+                         processing_s=0, noise_sigma_ms=0, latency_overrides={"a.test|b.test": 7})
+    numbers = [env.base_latency_per_km, env.bandwidth_mbps, env.service_overhead_ms, env.processing_s,
+               env.noise_sigma_ms, *env.latency_overrides.values()]
+    assert [type(number) for number in numbers] == [float] * 6
+    assert env == load_env('{"base_latency_per_km": 1, "processing_s": 0, "latency_overrides": {"a.test|b.test": 7}}')
+
+
+def test_the_resolver_is_built_once_and_checks_each_key_once(monkeypatch):
+    checked = []
+    check = regionrank.geo.check_host_key
+
+    def counting_check(key, where, error):
+        checked.append(key)
+        return check(key, where, error)
+
+    monkeypatch.setattr(regionrank.geo, "check_host_key", counting_check)
+    env = load_env('{"node_locations": {"a.test": {"lat": 0, "lon": 0}, "b.test": {"lat": 1, "lon": 1}}}')
+    assert sorted(checked) == ["a.test", "b.test"]
+    assert env.resolver() is env.resolver()
+    assert env.resolver().resolve("b.test") == env.locate("b.test") == GeoPoint(1, 1)
+    assert len(checked) == 2

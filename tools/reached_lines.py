@@ -10,11 +10,9 @@ lambda and comprehension of src/regionrank, prints each line that holds
 code and never ran, as path:line followed by the function's name. A line
 runs when the tracer sees a "line" event for it. The line of a def itself is
 left out: it runs when the module loads, not when the function is called.
-
-Some functions run only in a child process, which the tracer does not
-follow; ALLOWED names them by (file, function), and their unrun lines are
-listed as allowed. Exits 0 when the tests pass and every unrun line is
-allowed, 1 otherwise.
+The tracer does not follow child processes, so a line counts only if a test
+runs it in this process. Exits 0 when the tests pass and every line ran, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,12 +25,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "regionrank"
-
-# run only in a subprocess in tier-1, so a trace of the pytest process never sees them
-ALLOWED = {
-    ("cli.py", "cmd_serve"),  # the sleep loop that waits for an interrupt
-    ("cli.py", "main"),  # the broken-pipe exit, when stdout's reader has gone
-}
 
 
 def function_lines(path: Path) -> dict[tuple[str, int], set[int]]:
@@ -90,16 +82,14 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     status, ran = trace_tests(["-q", "-p", "no:cacheprovider", *argv])
-    unreached = allowed = 0
+    unreached = 0
     for path in sorted(PACKAGE.glob("*.py")):
         run = ran.get(str(path), set())
         for (name, _), lines in sorted(function_lines(path).items(), key=lambda item: item[0][1]):
             for line in sorted(lines - run):
-                is_allowed = (path.name, name.split(".")[-1]) in ALLOWED
-                allowed += is_allowed
-                unreached += not is_allowed
-                print(f"{path.relative_to(ROOT)}:{line}: {name}{' (allowed: subprocess only)' if is_allowed else ''}")
-    print(f"{unreached} unreached line(s), {allowed} allowed, pytest exit {status}")
+                unreached += 1
+                print(f"{path.relative_to(ROOT)}:{line}: {name}")
+    print(f"{unreached} unreached line(s), pytest exit {status}")
     return 0 if status == 0 and unreached == 0 else 1
 
 
