@@ -98,14 +98,16 @@ def haversine_row(origin: GeoPoint, points: Iterable[GeoPoint]) -> list[float]:
 class FixtureResolver:
     """Maps a host key to its location, from a static host -> coordinates mapping.
 
-    Every host must be a canonical host key (workflow.check_host_key). The
-    default fixture keeps every lookup offline and deterministic.
+    Every host must be a canonical host key (workflow.check_host_key) and every
+    location a GeoPoint. The default fixture keeps lookups offline and deterministic.
     """
 
     def __init__(self, locations: Mapping[str, GeoPoint]):
         self._locations = dict(locations)
-        for host in self._locations:
+        for host, point in self._locations.items():
             check_host_key(host, "locations", GeoFixtureError)
+            if not isinstance(point, GeoPoint):
+                raise GeoFixtureError(f"bad location for host {host!r}: {point!r} is not a GeoPoint")
 
     @classmethod
     def from_json(cls, text: str) -> "FixtureResolver":

@@ -164,3 +164,8 @@ def test_fixture_resolver_refuses_a_non_canonical_host_as_a_fixture_does(host, m
 def test_fixture_resolver_refuses_a_host_that_is_not_a_string():
     with pytest.raises(GeoFixtureError, match="^locations: 7 is not a host key$"):
         FixtureResolver({7: GeoPoint(0, 0)})
+
+
+def test_fixture_resolver_refuses_a_location_that_is_not_a_point():
+    with pytest.raises(GeoFixtureError, match=r"^bad location for host 'h.test': \(0, 0\) is not a GeoPoint$"):
+        FixtureResolver({"h.test": (0, 0)})

@@ -543,6 +543,13 @@ def test_an_environment_mapping_must_be_a_mapping(field):
     assert str(err.value) == f"bad environment field {field!r}: value must be a JSON object, not list"
 
 
+def test_an_environment_location_must_be_a_point():
+    with pytest.raises(SimulationError) as err:
+        SimEnvironment(node_locations={"a.test": ORIGIN, "b.test": (0, 0)})
+    assert str(err.value) == ("bad environment field 'node_locations': "
+                              "bad location for host 'b.test': (0, 0) is not a GeoPoint")
+
+
 def test_an_environment_holds_its_numbers_as_floats():
     env = SimEnvironment(base_latency_per_km=1, bandwidth_mbps=100, service_overhead_ms=3,
                          processing_s=0, noise_sigma_ms=0, latency_overrides={"a.test|b.test": 7})
